@@ -149,9 +149,10 @@ def check_axioms(letters, max_degree: int) -> Report:
     # Module compatibilities on bar products a|b of bounded total degree.
     def product_compat(side: Side):
         for a in bars:
-            for b in bars:
-                if a.degree + b.degree > max_degree:
-                    continue
+            room = max_degree - a.degree
+            for b in bars:  # graded by degree: nothing later fits either
+                if b.degree > room:
+                    break
                 lhs = unshuffle_bar(a.concat(b), side)
                 rhs = unshuffle_bar(a, side).bar_mul(unshuffle_bar(b, Side.FULL))
                 if lhs != rhs:

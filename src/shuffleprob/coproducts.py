@@ -101,18 +101,7 @@ def half_unshuffle(w: Word, side: Side, reduced: bool = False) -> TensorSum:
     ``1 (x) w`` on the right; both on the full side), and is only defined on
     nonempty words.
     """
-    if reduced and not w:
-        raise DomainError("reduced half-coproducts are undefined on the empty word")
-    out = _word_coproduct(w, side)
-    if reduced:
-        bw = BarWord.from_word(w)
-        if side is Side.LEFT:
-            out = out - TensorSum._raw({(bw, EMPTY_BAR): 1})
-        elif side is Side.RIGHT:
-            out = out - TensorSum._raw({(EMPTY_BAR, bw): 1})
-        else:
-            out = out - TensorSum._raw({(bw, EMPTY_BAR): 1, (EMPTY_BAR, bw): 1})
-    return out
+    return unshuffle_bar(BarWord.from_word(w), side, reduced)
 
 
 def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum:

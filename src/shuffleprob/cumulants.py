@@ -129,52 +129,45 @@ def point_mass(c, max_degree: int = 6, name: str = "a") -> Distribution:
     return Distribution.univariate(name, vals, max_degree)
 
 
-def cumulant_functional(d: Distribution, kind) -> fn.Functional:
-    """The infinitesimal character of the requested family for d's moment
-    character (free: log<, boolean: log>, monotone: log*)."""
-    kind = _as_kind(kind)
-    phi = d.character()
-    if kind is CumulantKind.FREE:
-        return fn.log_left(phi)
-    if kind is CumulantKind.BOOLEAN:
-        return fn.log_right(phi)
-    return fn.log_star(phi)
+#: Each family as the (exponential, logarithm) pair linking its cumulants
+#: with the moment character.
+_EXP_LOG = {
+    CumulantKind.FREE: (fn.exp_left, fn.log_left),
+    CumulantKind.BOOLEAN: (fn.exp_right, fn.log_right),
+    CumulantKind.MONOTONE: (fn.exp_star, fn.log_star),
+}
 
 
-def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
-    """Cumulants of every word of degree <= max_degree (zeros omitted)."""
-    rho = cumulant_functional(d, kind)
+def tabulate(phi: fn.Functional, letters, max_degree: int) -> dict[Word, Fraction]:
+    """phi on every nonempty word of degree <= max_degree, zeros omitted."""
     out = {}
-    for w in d.words():
-        v = rho(w)
+    for w in words_up_to(letters, max_degree):
+        v = phi(w)
         if v:
             out[w] = v
     return out
 
 
-def _infinitesimal_from_map(c: Mapping[Word, Fraction]) -> fn.Functional:
-    return fn.infinitesimal(c)
+def cumulant_functional(d: Distribution, kind) -> fn.Functional:
+    """The infinitesimal character of the requested family for d's moment
+    character (free: log<, boolean: log>, monotone: log*)."""
+    log = _EXP_LOG[_as_kind(kind)][1]
+    return log(d.character())
+
+
+def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
+    """Cumulants of every word of degree <= max_degree (zeros omitted)."""
+    return tabulate(cumulant_functional(d, kind), d.letters, d.max_degree)
 
 
 def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
                    ) -> Distribution:
     """Distribution whose cumulants of the given kind are c: evaluate the
     matching exponential of the infinitesimal character on all words."""
-    kind = _as_kind(kind)
-    alpha = _infinitesimal_from_map(c)
-    if kind is CumulantKind.FREE:
-        phi = fn.exp_left(alpha)
-    elif kind is CumulantKind.BOOLEAN:
-        phi = fn.exp_right(alpha)
-    else:
-        phi = fn.exp_star(alpha)
+    exp = _EXP_LOG[_as_kind(kind)][0]
+    phi = exp(fn.infinitesimal(c))
     letters = tuple(letters)
-    moments = {}
-    for w in words_up_to(letters, max_degree):
-        v = phi(w)
-        if v:
-            moments[w] = v
-    return Distribution(letters, max_degree, moments)
+    return Distribution(letters, max_degree, tabulate(phi, letters, max_degree))
 
 
 def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
@@ -191,34 +184,31 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
         if not letters:
             raise ValidationError("cannot infer letters from an empty cumulant map; "
                                   "pass letters explicitly")
-    letters = tuple(letters)
-    alpha = _infinitesimal_from_map(c)
-    out = _convert_functional(alpha, kind_from, kind_to)
-    result = {}
-    for w in words_up_to(letters, max_degree):
-        v = out(w)
-        if v:
-            result[w] = v
-    return result
+    out = _convert_functional(fn.infinitesimal(c), kind_from, kind_to)
+    return tabulate(out, tuple(letters), max_degree)
+
+
+def _sign_twisted(f):
+    """a -> -f(-a)."""
+    return lambda alpha: -1 * f(-1 * alpha)
+
+
+#: Each family's (to monotone, from monotone) maps at the Lie level.
+_VIA_MONOTONE = {
+    CumulantKind.FREE: (magnus, magnus_inverse),
+    CumulantKind.BOOLEAN: (_sign_twisted(magnus), _sign_twisted(magnus_inverse)),
+}
 
 
 def _convert_functional(alpha: fn.Functional, kind_from: CumulantKind,
                         kind_to: CumulantKind) -> fn.Functional:
     if kind_from is kind_to:
         return alpha
-    K, B, M = CumulantKind.FREE, CumulantKind.BOOLEAN, CumulantKind.MONOTONE
-    if (kind_from, kind_to) == (K, M):
-        return magnus(alpha)
-    if (kind_from, kind_to) == (M, K):
-        return magnus_inverse(alpha)
-    if (kind_from, kind_to) == (B, M):
-        return -1 * magnus(-1 * alpha)
-    if (kind_from, kind_to) == (M, B):
-        return -1 * magnus_inverse(-1 * alpha)
-    if (kind_from, kind_to) == (K, B):
-        return -1 * magnus_inverse(-1 * magnus(alpha))
-    # boolean -> free
-    return magnus_inverse(-1 * magnus(-1 * alpha))
+    if kind_from is not CumulantKind.MONOTONE:
+        alpha = _VIA_MONOTONE[kind_from][0](alpha)
+    if kind_to is not CumulantKind.MONOTONE:
+        alpha = _VIA_MONOTONE[kind_to][1](alpha)
+    return alpha
 
 
 class TruncatedSeries:

@@ -7,6 +7,15 @@ coproducts of the argument, and memoized per node.  All series-type operators
 one at a bar word of degree d only ever touches evaluations at degree <= d,
 so every value is an exact finite sum.
 
+One node kind, ``_Pairing``, pairs two functionals across one side of the
+unshuffle coproduct.  The convolution product, the two half-shuffle
+products, the convolution inverse and the two half-shuffle exponentials are
+all built from it; the last three pair the node against itself, and only
+they use a self operand: the left leg of the inverse (X = e + X * (e - f))
+and of the right exponential (X = e + X > a), the right leg of the left
+exponential (X = e + a < X).  The powers inside exp* and log* are
+convolution products of the same node kind.
+
 Two cheap structural flags travel with each node: ``is_character`` (unital
 and multiplicative over bars) and ``is_infinitesimal_character`` (vanishes on
 the empty bar word and on bar products).  They are set when the construction
@@ -29,7 +38,8 @@ from .errors import DomainError
 from .words import BarWord, EMPTY_BAR, Word, all_barwords, as_barword
 
 #: When true, closed-form adjoint nodes re-derive every word evaluation from
-#: the defining conjugation and assert agreement.  Enabled by the test suite.
+#: the defining conjugation and raise AssertionError on disagreement (also
+#: under ``python -O``).  Enabled by the test suite.
 CROSS_CHECK_AD = False
 
 
@@ -182,83 +192,51 @@ class _Linear(Functional):
         return total
 
 
-class _Conv(Functional):
-    """Convolution product: pair the operands across the full coproduct."""
+class _Pairing(Functional):
+    """Pair two functionals across one side of the unshuffle coproduct:
+    the value at b is the sum of c * f(x) * g(y) over the terms
+    c * x (x) y of the chosen (unreduced) coproduct of b.
 
-    __slots__ = ("f", "g")
+    ``unit_term``, when not None, replaces that sum at the empty bar word.
+    Either operand may be None, which stands for the node itself; this
+    realises the fixed points X = e + a < X, X = e + X > a and
+    X = e + X * (e - f).  The other operand vanishes on the empty bar word,
+    and it is evaluated first, so the one term whose self leg keeps the
+    degree of b is dropped before it recurses.  The node does not store
+    itself, which would make it a reference cycle that outlives its use."""
 
-    def __init__(self, f, g):
+    __slots__ = ("f", "g", "side", "unit_term")
+
+    def __init__(self, f, g, side: Side, unit_term):
         super().__init__()
-        self.f, self.g = f, g
-        self.is_character = f.is_character and g.is_character
+        self.f, self.g, self.side, self.unit_term = f, g, side, unit_term
 
     def _value(self, b):
+        if self.unit_term is not None and not b.words:
+            return self.unit_term
+        terms = unshuffle_bar(b, self.side)
         f, g = self.f, self.g
         total = 0
-        for (x, y), c in unshuffle_bar(b, Side.FULL):
-            left = f(x)
-            if left:
+        if f is None:  # self on the left: the known right leg goes first
+            f = self
+            for (x, y), c in terms:
                 right = g(y)
                 if right:
-                    v = left * right
-                    total += v if c == 1 else c * v
-        return total
-
-
-class _Half(Functional):
-    """Half-shuffle product over the unreduced half-coproducts; the value at
-    the empty bar word is 0 (the products live on the augmentation kernel)."""
-
-    __slots__ = ("f", "g", "side")
-
-    def __init__(self, f, g, side: Side):
-        super().__init__()
-        if isinstance(f, _Unit) and isinstance(g, _Unit):
-            raise DomainError("the half-products of the unit with itself are undefined")
-        self.f, self.g, self.side = f, g, side
-
-    def _value(self, b):
-        if not b.words:
-            return Fraction(0)
-        f, g = self.f, self.g
-        total = 0
-        for (x, y), c in unshuffle_bar(b, self.side):
-            left = f(x)
-            if left:
-                right = g(y)
-                if right:
-                    v = left * right
-                    total += v if c == 1 else c * v
-        return total
-
-
-class _Inverse(Functional):
-    """Convolution inverse of a unital functional (the Neumann series
-    sum_k (-1)^k (f-e)^{*k}, realised as a degree recursion)."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__()
-        if f(EMPTY_BAR) != 1:
-            raise DomainError("only functionals with value 1 on the empty bar word are invertible")
-        self.f = f
-        self.is_character = f.is_character
-
-    def _value(self, b):
-        if not b.words:
-            return Fraction(1)
-        f = self.f
-        total = 0
-        for (x, y), c in unshuffle_bar(b, Side.FULL):
-            if y.words:  # the y = 1 term is the unknown itself
-                left = self(x)
-                if left:
-                    right = f(y)
-                    if right:
+                    left = f(x)
+                    if left:
                         v = left * right
                         total += v if c == 1 else c * v
-        return -total
+            return total
+        if g is None:
+            g = self
+        for (x, y), c in terms:
+            left = f(x)
+            if left:
+                right = g(y)
+                if right:
+                    v = left * right
+                    total += v if c == 1 else c * v
+        return total
 
 
 class _SeriesStar(Functional):
@@ -284,7 +262,7 @@ class _SeriesStar(Functional):
             return self.unit_term
         powers = self._powers
         while len(powers) <= d:
-            powers.append(_Conv(powers[-1], self.base))
+            powers.append(conv(powers[-1], self.base))
         total = 0
         for k in range(1, d + 1):
             pk = powers[k](b)
@@ -322,64 +300,6 @@ class _LogStar(_SeriesStar):
         return Fraction(1, k) if k % 2 else Fraction(-1, k)
 
 
-class _ExpLeft(Functional):
-    """Left half-shuffle exponential: the unique solution of X = e + a < X,
-    evaluated by degree recursion (the right legs of the left half-coproduct
-    always drop degree)."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha):
-        super().__init__()
-        if alpha(EMPTY_BAR) != 0:
-            raise DomainError("half-shuffle exponentials need an operand vanishing "
-                              "on the empty bar word")
-        self.alpha = alpha
-        self.is_character = alpha.is_infinitesimal_character
-
-    def _value(self, b):
-        if not b.words:
-            return Fraction(1)
-        alpha = self.alpha
-        total = 0
-        for (x, y), c in unshuffle_bar(b, Side.LEFT):
-            left = alpha(x)
-            if left:
-                right = self(y)
-                if right:
-                    v = left * right
-                    total += v if c == 1 else c * v
-        return total
-
-
-class _ExpRight(Functional):
-    """Right half-shuffle exponential: X = e + X > a."""
-
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha):
-        super().__init__()
-        if alpha(EMPTY_BAR) != 0:
-            raise DomainError("half-shuffle exponentials need an operand vanishing "
-                              "on the empty bar word")
-        self.alpha = alpha
-        self.is_character = alpha.is_infinitesimal_character
-
-    def _value(self, b):
-        if not b.words:
-            return Fraction(1)
-        alpha = self.alpha
-        total = 0
-        for (x, y), c in unshuffle_bar(b, Side.RIGHT):
-            right = alpha(y)
-            if right:
-                left = self(x)
-                if left:
-                    v = left * right
-                    total += v if c == 1 else c * v
-        return total
-
-
 class _AdjointAction(Functional):
     """Closed-form Lie-level adjoint action of g1 on g2 (written g2^{g1}):
     on a word, the sum of g2(subword) * E<(g1)(complement runs) over the
@@ -394,7 +314,7 @@ class _AdjointAction(Functional):
             raise DomainError("the adjoint actions act on infinitesimal characters")
         self.g1, self.g2 = g1, g2
         conjugator = -1 * g1 if mutations.is_active("flip-ad-conjugator") else g1
-        self.exp = _ExpLeft(conjugator)
+        self.exp = exp_left(conjugator)
         self._composed = None
         self.is_infinitesimal_character = True
 
@@ -418,7 +338,8 @@ class _AdjointAction(Functional):
         if CROSS_CHECK_AD:
             if self._composed is None:
                 self._composed = hs_left(hs_right(neumann_inverse(self.exp), self.g2), self.exp)
-            assert self._composed(b) == total, f"adjoint closed form disagrees at {b!r}"
+            if self._composed(b) != total:
+                raise AssertionError(f"adjoint closed form disagrees at {b!r}")
         return total
 
 
@@ -455,17 +376,26 @@ def from_values(values: Mapping[BarWord, Fraction]) -> Functional:
 
 def conv(f: Functional, g: Functional) -> Functional:
     """Convolution product f * g."""
-    return _Conv(f, g)
+    out = _Pairing(f, g, Side.FULL, None)
+    out.is_character = f.is_character and g.is_character
+    return out
+
+
+def _half(f: Functional, g: Functional, side: Side) -> Functional:
+    # The half-products live on the augmentation kernel: 0 at the empty bar word.
+    if isinstance(f, _Unit) and isinstance(g, _Unit):
+        raise DomainError("the half-products of the unit with itself are undefined")
+    return _Pairing(f, g, side, Fraction(0))
 
 
 def hs_left(f: Functional, g: Functional) -> Functional:
     """Left half-shuffle product f < g; f < e = f, e < f = 0."""
-    return _Half(f, g, Side.LEFT)
+    return _half(f, g, Side.LEFT)
 
 
 def hs_right(f: Functional, g: Functional) -> Functional:
     """Right half-shuffle product f > g; e > f = f, f > e = 0."""
-    return _Half(f, g, Side.RIGHT)
+    return _half(f, g, Side.RIGHT)
 
 
 def prelie(f: Functional, g: Functional) -> Functional:
@@ -480,8 +410,13 @@ def prelie(f: Functional, g: Functional) -> Functional:
 
 
 def neumann_inverse(f: Functional) -> Functional:
-    """Convolution inverse of a unital functional; f * f^{-1} = f^{-1} * f = e."""
-    return _Inverse(f)
+    """Convolution inverse of a unital functional; f * f^{-1} = f^{-1} * f = e.
+    The Neumann series sum_k (e - f)^{*k}, realised as X = e + X * (e - f)."""
+    if f(EMPTY_BAR) != 1:
+        raise DomainError("only functionals with value 1 on the empty bar word are invertible")
+    out = _Pairing(None, e - f, Side.FULL, Fraction(1))
+    out.is_character = f.is_character
+    return out
 
 
 def exp_star(alpha: Functional) -> Functional:
@@ -494,14 +429,23 @@ def log_star(phi: Functional) -> Functional:
     return _LogStar(phi)
 
 
+def _half_exp(alpha: Functional, f, g, side: Side) -> Functional:
+    if alpha(EMPTY_BAR) != 0:
+        raise DomainError("half-shuffle exponentials need an operand vanishing "
+                          "on the empty bar word")
+    out = _Pairing(f, g, side, Fraction(1))
+    out.is_character = alpha.is_infinitesimal_character
+    return out
+
+
 def exp_left(alpha: Functional) -> Functional:
     """Left half-shuffle exponential, the solution of X = e + alpha < X."""
-    return _ExpLeft(alpha)
+    return _half_exp(alpha, alpha, None, Side.LEFT)
 
 
 def exp_right(alpha: Functional) -> Functional:
     """Right half-shuffle exponential, the solution of X = e + X > alpha."""
-    return _ExpRight(alpha)
+    return _half_exp(alpha, None, alpha, Side.RIGHT)
 
 
 def log_left(phi: Functional) -> Functional:

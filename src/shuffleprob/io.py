@@ -14,12 +14,8 @@ from typing import Mapping
 
 from .cumulants import Distribution, TruncatedSeries
 from .errors import ValidationError
+from .reporting import rational_str
 from .words import Letter, Word
-
-
-def rational_to_str(v) -> str:
-    v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def parse_rational(x) -> Fraction:
@@ -73,7 +69,7 @@ def _parse_degree(obj) -> int:
 
 
 def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
-    return {word_to_str(w): rational_to_str(values[w])
+    return {word_to_str(w): rational_str(values[w])
             for w in sorted(values, key=Word.sort_key)}
 
 

@@ -19,9 +19,9 @@ from itertools import product as iproduct
 
 from . import functionals as fn
 from .coproducts import Side
-from .cumulants import Distribution
+from .cumulants import Distribution, tabulate
 from .errors import DomainError, ValidationError
-from .words import Letter, Word, words_up_to
+from .words import Letter, Word
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +181,8 @@ class LabeledContext:
         except DomainError:
             return value  # mixed words go through the convolution path only
         expected = closed(phi, w) if kind == "free" else closed(w)
-        assert value == expected, \
-            f"{kind} product disagrees with its closed form at {w!r}"
+        if value != expected:
+            raise AssertionError(f"{kind} product disagrees with its closed form at {w!r}")
         return value
 
     def monotone_product(self, w: Word) -> Fraction:
@@ -281,12 +281,7 @@ def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Dis
     if kind not in ops:
         raise ValidationError(f"unknown convolution kind {kind!r}; expected one of {sorted(ops)}")
     phi = ops[kind](d1.character(), d2.character())
-    moments = {}
-    for w in words_up_to(d1.letters, d1.max_degree):
-        v = phi(w)
-        if v:
-            moments[w] = v
-    return Distribution(d1.letters, d1.max_degree, moments)
+    return Distribution(d1.letters, d1.max_degree, tabulate(phi, d1.letters, d1.max_degree))
 
 
 def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> Distribution:
@@ -296,19 +291,9 @@ def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> 
     if side_enum is None:
         raise ValidationError(f"unknown side {side!r}; expected left or right")
     phi = subordinate(d1.character(), d2.character(), side_enum)
-    moments = {}
-    for w in words_up_to(d1.letters, d1.max_degree):
-        v = phi(w)
-        if v:
-            moments[w] = v
-    return Distribution(d1.letters, d1.max_degree, moments)
+    return Distribution(d1.letters, d1.max_degree, tabulate(phi, d1.letters, d1.max_degree))
 
 
 def bp_distribution(d: Distribution, t=1) -> Distribution:
     phi = bp_t(d.character(), t)
-    moments = {}
-    for w in words_up_to(d.letters, d.max_degree):
-        v = phi(w)
-        if v:
-            moments[w] = v
-    return Distribution(d.letters, d.max_degree, moments)
+    return Distribution(d.letters, d.max_degree, tabulate(phi, d.letters, d.max_degree))

@@ -94,18 +94,6 @@ class TensorSum:
                     del data[key]
         return TensorSum._raw(data)
 
-    def map_legs(self, f=None, g=None) -> "TensorSum":
-        """Apply bar-word maps to the left/right legs (identity when None)."""
-        data: dict[Pair, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            key = (f(a) if f else a, g(b) if g else b)
-            new = data.get(key, 0) + c
-            if new:
-                data[key] = new
-            else:
-                del data[key]
-        return TensorSum._raw(data)
-
     def __repr__(self):
         if not self.terms:
             return "0"

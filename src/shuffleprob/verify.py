@@ -19,7 +19,7 @@ from .axioms import check_axioms
 from .coproducts import Side
 from .cumulants import (CumulantKind, Distribution, bernoulli_symmetric,
                         convert, from_cumulants, point_mass, semicircle, series,
-                        to_cumulants)
+                        tabulate, to_cumulants)
 from .errors import ValidationError
 from .magnus import (bch, bernoulli, group_law_left, group_law_left_definitional,
                      group_law_right, magnus, magnus_inverse)
@@ -66,8 +66,7 @@ def _random_table(rng, letters, max_degree, unital=False) -> fn.Functional:
 
 def _random_distribution(rng, letters, max_degree) -> Distribution:
     phi = _random_character(rng, letters, max_degree)
-    moments = {w: phi(w) for w in words_up_to(letters, max_degree) if phi(w)}
-    return Distribution(tuple(letters), max_degree, moments)
+    return Distribution(tuple(letters), max_degree, tabulate(phi, letters, max_degree))
 
 
 def _agree(name, f, g, letters, degree, include_empty=True) -> CheckResult:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +35,15 @@ def random_inf(seed, letters=AB, max_degree=5):
 def uword(letter_name, k, letters=AB):
     by_name = {l.name: l for l in letters}
     return Word((by_name[letter_name],) * k)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, timeout=120):
+    """Run a fresh interpreter on the package sources of this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=timeout)

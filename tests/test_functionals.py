@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ import shuffleprob as sp
 from shuffleprob import DomainError, EMPTY_BAR, BarWord, Word
 from shuffleprob.words import all_barwords
 
-from conftest import AB, random_inf
+from conftest import AB, random_inf, run_python
 
 A, B = AB
 
@@ -237,3 +238,54 @@ def test_exp_preconditions():
         sp.exp_left(phi)       # does not vanish at the unit
     with pytest.raises(DomainError):
         sp.log_left(random_inf(22))  # not unital
+
+
+def test_cross_check_ad_raises_under_python_O():
+    # The closed form's exponential is swapped for E<(2 g1) while the
+    # reference conjugation keeps E<(g1); the check must survive -O.
+    code = """
+import random
+from fractions import Fraction
+import shuffleprob as sp
+from shuffleprob import functionals
+from shuffleprob.words import words_up_to
+if __debug__:
+    raise SystemExit("expected python -O")
+letters = (sp.Letter("a"), sp.Letter("b"))
+rng = random.Random(0)
+def inf():
+    return sp.infinitesimal({w: Fraction(rng.randint(1, 3), rng.randint(1, 3))
+                             for w in words_up_to(letters, 4)})
+g1, g2 = inf(), inf()
+functionals.CROSS_CHECK_AD = True
+ad = sp.ad_action(g1, g2)
+ad._composed = functionals.ad_action_composed(g1, g2)
+ad.exp = sp.exp_left(2 * g1)
+for w in words_up_to(letters, 4):
+    ad(w)
+"""
+    done = run_python("-O", "-c", code)
+    assert done.returncode != 0
+    assert "AssertionError: adjoint closed form disagrees" in done.stderr
+
+
+def test_pairing_nodes_are_freed_without_the_cycle_collector():
+    # A node that kept itself as an operand would hold its memo until the
+    # cyclic collector runs.  magnus is left out: its iterates refer back
+    # to the node by construction.
+    kappa, phi = random_inf(21), sp.exp_left(random_inf(22))
+    b = bars(w(A, B), w(B), w(A, A))
+    builders = (lambda: sp.conv(phi, phi), lambda: sp.hs_left(kappa, phi),
+                lambda: sp.hs_right(phi, kappa), lambda: sp.neumann_inverse(phi),
+                lambda: sp.exp_left(kappa), lambda: sp.exp_right(kappa))
+    phi(b)
+    gc.collect()
+    gc.disable()
+    try:
+        for build in builders:
+            f = build()
+            f(b)
+            del f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

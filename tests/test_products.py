@@ -7,7 +7,7 @@ import shuffleprob as sp
 from shuffleprob import (DomainError, Distribution, LabeledContext, Side,
                          ValidationError, Word)
 
-from conftest import AB, random_fraction, random_inf
+from conftest import AB, random_fraction, random_inf, run_python
 
 A, B = AB
 
@@ -196,3 +196,21 @@ def test_alternating_word_validation():
         ctx.closed_monotone(Word((x, x)))
     with pytest.raises(DomainError):
         ctx.closed_boolean(Word((A,)))
+
+
+def test_closed_form_check_raises_under_python_O():
+    code = """
+from fractions import Fraction
+import shuffleprob as sp
+if __debug__:
+    raise SystemExit("expected python -O")
+d1 = sp.Distribution.univariate("x", [1, 2, 3], 3)
+d2 = sp.Distribution.univariate("y", [Fraction(1, 2), 1, 5], 3)
+sp.LabeledContext.closed_monotone = lambda self, w: Fraction(-7)
+ctx = sp.LabeledContext.from_distributions(d1, d2)
+x, y = ctx.letters
+ctx.monotone_product(sp.Word((x, y, x)))
+"""
+    done = run_python("-O", "-c", code)
+    assert done.returncode != 0
+    assert "AssertionError: monotone product disagrees" in done.stderr
