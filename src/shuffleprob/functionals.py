@@ -16,11 +16,19 @@ and of the right exponential (X = e + X > a), the right leg of the left
 exponential (X = e + a < X).  The powers inside exp* and log* are
 convolution products of the same node kind.
 
-Two cheap structural flags travel with each node: ``is_character`` (unital
-and multiplicative over bars) and ``is_infinitesimal_character`` (vanishes on
+Two structural flags travel with each node: ``is_character`` (unital and
+multiplicative over bars) and ``is_infinitesimal_character`` (vanishes on
 the empty bar word and on bar products).  They are set when the construction
-guarantees the property and gate the operations whose meaning requires it.
-Equality of functionals is always extensional; see :func:`agree_up_to`.
+guarantees the property, gate the operations whose meaning requires it, and
+drive evaluation: on a memo miss at a bar word of two or more components, a
+flagged derived node returns the product of its values on the component
+words, or 0, instead of recursing through the bar coproduct.  (The leaves
+read bar words off their own data, which is cheaper.)  A flag is therefore a
+promise about values, not a hint.  Clearing one is always safe: the node
+then evaluates every bar word through its own recursion, which is how the
+multiplicativity check in :mod:`verify` and the flag tests keep checking
+what the flags assert.  Equality of functionals is always extensional; see
+:func:`agree_up_to`.
 
 Expression trees are immutable and freely shareable; the per-node memo dicts
 are not synchronized, so concurrent evaluation needs external locking or
@@ -46,6 +54,10 @@ CROSS_CHECK_AD = False
 class Functional:
     __slots__ = ("_memo", "is_character", "is_infinitesimal_character")
 
+    #: Leaves whose ``_value`` reads bar words off their own data, which is
+    #: cheaper than factoring through the component words.
+    _leaf = False
+
     def __init__(self):
         self._memo: dict[BarWord, Fraction] = {}
         self.is_character = False
@@ -57,7 +69,19 @@ class Functional:
         memo = self._memo
         v = memo.get(element)
         if v is None:
-            v = self._value(element)
+            words = element.words
+            if len(words) < 2 or self._leaf:
+                v = self._value(element)
+            elif self.is_character:
+                v = Fraction(1)
+                for w in words:
+                    v *= self(BarWord((w,)))
+                    if not v:
+                        break
+            elif self.is_infinitesimal_character:
+                v = Fraction(0)
+            else:
+                v = self._value(element)
             memo[element] = v
         return v
 
@@ -84,6 +108,7 @@ class _Unit(Functional):
     """The augmentation map e: 1 on the empty bar word, 0 elsewhere."""
 
     __slots__ = ()
+    _leaf = True
 
     def __init__(self):
         super().__init__()
@@ -107,6 +132,7 @@ class _Character(Functional):
     the product of the word moments, and the empty bar word maps to 1."""
 
     __slots__ = ("moments",)
+    _leaf = True
 
     def __init__(self, moments: Mapping[Word, Fraction]):
         super().__init__()
@@ -140,6 +166,7 @@ class _Infinitesimal(Functional):
     and on every bar word with two or more components."""
 
     __slots__ = ("values",)
+    _leaf = True
 
     def __init__(self, values: Mapping[Word, Fraction]):
         super().__init__()
@@ -502,6 +529,8 @@ def ad_action_right(g1: Functional, g2: Functional) -> Functional:
 def ad_action_composed(g1: Functional, g2: Functional) -> Functional:
     """The defining conjugation E<(g1)^{-1} > g2 < E<(g1); used to
     cross-check the closed form."""
+    if not (g1.is_infinitesimal_character and g2.is_infinitesimal_character):
+        raise DomainError("the adjoint actions act on infinitesimal characters")
     E = exp_left(g1)
     out = hs_left(hs_right(neumann_inverse(E), g2), E)
     out.is_infinitesimal_character = True

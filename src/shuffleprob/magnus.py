@@ -13,6 +13,7 @@ pre-Lie multiplication raises the minimal degree.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import comb, factorial
 
@@ -47,9 +48,11 @@ bernoulli = BernoulliTable()
 class _Magnus(Functional):
     """The Magnus fixed point O(k) = sum_m (B_m / m!) L_{O(k)}^m (k), where
     L_x(y) = x |> y.  Self-references only occur at strictly smaller degree,
-    so the degree recursion is well founded."""
+    so the degree recursion is well founded.  The iterates reach the node
+    through a weak proxy: a strong reference would make every Magnus node a
+    reference cycle that holds its memo until the cyclic collector runs."""
 
-    __slots__ = ("kappa", "_iters")
+    __slots__ = ("kappa", "_iters", "__weakref__")
 
     def __init__(self, kappa):
         super().__init__()
@@ -64,8 +67,10 @@ class _Magnus(Functional):
         if d == 0:
             return Fraction(0)
         iters = self._iters
-        while len(iters) <= d - 1:
-            iters.append(prelie(self, iters[-1]))
+        if len(iters) < d:
+            me = weakref.proxy(self)
+            while len(iters) < d:
+                iters.append(prelie(me, iters[-1]))
         total = self.kappa(b)
         skip2 = mutations.is_active("skip-bernoulli-2")
         for m in range(1, d):

@@ -6,7 +6,8 @@ of the double tensor algebra built on top of it.  The empty word and the
 empty bar word are the respective units and both print as ``"1"``.
 
 Every value here is immutable and hashable; they are used as dictionary keys
-throughout the package, so hashes are computed once at construction.
+throughout the package, so hashes (and bar-word degrees) are computed once at
+construction.
 """
 
 from __future__ import annotations
@@ -122,21 +123,18 @@ class BarWord:
     realises the identification of ``w1|1|w2`` with ``w1|w2``.
     """
 
-    __slots__ = ("words", "_key", "_hash")
+    __slots__ = ("words", "degree", "_key", "_hash")
 
     def __init__(self, words: Iterable[Word] = ()):
         self.words = tuple(w for w in words if w.letters)
         # flat letter tuples: equality and hashing stay in C
-        self._key = tuple(w.letters for w in self.words)
-        self._hash = hash(self._key)
+        self._key = key = tuple(w.letters for w in self.words)
+        self._hash = hash(key)
+        self.degree = sum(map(len, key))
 
     @classmethod
     def from_word(cls, w: Word) -> "BarWord":
         return cls((w,))
-
-    @property
-    def degree(self) -> int:
-        return sum(len(w) for w in self.words)
 
     @property
     def bar_length(self) -> int:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import shuffleprob as sp
-from shuffleprob import DomainError, EMPTY_BAR, BarWord, Word
+from shuffleprob import DomainError, EMPTY_BAR, BarWord, Word, functionals
 from shuffleprob.words import all_barwords
 
 from conftest import AB, random_inf, run_python
@@ -207,7 +207,6 @@ def test_ad_action_examples():
 
 
 def test_ad_action_matches_conjugation_with_cross_check():
-    from shuffleprob import functionals
     g1, g2 = random_inf(17), random_inf(18)
     old = functionals.CROSS_CHECK_AD
     functionals.CROSS_CHECK_AD = True
@@ -223,6 +222,16 @@ def test_ad_action_rejects_generic_functionals():
     table = sp.from_values({bars(w(A)): F(1)})
     with pytest.raises(DomainError):
         sp.ad_action(table, random_inf(1))
+
+
+def test_ad_action_composed_rejects_generic_functionals():
+    # Its infinitesimal flag is a promise: a table that is nonzero on a bar
+    # product must not be accepted (its value at a|b would read 0).
+    table = sp.from_values({bars(w(A), w(B)): F(3), bars(w(A)): F(1)})
+    with pytest.raises(DomainError):
+        functionals.ad_action_composed(random_inf(1), table)
+    with pytest.raises(DomainError):
+        functionals.ad_action_composed(table, random_inf(1))
 
 
 def test_ad_right_is_left_with_negated_conjugator():
@@ -271,20 +280,23 @@ for w in words_up_to(letters, 4):
 
 def test_pairing_nodes_are_freed_without_the_cycle_collector():
     # A node that kept itself as an operand would hold its memo until the
-    # cyclic collector runs.  magnus is left out: its iterates refer back
-    # to the node by construction.
+    # cyclic collector runs.  The Magnus iterates refer back to their node
+    # through a weak proxy only.
     kappa, phi = random_inf(21), sp.exp_left(random_inf(22))
-    b = bars(w(A, B), w(B), w(A, A))
+    b, word = bars(w(A, B), w(B), w(A, A)), w(A, B, B, A, A)
     builders = (lambda: sp.conv(phi, phi), lambda: sp.hs_left(kappa, phi),
                 lambda: sp.hs_right(phi, kappa), lambda: sp.neumann_inverse(phi),
-                lambda: sp.exp_left(kappa), lambda: sp.exp_right(kappa))
+                lambda: sp.exp_left(kappa), lambda: sp.exp_right(kappa),
+                lambda: sp.magnus(kappa))
     phi(b)
+    phi(word)
     gc.collect()
     gc.disable()
     try:
         for build in builders:
             f = build()
             f(b)
+            f(word)
             del f
         assert gc.collect() == 0
     finally:

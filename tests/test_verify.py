@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from shuffleprob import functionals as fn
 from shuffleprob.mutations import DEFECTS, inject_defect
 from shuffleprob.reporting import CheckResult, Report
 from shuffleprob.verify import SUITES, run_suite, run_suites
+from shuffleprob.words import BarWord, Letter, Word
 
 
 def _witness_degree(result: CheckResult) -> int:
@@ -76,3 +79,20 @@ def test_identity_suite_aggregates():
     assert "subordination-decomposition" in names
     assert "bp-R-equals-eta" in names
     assert report.passed
+
+
+def test_left_exp_multiplicativity_is_not_decided_by_the_flag(monkeypatch):
+    # An exponential flagged as a character but off by one at a|b: a check
+    # that trusted the flag would factor a|b and pass.
+    a, b = Word((Letter("a"),)), Word((Letter("b"),))
+    real = fn.exp_left
+
+    def off_at_a_bar_b(alpha):
+        out = real(alpha) + fn.from_values({BarWord((a, b)): Fraction(1)})
+        out.is_character = True
+        return out
+
+    monkeypatch.setattr(fn, "exp_left", off_at_a_bar_b)
+    report = run_suite("shuffle", max_degree=3, seed=0)
+    [check] = [c for c in report.results if c.name == "left-exp-is-multiplicative"]
+    assert check.status == "fail" and check.witness["element"] == "a|b"
