@@ -25,10 +25,11 @@ flagged derived node returns the product of its values on the component
 words, or 0, instead of recursing through the bar coproduct.  (The leaves
 read bar words off their own data, which is cheaper.)  A flag is therefore a
 promise about values, not a hint.  Clearing one is always safe: the node
-then evaluates every bar word through its own recursion, which is how the
-multiplicativity check in :mod:`verify` and the flag tests keep checking
-what the flags assert.  Equality of functionals is always extensional; see
-:func:`agree_up_to`.
+then evaluates every bar word through its own recursion.  The comparisons
+in :mod:`verify` read each side's values on bar products that way, and the
+flag tests compare every flagged constructor with a flag-cleared twin, so
+what the flags assert is still checked.  Equality of functionals is always
+extensional; see :func:`agree_up_to`.
 
 Expression trees are immutable and freely shareable; the per-node memo dicts
 are not synchronized, so concurrent evaluation needs external locking or

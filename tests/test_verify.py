@@ -96,3 +96,24 @@ def test_left_exp_multiplicativity_is_not_decided_by_the_flag(monkeypatch):
     report = run_suite("shuffle", max_degree=3, seed=0)
     [check] = [c for c in report.results if c.name == "left-exp-is-multiplicative"]
     assert check.status == "fail" and check.witness["element"] == "a|b"
+
+
+@pytest.mark.parametrize("suite, name", [
+    ("shuffle", "exp-log-round-trip-star"),
+    ("magnus", "magnus-is-star-log-of-left-exp"),
+])
+def test_agreement_checks_are_not_decided_by_the_flags(monkeypatch, suite, name):
+    # A logarithm flagged as infinitesimal but off by one at a|b: if both
+    # sides of a comparison read a|b through their flags, both read 0.
+    a, b = Word((Letter("a"),)), Word((Letter("b"),))
+    real = fn.log_star
+
+    def off_at_a_bar_b(phi):
+        out = real(phi) + fn.from_values({BarWord((a, b)): Fraction(1)})
+        out.is_infinitesimal_character = True
+        return out
+
+    monkeypatch.setattr(fn, "log_star", off_at_a_bar_b)
+    report = run_suite(suite, max_degree=3, seed=0)
+    [check] = [c for c in report.results if c.name == name]
+    assert check.status == "fail" and check.witness["element"] == "a|b"
