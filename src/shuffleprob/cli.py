@@ -76,8 +76,8 @@ def _load_distribution(path: str, override: int | None) -> Distribution:
 
 def _parse_t(raw: str) -> Fraction:
     try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
+        return sio.parse_rational(raw)
+    except ValidationError:
         raise ValidationError(f"--t must be a rational like 1/2, got {raw!r}") from None
 
 

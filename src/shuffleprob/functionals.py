@@ -13,8 +13,16 @@ products, the convolution inverse and the two half-shuffle exponentials are
 all built from it; the last three pair the node against itself, and only
 they use a self operand: the left leg of the inverse (X = e + X * (e - f))
 and of the right exponential (X = e + X > a), the right leg of the left
-exponential (X = e + a < X).  The powers inside exp* and log* are
-convolution products of the same node kind.
+exponential (X = e + a < X).
+
+One node kind, ``_Series``, sums the series: a unit term at the empty bar
+word, and elsewhere c_0 T_0 + c_1 T_1 + ... up to the degree of the
+argument, where each term is one step after the last and vanishes below
+its index.  exp* and log* are series of convolution powers (the step is a
+convolution product, a ``_Pairing``); the Magnus map and its inverse in
+:mod:`magnus` are series of pre-Lie iterates.  The step sees the node
+itself, through a weak proxy, which the Magnus map needs: its iterates
+multiply by the node.
 
 Two structural flags travel with each node: ``is_character`` (unital and
 multiplicative over bars) and ``is_infinitesimal_character`` (vanishes on
@@ -38,7 +46,9 @@ per-thread nodes (results are deterministic either way).
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Mapping
 
 from . import mutations
@@ -267,65 +277,38 @@ class _Pairing(Functional):
         return total
 
 
-class _SeriesStar(Functional):
-    """Shared machinery for exp/log with respect to the convolution product:
-    value at b = unit_term + sum_{k=1..deg b} coeff(k) * base^{*k}(b), where
-    base vanishes on the empty bar word, so the k-th convolution power
-    vanishes below degree k and the sum is exact."""
+class _Series(Functional):
+    """A series: unit_term at the empty bar word, and at b the sum over
+    i < deg b of coeff(i) * T_i(b), where T_0 = first, T_{i+1} =
+    step(node, T_i), and T_i vanishes below degree i + 1.  Terms and
+    coefficients are built once, on demand; a zero coefficient (an odd
+    Bernoulli number) skips its term unevaluated.  The step gets the node
+    as a weak proxy, so a term that refers back to it (a Magnus iterate)
+    makes no reference cycle."""
 
-    __slots__ = ("base", "unit_term", "_powers")
+    __slots__ = ("step", "coeff", "unit_term", "_terms", "__weakref__")
 
-    def __init__(self, base, unit_term):
+    def __init__(self, first, step, coeff, unit_term):
         super().__init__()
-        self.base = base
-        self.unit_term = unit_term
-        self._powers = [None, base]
-
-    def _coeff(self, k: int) -> Fraction:
-        raise NotImplementedError
+        self.step, self.coeff, self.unit_term = step, coeff, unit_term
+        self._terms = [(coeff(0), first)]
 
     def _value(self, b):
-        d = b.degree
-        if d == 0:
+        if not b.words:
             return self.unit_term
-        powers = self._powers
-        while len(powers) <= d:
-            powers.append(conv(powers[-1], self.base))
+        d = b.degree
+        terms = self._terms
+        if len(terms) < d:
+            me, step, coeff = weakref.proxy(self), self.step, self.coeff
+            while len(terms) < d:
+                terms.append((coeff(len(terms)), step(me, terms[-1][1])))
         total = 0
-        for k in range(1, d + 1):
-            pk = powers[k](b)
-            if pk:
-                total += self._coeff(k) * pk
+        for c, t in terms[:d]:
+            if c:
+                v = t(b)
+                if v:
+                    total += v if c == 1 else c * v
         return total
-
-
-class _ExpStar(_SeriesStar):
-    __slots__ = ()
-
-    def __init__(self, alpha):
-        if alpha(EMPTY_BAR) != 0:
-            raise DomainError("exp* needs an operand vanishing on the empty bar word")
-        super().__init__(alpha, Fraction(1))
-        self.is_character = alpha.is_infinitesimal_character
-
-    def _coeff(self, k):
-        f = 1
-        for i in range(2, k + 1):
-            f *= i
-        return Fraction(1, f)
-
-
-class _LogStar(_SeriesStar):
-    __slots__ = ()
-
-    def __init__(self, phi):
-        if phi(EMPTY_BAR) != 1:
-            raise DomainError("log* needs an operand with value 1 on the empty bar word")
-        super().__init__(phi - e, Fraction(0))
-        self.is_infinitesimal_character = phi.is_character
-
-    def _coeff(self, k):
-        return Fraction(1, k) if k % 2 else Fraction(-1, k)
 
 
 class _AdjointAction(Functional):
@@ -365,23 +348,10 @@ class _AdjointAction(Functional):
                     total += val * exp(w.complement_components(positions))
         if CROSS_CHECK_AD:
             if self._composed is None:
-                self._composed = hs_left(hs_right(neumann_inverse(self.exp), self.g2), self.exp)
+                self._composed = adjoint(self.exp, self.g2)
             if self._composed(b) != total:
                 raise AssertionError(f"adjoint closed form disagrees at {b!r}")
         return total
-
-
-class _PositivePart(Functional):
-    """f composed with the augmentation projector: 0 at the empty bar word."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        super().__init__()
-        self.f = f
-
-    def _value(self, b):
-        return Fraction(0) if not b.words else self.f(b)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +417,27 @@ def neumann_inverse(f: Functional) -> Functional:
     return out
 
 
+def _powers(base: Functional, coeff, unit_term) -> _Series:
+    # T_i = base^{*(i+1)}, each power one convolution step after the last
+    return _Series(base, lambda _, t: conv(t, base), coeff, unit_term)
+
+
 def exp_star(alpha: Functional) -> Functional:
     """Convolution exponential e + sum alpha^{*n} / n!."""
-    return _ExpStar(alpha)
+    if alpha(EMPTY_BAR) != 0:
+        raise DomainError("exp* needs an operand vanishing on the empty bar word")
+    out = _powers(alpha, lambda i: Fraction(1, factorial(i + 1)), Fraction(1))
+    out.is_character = alpha.is_infinitesimal_character
+    return out
 
 
 def log_star(phi: Functional) -> Functional:
     """Convolution logarithm sum (-1)^{n+1} (phi - e)^{*n} / n."""
-    return _LogStar(phi)
+    if phi(EMPTY_BAR) != 1:
+        raise DomainError("log* needs an operand with value 1 on the empty bar word")
+    out = _powers(phi - e, lambda i: Fraction(-1 if i % 2 else 1, i + 1), Fraction(0))
+    out.is_infinitesimal_character = phi.is_character
+    return out
 
 
 def _half_exp(alpha: Functional, f, g, side: Side) -> Functional:
@@ -532,15 +515,12 @@ def ad_action_composed(g1: Functional, g2: Functional) -> Functional:
     cross-check the closed form."""
     if not (g1.is_infinitesimal_character and g2.is_infinitesimal_character):
         raise DomainError("the adjoint actions act on infinitesimal characters")
-    E = exp_left(g1)
-    out = hs_left(hs_right(neumann_inverse(E), g2), E)
-    out.is_infinitesimal_character = True
-    return out
+    return adjoint(exp_left(g1), g2)
 
 
 def positive_part(f: Functional) -> Functional:
     """f with its value at the empty bar word replaced by 0."""
-    return _PositivePart(f)
+    return f - f(EMPTY_BAR) * e
 
 
 def agree_up_to(f: Functional, g: Functional, letters, max_degree: int,

@@ -9,6 +9,7 @@ reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -18,12 +19,20 @@ from .reporting import rational_str
 from .words import Letter, Word
 
 
+#: The accepted string forms "p" and "p/q".  Anything else is refused before
+#: it reaches Fraction, which would also take decimals and exponents such as
+#: "1e30000000" (and compute 10**30000000 to do so).
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
 def parse_rational(x) -> Fraction:
     if isinstance(x, bool):
         raise ValidationError(f"expected a rational, got {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValidationError(f"bad rational literal {x!r}: expected 'p' or 'p/q'")
         try:
             return Fraction(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -63,7 +72,7 @@ def _parse_letters(obj) -> tuple[Letter, ...]:
 
 def _parse_degree(obj) -> int:
     n = obj.get("max_degree")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError("'max_degree' must be a positive integer")
     return n
 
@@ -148,3 +157,5 @@ def load_json_file(path: str):
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer past the int-string digit limit, or not UTF-8
+        raise ValidationError(f"{path}: unreadable JSON: {exc}") from None

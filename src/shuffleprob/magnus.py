@@ -6,22 +6,24 @@ and W its inverse,
 
     exp_left(k) = exp_star(O(k)),      W(log_star(X)) = log_left(X).
 
-O is a Bernoulli-weighted fixed point in the pre-Lie product; W is the plain
-right-nested pre-Lie exponential sum.  Both truncate exactly, because every
-pre-Lie multiplication raises the minimal degree.
+Both are series nodes of :mod:`functionals`, like exp* and log*: sums of
+iterates, each one pre-Lie step after the last, weighted by coefficients.
+O is a Bernoulli-weighted fixed point, whose step multiplies by O itself;
+W is the plain right-nested pre-Lie exponential sum, whose step multiplies
+by its argument.  Both truncate exactly, because every pre-Lie
+multiplication raises the minimal degree.
 """
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from math import comb, factorial
 
 from . import mutations
 from .errors import DomainError
-from .functionals import (Functional, _Linear, conv, exp_left, exp_star,
-                          hs_left, hs_right, log_left, log_star, neumann_inverse,
-                          prelie)
+from .functionals import (Functional, _Linear, _Series, conv, exp_left,
+                          exp_star, hs_left, hs_right, log_left, log_star,
+                          neumann_inverse, prelie)
 
 
 class BernoulliTable:
@@ -45,79 +47,36 @@ class BernoulliTable:
 bernoulli = BernoulliTable()
 
 
-class _Magnus(Functional):
-    """The Magnus fixed point O(k) = sum_m (B_m / m!) L_{O(k)}^m (k), where
-    L_x(y) = x |> y.  Self-references only occur at strictly smaller degree,
-    so the degree recursion is well founded.  The iterates reach the node
-    through a weak proxy: a strong reference would make every Magnus node a
-    reference cycle that holds its memo until the cyclic collector runs."""
-
-    __slots__ = ("kappa", "_iters", "__weakref__")
-
-    def __init__(self, kappa):
-        super().__init__()
-        if not kappa.is_infinitesimal_character:
-            raise DomainError("the Magnus expansion acts on infinitesimal characters")
-        self.kappa = kappa
-        self._iters = [kappa]
-        self.is_infinitesimal_character = True
-
-    def _value(self, b):
-        d = b.degree
-        if d == 0:
-            return Fraction(0)
-        iters = self._iters
-        if len(iters) < d:
-            me = weakref.proxy(self)
-            while len(iters) < d:
-                iters.append(prelie(me, iters[-1]))
-        total = self.kappa(b)
-        skip2 = mutations.is_active("skip-bernoulli-2")
-        for m in range(1, d):
-            if skip2 and m == 2:
-                continue
-            bm = bernoulli[m]
-            if bm:
-                total += bm / factorial(m) * iters[m](b)
-        return total
-
-
-class _MagnusInverse(Functional):
-    """The pre-Lie exponential W(r) = sum_n L_{r}^n (r) / (n+1)!."""
-
-    __slots__ = ("rho", "_iters")
-
-    def __init__(self, rho):
-        super().__init__()
-        if not rho.is_infinitesimal_character:
-            raise DomainError("the inverse Magnus expansion acts on infinitesimal characters")
-        self.rho = rho
-        self._iters = [rho]
-        self.is_infinitesimal_character = True
-
-    def _value(self, b):
-        d = b.degree
-        if d == 0:
-            return Fraction(0)
-        iters = self._iters
-        while len(iters) <= d - 1:
-            iters.append(prelie(self.rho, iters[-1]))
-        total = Fraction(0)
-        for n in range(d):
-            v = iters[n](b)
-            if v:
-                total += Fraction(1, factorial(n + 1)) * v
-        return total
+def _magnus_coeff(m: int) -> Fraction:
+    if m == 2 and mutations.is_active("skip-bernoulli-2"):
+        return Fraction(0)
+    return bernoulli[m] / factorial(m)
 
 
 def magnus(kappa: Functional) -> Functional:
-    """Magnus expansion O(kappa); equals log_star(exp_left(kappa))."""
-    return _Magnus(kappa)
+    """Magnus expansion O(kappa); equals log_star(exp_left(kappa)).
+
+    The fixed point O = sum_m (B_m / m!) L_O^m (kappa), where L_x(y) = x |> y:
+    each iterate is one pre-Lie step by the node itself after the last.  An
+    iterate reads the node only at strictly smaller degree, so the recursion
+    is well founded."""
+    if not kappa.is_infinitesimal_character:
+        raise DomainError("the Magnus expansion acts on infinitesimal characters")
+    out = _Series(kappa, prelie, _magnus_coeff, Fraction(0))
+    out.is_infinitesimal_character = True
+    return out
 
 
 def magnus_inverse(rho: Functional) -> Functional:
-    """Inverse Magnus map W(rho); W and O are mutually inverse."""
-    return _MagnusInverse(rho)
+    """Inverse Magnus map W(rho); W and O are mutually inverse.
+
+    The pre-Lie exponential W = sum_n L_rho^n (rho) / (n+1)!."""
+    if not rho.is_infinitesimal_character:
+        raise DomainError("the inverse Magnus expansion acts on infinitesimal characters")
+    out = _Series(rho, lambda _, t: prelie(rho, t),
+                  lambda n: Fraction(1, factorial(n + 1)), Fraction(0))
+    out.is_infinitesimal_character = True
+    return out
 
 
 def bch(g1: Functional, g2: Functional) -> Functional:

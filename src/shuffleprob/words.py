@@ -220,8 +220,3 @@ def all_barwords(letters: tuple[Letter, ...], max_degree: int) -> tuple[BarWord,
     """Materialized nonempty bar words of degree <= max_degree, cached so the
     same objects (and their memoized evaluations) are reused across sweeps."""
     return tuple(barwords_up_to(tuple(letters), max_degree))
-
-
-@lru_cache(maxsize=None)
-def all_words(letters: tuple[Letter, ...], max_degree: int) -> tuple[Word, ...]:
-    return tuple(words_up_to(tuple(letters), max_degree))

@@ -1,5 +1,10 @@
 import json
+import sys
+from fractions import Fraction
 
+import pytest
+
+from shuffleprob import ValidationError, io as sio
 from shuffleprob.cli import main
 from shuffleprob.mutations import inject_defect
 
@@ -187,3 +192,49 @@ def test_empty_word_key_in_cumulant_file_exits_two(tmp_path, capsys):
                                        "max_degree": 2, "values": {"1": "1"}})
     assert main(["moments", src]) == 2
     assert "empty word" in capsys.readouterr().err
+
+
+def test_parse_rational_accepts_only_p_and_p_over_q():
+    assert sio.parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert sio.parse_rational("+7") == 7
+    assert sio.parse_rational(7) == 7
+    # Fraction itself takes exponents, and "1e30000000" would compute
+    # 10**30000000; a small exponent shows the refusal without that cost.
+    for bad in ("1e3", "0.5", "1_000", "inf", "", "1/0", "1/-2"):
+        with pytest.raises(ValidationError):
+            sio.parse_rational(bad)
+
+
+def test_boolean_max_degree_exits_two(tmp_path):
+    # JSON true is a Python int; it must not pass as max_degree 1
+    src = write(tmp_path, "bool.json", {"letters": ["a"], "max_degree": True,
+                                        "moments": {"a": "1/2"}})
+    assert main(["cumulants", src, "--kind", "free"]) == 2
+
+
+def test_exponent_literals_exit_two(tmp_path, capsys):
+    src = write(tmp_path, "exp.json", {"letters": ["a"], "max_degree": 2,
+                                       "moments": {"a.a": "1e3"}})
+    assert main(["cumulants", src, "--kind", "free"]) == 2
+    assert "bad rational literal" in capsys.readouterr().err
+    sem = write(tmp_path, "sem.json", SEMICIRCLE)
+    assert main(["bp", sem, "--t", "1e3"]) == 2
+
+
+def test_non_utf8_json_exits_two(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"letters": ["\xe9"]}')
+    assert main(["cumulants", str(bad), "--kind", "free"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_overlong_json_integer_exits_two(tmp_path, capsys):
+    # json.load raises a bare ValueError past the int-string digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no limit on int-string digits")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"letters": ["a"], "max_degree": 2, "moments": {"a.a": 1'
+                    + "0" * limit + "}}")
+    assert main(["cumulants", str(huge), "--kind", "free"]) == 2
+    assert "error:" in capsys.readouterr().err

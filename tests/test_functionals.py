@@ -280,14 +280,17 @@ for w in words_up_to(letters, 4):
 
 def test_pairing_nodes_are_freed_without_the_cycle_collector():
     # A node that kept itself as an operand would hold its memo until the
-    # cyclic collector runs.  The Magnus iterates refer back to their node
-    # through a weak proxy only.
-    kappa, phi = random_inf(21), sp.exp_left(random_inf(22))
+    # cyclic collector runs.  The series steps see their node through a weak
+    # proxy only, which the Magnus iterates keep.
+    kappa, kappa2 = random_inf(21), random_inf(23)
+    phi = sp.exp_left(random_inf(22))
     b, word = bars(w(A, B), w(B), w(A, A)), w(A, B, B, A, A)
     builders = (lambda: sp.conv(phi, phi), lambda: sp.hs_left(kappa, phi),
                 lambda: sp.hs_right(phi, kappa), lambda: sp.neumann_inverse(phi),
                 lambda: sp.exp_left(kappa), lambda: sp.exp_right(kappa),
-                lambda: sp.magnus(kappa))
+                lambda: sp.exp_star(kappa), lambda: sp.log_star(phi),
+                lambda: sp.magnus(kappa), lambda: sp.magnus_inverse(kappa),
+                lambda: sp.bch(kappa, kappa2))
     phi(b)
     phi(word)
     gc.collect()
