@@ -31,7 +31,7 @@ from .products import (LabeledContext, antimonotone_conv, boolean_conv, bp,
                        factorize, free_conv, monotone_conv, subordinate,
                        subordinate_distributions)
 from .tensors import TensorSum
-from .verify import identity_suite, run_suite, run_suites
+from .verify import run_suite, run_suites
 from .words import BarWord, EMPTY_BAR, EMPTY_WORD, Letter, Word, as_barword
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "enumerate_partitions", "exp_left", "exp_right", "exp_star", "factorize",
     "free_conv", "from_cumulants", "from_values", "group_law_left",
     "group_law_right", "half_unshuffle", "hs_left", "hs_power", "hs_right",
-    "identity_suite", "infinitesimal", "log_left", "log_right", "log_star", "magnus",
+    "infinitesimal", "log_left", "log_right", "log_star", "magnus",
     "magnus_inverse", "monotone_conv", "neumann_inverse", "oracle_moments",
     "point_mass", "prelie", "run_suite", "run_suites", "semicircle", "series",
     "subordinate", "subordinate_distributions", "to_cumulants", "tree_factorial",

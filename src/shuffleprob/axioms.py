@@ -22,25 +22,13 @@ from .tensors import TensorSum
 from .words import all_barwords
 
 
-def _triple_left(ts: TensorSum, side: Side, reduced: bool) -> dict:
-    """Apply a coproduct to the left legs: sum c * (split x) (x) y."""
+def _triple(ts: TensorSum, right: bool, side: Side, reduced: bool) -> dict:
+    """Apply a coproduct to the left or the right leg of each term: the
+    three-fold tensor sum of c * c2 * (that leg split in place)."""
     out: dict = {}
     for (x, y), c in ts:
-        for (u, v), c2 in unshuffle_bar(x, side, reduced):
-            key = (u, v, y)
-            newc = out.get(key, 0) + c * c2
-            if newc:
-                out[key] = newc
-            else:
-                del out[key]
-    return out
-
-
-def _triple_right(ts: TensorSum, side: Side, reduced: bool) -> dict:
-    out: dict = {}
-    for (x, y), c in ts:
-        for (u, v), c2 in unshuffle_bar(y, side, reduced):
-            key = (x, u, v)
+        for (u, v), c2 in unshuffle_bar(y if right else x, side, reduced):
+            key = (x, u, v) if right else (u, v, y)
             newc = out.get(key, 0) + c * c2
             if newc:
                 out[key] = newc
@@ -68,29 +56,25 @@ def check_axioms(letters, max_degree: int) -> Report:
     bars = all_barwords(letters, max_degree)
 
     def find(name, predicate):
+        """predicate(b): None, or the (b, lhs, rhs) witness of a failure at b."""
+        fail = None
         for b in bars:
             try:
                 fail = predicate(b)
             except DomainError as exc:
                 # A corrupted half-coproduct can push a unit onto a leg where
                 # the reduced maps are undefined; that is itself a failure.
-                fail = {"element": repr(b), "lhs": str(exc), "rhs": "well-defined legs"}
+                fail = (b, str(exc), "well-defined legs")
             if fail is not None:
-                report.add(CheckResult(name, "fail", fail))
-                return
-        report.add(CheckResult.ok(name))
-
-    def witness(b, note):
-        return {"element": repr(b), "lhs": note[0], "rhs": note[1]}
+                break
+        report.add(CheckResult.from_mismatch(name, fail))
 
     def counit_law(b):
         full = unshuffle_bar(b, Side.FULL)
-        lhs = _counit_side(full, left=True)
-        rhs = _counit_side(full, left=False)
-        if lhs != {b: 1}:
-            return witness(b, (repr(lhs), f"{{{b!r}: 1}}"))
-        if rhs != {b: 1}:
-            return witness(b, (repr(rhs), f"{{{b!r}: 1}}"))
+        for left in (True, False):
+            got = _counit_side(full, left)
+            if got != {b: 1}:
+                return b, got, {b: 1}
         return None
 
     find("counit-laws", counit_law)
@@ -99,52 +83,30 @@ def check_axioms(letters, max_degree: int) -> Report:
         full = unshuffle_bar(b, Side.FULL)
         halves = unshuffle_bar(b, Side.LEFT) + unshuffle_bar(b, Side.RIGHT)
         if full != halves:
-            return witness(b, (f"{len(full)} terms", f"{len(halves)} terms (half sum)"))
+            return b, f"{len(full)} terms", f"{len(halves)} terms (half sum)"
         return None
 
     find("coproduct-splits-into-halves", split)
 
-    def coassoc(b):
-        full = unshuffle_bar(b, Side.FULL)
-        lhs = _triple_left(full, Side.FULL, False)
-        rhs = _triple_right(full, Side.FULL, False)
-        if lhs != rhs:
-            return witness(b, ("(D (x) id) o D", "(id (x) D) o D"))
-        return None
+    def coassociative(name, reduced, lhs, rhs, notes):
+        """(inner (x) id) o outer against (id (x) inner) o outer, with lhs and
+        rhs each an (outer, inner) pair of sides."""
+        def check(b):
+            split_left = _triple(unshuffle_bar(b, lhs[0], reduced), False, lhs[1], reduced)
+            split_right = _triple(unshuffle_bar(b, rhs[0], reduced), True, rhs[1], reduced)
+            return (b, *notes) if split_left != split_right else None
+        find(name, check)
 
-    find("coassociativity", coassoc)
-
+    L, R, F = Side.LEFT, Side.RIGHT, Side.FULL
+    coassociative("coassociativity", False, (F, F), (F, F),
+                  ("(D (x) id) o D", "(id (x) D) o D"))
     # Reduced-half axioms: left-left, mixed, right-right.
-    def axiom_left_left(b):
-        prec = unshuffle_bar(b, Side.LEFT, reduced=True)
-        lhs = _triple_left(prec, Side.LEFT, True)
-        rhs = _triple_right(prec, Side.FULL, True)
-        if lhs != rhs:
-            return witness(b, ("(Dl (x) id) o Dl", "(id (x) Dbar) o Dl"))
-        return None
-
-    find("half-unshuffle-coassoc-left", axiom_left_left)
-
-    def axiom_mixed(b):
-        prec = unshuffle_bar(b, Side.LEFT, reduced=True)
-        succ = unshuffle_bar(b, Side.RIGHT, reduced=True)
-        lhs = _triple_left(prec, Side.RIGHT, True)
-        rhs = _triple_right(succ, Side.LEFT, True)
-        if lhs != rhs:
-            return witness(b, ("(Dr (x) id) o Dl", "(id (x) Dl) o Dr"))
-        return None
-
-    find("half-unshuffle-coassoc-mixed", axiom_mixed)
-
-    def axiom_right_right(b):
-        succ = unshuffle_bar(b, Side.RIGHT, reduced=True)
-        lhs = _triple_left(succ, Side.FULL, True)
-        rhs = _triple_right(succ, Side.RIGHT, True)
-        if lhs != rhs:
-            return witness(b, ("(Dbar (x) id) o Dr", "(id (x) Dr) o Dr"))
-        return None
-
-    find("half-unshuffle-coassoc-right", axiom_right_right)
+    coassociative("half-unshuffle-coassoc-left", True, (L, L), (L, F),
+                  ("(Dl (x) id) o Dl", "(id (x) Dbar) o Dl"))
+    coassociative("half-unshuffle-coassoc-mixed", True, (L, R), (R, L),
+                  ("(Dr (x) id) o Dl", "(id (x) Dl) o Dr"))
+    coassociative("half-unshuffle-coassoc-right", True, (R, F), (R, R),
+                  ("(Dbar (x) id) o Dr", "(id (x) Dr) o Dr"))
 
     # Module compatibilities on bar products a|b of bounded total degree.
     def product_compat(side: Side):
@@ -156,13 +118,10 @@ def check_axioms(letters, max_degree: int) -> Report:
                 lhs = unshuffle_bar(a.concat(b), side)
                 rhs = unshuffle_bar(a, side).bar_mul(unshuffle_bar(b, Side.FULL))
                 if lhs != rhs:
-                    return {"element": repr(a.concat(b)),
-                            "lhs": "half of product",
-                            "rhs": "half (x) full, multiplied"}
+                    return a.concat(b), "half of product", "half (x) full, multiplied"
         return None
 
     for side, name in ((Side.LEFT, "product-compat-left"), (Side.RIGHT, "product-compat-right")):
-        fail = product_compat(side)
-        report.add(CheckResult(name, "fail", fail) if fail else CheckResult.ok(name))
+        report.add(CheckResult.from_mismatch(name, product_compat(side)))
 
     return report

@@ -46,11 +46,11 @@ def _check_degree(n: int):
     return n
 
 
-def _effective_degree(d: Distribution, override: int | None) -> int:
-    n = d.max_degree if override is None else override
-    if n > d.max_degree:
+def _effective_degree(file_degree: int, override: int | None) -> int:
+    n = file_degree if override is None else override
+    if n > file_degree:
         raise ValidationError(f"--max-degree {n} exceeds the input's max_degree "
-                              f"{d.max_degree}")
+                              f"{file_degree}")
     return _check_degree(n)
 
 
@@ -71,7 +71,15 @@ def _emit(obj, path: str | None):
 
 def _load_distribution(path: str, override: int | None) -> Distribution:
     d = sio.parse_distribution(sio.load_json_file(path))
-    return _truncate(d, _effective_degree(d, override))
+    return _truncate(d, _effective_degree(d.max_degree, override))
+
+
+def _load_cumulant_map(path: str, override: int | None):
+    """(kind, letters, degree, values) of a cumulant file, truncated to the
+    degree by the same rule as a distribution."""
+    kind, letters, n, values = sio.parse_cumulant_map(sio.load_json_file(path))
+    n = _effective_degree(n, override)
+    return kind, letters, n, {w: v for w, v in values.items() if len(w) <= n}
 
 
 def _parse_t(raw: str) -> Fraction:
@@ -89,20 +97,16 @@ def cmd_cumulants(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    kind, letters, n, values = sio.parse_cumulant_map(sio.load_json_file(args.input))
+    kind, letters, n, values = _load_cumulant_map(args.input, args.max_degree)
     if args.kind:
         kind = args.kind
-    n = _check_degree(n if args.max_degree is None else min(args.max_degree, n))
-    values = {w: v for w, v in values.items() if len(w) <= n}
     d = from_cumulants(values, kind, letters, n)
     _emit(sio.distribution_to_json(d), args.output)
     return 0
 
 
 def cmd_convert(args) -> int:
-    kind, letters, n, values = sio.parse_cumulant_map(sio.load_json_file(args.input))
-    n = _check_degree(n if args.max_degree is None else min(args.max_degree, n))
-    values = {w: v for w, v in values.items() if len(w) <= n}
+    kind, letters, n, values = _load_cumulant_map(args.input, args.max_degree)
     out = convert(values, kind, args.kind, n, letters)
     _emit(sio.cumulant_map_to_json(args.kind, letters, n, out), args.output)
     return 0

@@ -33,11 +33,12 @@ flagged derived node returns the product of its values on the component
 words, or 0, instead of recursing through the bar coproduct.  (The leaves
 read bar words off their own data, which is cheaper.)  A flag is therefore a
 promise about values, not a hint.  Clearing one is always safe: the node
-then evaluates every bar word through its own recursion.  The comparisons
-in :mod:`verify` read each side's values on bar products that way, and the
-flag tests compare every flagged constructor with a flag-cleared twin, so
-what the flags assert is still checked.  Equality of functionals is always
-extensional; see :func:`agree_up_to`.
+then evaluates every bar word through its own recursion.  Equality of
+functionals is extensional, and :func:`agree_up_to`, the one comparison
+that :mod:`verify` and the tests use, reads each side's values on bar
+products that way, past its flags.  The flag tests compare every flagged
+constructor with a flag-cleared twin, so what the flags assert is still
+checked.
 
 Expression trees are immutable and freely shareable; the per-node memo dicts
 are not synchronized, so concurrent evaluation needs external locking or
@@ -523,16 +524,29 @@ def positive_part(f: Functional) -> Functional:
     return f - f(EMPTY_BAR) * e
 
 
+def _own_value(f: Functional, b: BarWord) -> Fraction:
+    """f(b) from the recursion of f itself, as if its flags were cleared.
+    The terms of a linear combination are read the same way; the nodes
+    below keep their flags, so each flag is checked one level at a time."""
+    if isinstance(f, _Linear):
+        return sum(c * _own_value(p, b) for c, p in f.parts)
+    return f._value(b)
+
+
 def agree_up_to(f: Functional, g: Functional, letters, max_degree: int,
                 include_empty: bool = True):
     """First bar word of degree <= max_degree where f and g differ, as a
-    (bar word, f value, g value) triple, or None if they agree everywhere."""
-    if include_empty:
-        fv, gv = f(EMPTY_BAR), g(EMPTY_BAR)
-        if fv != gv:
-            return (EMPTY_BAR, fv, gv)
-    for b in all_barwords(tuple(letters), max_degree):
-        fv, gv = f(b), g(b)
+    (bar word, f value, g value) triple, or None if they agree everywhere.
+
+    On a bar product of two or more components each side is read from its
+    own recursion, past its flags: two nodes flagged alike would otherwise
+    read the same product or 0 there, and agree by construction."""
+    bars = all_barwords(tuple(letters), max_degree)
+    for b in (EMPTY_BAR, *bars) if include_empty else bars:
+        if len(b.words) < 2:
+            fv, gv = f(b), g(b)
+        else:
+            fv, gv = _own_value(f, b), _own_value(g, b)
         if fv != gv:
             return (b, fv, gv)
     return None

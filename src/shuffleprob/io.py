@@ -1,9 +1,10 @@
 """JSON codecs for distributions, cumulant maps and series.
 
 Rationals are serialized as strings "p" or "p/q" (never floats); integers are
-accepted on input for convenience.  Words are dot-joined letter names; all
-emitted maps are in graded lexicographic order, so re-emitting a parsed file
-reproduces it byte for byte.
+accepted on input for convenience.  Words are dot-joined letter names, and
+"1" is the empty word, so no letter may be named 1; all emitted maps are in
+graded lexicographic order, so re-emitting a parsed file reproduces it byte
+for byte.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def _parse_letters(obj) -> tuple[Letter, ...]:
     for name in raw:
         if not isinstance(name, str) or not name or any(c in name for c in ".|# \t"):
             raise ValidationError(f"bad letter name {name!r}")
+        if name == "1":
+            raise ValidationError("the letter name '1' is reserved for the empty word")
         letters.append(Letter(name))
     if len(set(letters)) != len(letters):
         raise ValidationError("duplicate letter names")

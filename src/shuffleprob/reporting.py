@@ -28,7 +28,10 @@ class CheckResult:
 
     @classmethod
     def fail(cls, name: str, element, lhs, rhs) -> "CheckResult":
-        return cls(name, "fail", {"element": repr(element),
+        """element is shown by its repr, or as it is when it is already text."""
+        if not isinstance(element, str):
+            element = repr(element)
+        return cls(name, "fail", {"element": element,
                                   "lhs": rational_str(lhs),
                                   "rhs": rational_str(rhs)})
 

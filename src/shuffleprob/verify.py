@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
+from itertools import islice, product
 from math import comb
 
 from . import functionals as fn
@@ -24,8 +26,8 @@ from .errors import ValidationError
 from .magnus import (bch, bernoulli, group_law_left, group_law_left_definitional,
                      group_law_right, magnus, magnus_inverse)
 from .partitions import oracle_moments
-from .reporting import CheckResult, Report, rational_str
-from .words import EMPTY_BAR, Letter, Word, all_barwords, words_up_to
+from .reporting import CheckResult, Report
+from .words import Letter, Word, all_barwords, words_up_to
 
 SUITES = ("coalgebra", "shuffle", "magnus", "cumulants", "products", "bp")
 
@@ -69,44 +71,45 @@ def _random_distribution(rng, letters, max_degree) -> Distribution:
     return Distribution(tuple(letters), max_degree, tabulate(phi, letters, max_degree))
 
 
-def _own_value(f: fn.Functional, b) -> Fraction:
-    """f(b) from the recursion of f itself, as if its flags were cleared.
-
-    The flags decide a node's values on bar products (see :mod:`functionals`),
-    so a comparison that read both sides there through their flags would hold
-    by construction.  The terms of a linear combination are read the same
-    way; the nodes below keep their flags, so each flag is checked one
-    level at a time."""
-    if isinstance(f, fn._Linear):
-        return sum(c * _own_value(p, b) for c, p in f.parts)
-    return f._value(b)
+def _first_mismatch(triples):
+    """triples: iterable of (element, lhs, rhs); first unequal triple or None."""
+    for element, lhs, rhs in triples:
+        if lhs != rhs:
+            return (element, lhs, rhs)
+    return None
 
 
-def _disagreement(f, g, letters, degree, include_empty=True):
-    """:func:`functionals.agree_up_to`, with the values on bar products of
-    two or more components taken from :func:`_own_value`."""
-    def triples():
-        if include_empty:
-            yield EMPTY_BAR, f(EMPTY_BAR), g(EMPTY_BAR)
-        for b in all_barwords(tuple(letters), degree):
-            if len(b.words) < 2:
-                yield b, f(b), g(b)
-            else:
-                yield b, _own_value(f, b), _own_value(g, b)
-    return _first_mismatch(triples())
+def _entrywise(keys, lhs, rhs):
+    """First key where the two sides differ, as a mismatch triple, or None.
+    A side is a function of the key, or a mapping read with 0 for a missing key."""
+    def reader(side):
+        return side if callable(side) else lambda k: Fraction(side.get(k, 0))
+    lhs, rhs = reader(lhs), reader(rhs)
+    return _first_mismatch((k, lhs(k), rhs(k)) for k in keys)
+
+
+def _expect(name, element, got, want) -> CheckResult:
+    """A fixed value: got must equal want; element is the witness."""
+    return CheckResult.from_mismatch(name, _first_mismatch([(element, got, want)]))
 
 
 def _agree(name, f, g, letters, degree, include_empty=True) -> CheckResult:
     return CheckResult.from_mismatch(
-        name, _disagreement(f, g, letters, degree, include_empty=include_empty))
+        name, fn.agree_up_to(f, g, letters, degree, include_empty=include_empty))
 
 
-def _first_mismatch(pairs):
-    """pairs: iterable of (element, lhs, rhs); first unequal triple or None."""
-    for element, lhs, rhs in pairs:
-        if lhs != rhs:
-            return (element, lhs, rhs)
-    return None
+def _first_over(draws, checks) -> list[CheckResult]:
+    """checks maps a name to a function from one draw to a mismatch or None.
+    Each check keeps its first mismatch over the draws, in order, and is not
+    run again; drawing stops once every check has one."""
+    found = dict.fromkeys(checks)
+    for draw in draws:
+        for name, check in checks.items():
+            if found[name] is None:
+                found[name] = check(draw)
+        if None not in found.values():
+            break
+    return [CheckResult.from_mismatch(name, m) for name, m in found.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +147,9 @@ def shuffle_suite(max_degree: int = 6, seed: int = 0,
             ("shuffle-axiom-right",
              lambda f, g, h: fn.hs_right(f, fn.hs_right(g, h)),
              lambda f, g, h: fn.hs_right(fn.conv(f, g), h)))):
-        mismatch = None
-        for t in range(3):
-            f, g, h = pick3(idx * 3 + t)
-            mismatch = _disagreement(lhs_of(f, g, h), rhs_of(f, g, h), ls, D)
-            if mismatch:
-                break
-        report.add(CheckResult.from_mismatch(name, mismatch))
+        report.extend(_first_over(
+            (pick3(idx * 3 + t) for t in range(3)),
+            {name: lambda fgh: fn.agree_up_to(lhs_of(*fgh), rhs_of(*fgh), ls, D)}))
 
     # f*g = f<g + f>g away from the unit.
     f, g = corpus[1], corpus[10]
@@ -264,22 +263,17 @@ def magnus_suite(max_degree: int = 6, seed: int = 0,
     d5, d4 = min(D, 5), min(D, 4)
     report = Report("magnus")
 
-    # Bernoulli table sanity: defining recurrence and vanishing odd entries.
-    bad = None
-    for m in range(1, 13):
-        rec = sum(comb(m + 1, j) * bernoulli[j] for j in range(m + 1))
-        if rec != 0:
-            bad = (f"B_{m} recurrence", rational_str(rec), "0")
-            break
-        if m >= 3 and m % 2 == 1 and bernoulli[m] != 0:
-            bad = (f"B_{m}", rational_str(bernoulli[m]), "0")
-            break
-    if bad is None and (bernoulli[0] != 1 or bernoulli[1] != Fraction(-1, 2)
-                        or bernoulli[2] != Fraction(1, 6)):
-        bad = ("B_0..B_2", "table start", "1, -1/2, 1/6")
-    report.add(CheckResult("bernoulli-table", "fail", {
-        "element": bad[0], "lhs": bad[1], "rhs": bad[2]}) if bad
-        else CheckResult.ok("bernoulli-table"))
+    # Bernoulli table sanity: defining recurrence, vanishing odd entries and
+    # the first three values.
+    def table():
+        for m in range(1, 13):
+            yield (f"B_{m} recurrence",
+                   sum(comb(m + 1, j) * bernoulli[j] for j in range(m + 1)), 0)
+            if m >= 3 and m % 2 == 1:
+                yield f"B_{m}", bernoulli[m], 0
+        for m, start in enumerate((1, Fraction(-1, 2), Fraction(1, 6))):
+            yield f"B_{m}", bernoulli[m], start
+    report.add(CheckResult.from_mismatch("bernoulli-table", _first_mismatch(table())))
 
     alpha = _random_infinitesimal(rng, ls, D)
     kappa = _random_infinitesimal(rng, ls, D)
@@ -351,11 +345,8 @@ def magnus_suite(max_degree: int = 6, seed: int = 0,
     # Fixed value: the monotone cumulant of degree 4 of the semicircle law.
     sem = semicircle(max(4, min(D, 6)))
     rho = magnus(fn.log_left(sem.character()))
-    a = sem.letters[0]
-    got = rho(Word((a,) * 4))
-    report.add(CheckResult.ok("semicircle-degree-4-monotone") if got == Fraction(1, 2)
-               else CheckResult.fail("semicircle-degree-4-monotone",
-                                     Word((a,) * 4), got, Fraction(1, 2)))
+    a4 = Word((sem.letters[0],) * 4)
+    report.add(_expect("semicircle-degree-4-monotone", a4, rho(a4), Fraction(1, 2)))
     return report
 
 
@@ -370,16 +361,10 @@ def cumulants_suite(max_degree: int = 6, seed: int = 0,
 
     # Oracle equivalence on random multivariate distributions.
     dists = [_random_distribution(rng, ls, D) for _ in range(10)]
-    for kind in kinds:
-        mismatch = None
-        for d in dists:
-            cums = to_cumulants(d, kind)
-            mismatch = _first_mismatch(
-                (w, oracle_moments(cums, kind, w), d.moment(w))
-                for w in d.words())
-            if mismatch:
-                break
-        report.add(CheckResult.from_mismatch(f"partition-oracle-{kind.value}", mismatch))
+    report.extend(_first_over(dists, {
+        f"partition-oracle-{kind.value}": lambda d, kind=kind: _entrywise(
+            d.words(), partial(oracle_moments, to_cumulants(d, kind), kind), d.moment)
+        for kind in kinds}))
 
     # Fixed vectors for the semicircle law.
     sem = semicircle(min(D, 6) if D >= 4 else 4)
@@ -396,94 +381,64 @@ def cumulants_suite(max_degree: int = 6, seed: int = 0,
     ]
     for name, got, expect in checks:
         expect = {k: v for k, v in expect.items() if len(k) <= sem.max_degree}
-        mismatch = _first_mismatch(
-            (k, Fraction(got.get(k, 0)), Fraction(expect.get(k, 0)))
-            for k in sorted(set(got) | set(expect), key=Word.sort_key))
-        report.add(CheckResult.from_mismatch(name, mismatch))
-    got4 = mono.get(w(4), Fraction(0))
-    report.add(CheckResult.ok("semicircle-monotone-h4") if got4 == Fraction(1, 2)
-               else CheckResult.fail("semicircle-monotone-h4", w(4), got4, Fraction(1, 2)))
+        report.add(CheckResult.from_mismatch(name, _entrywise(
+            sorted(set(got) | set(expect), key=Word.sort_key), got, expect)))
+    report.add(_expect("semicircle-monotone-h4", w(4), mono.get(w(4), Fraction(0)),
+                       Fraction(1, 2)))
 
     # Catalan / interval fixed vectors from unit pair cumulants.
     pairc = {w(2): Fraction(1)}
-    cat = from_cumulants(pairc, "free", sem.letters, sem.max_degree)
-    boo = from_cumulants(pairc, "boolean", sem.letters, sem.max_degree)
-    expect_cat = {2: 1, 4: 2, 6: 5}
-    expect_boo = {2: 1, 4: 1, 6: 1}
-    mismatch = _first_mismatch(
-        (w(k), cat.moment(w(k)), Fraction(v))
-        for k, v in expect_cat.items() if k <= sem.max_degree)
-    report.add(CheckResult.from_mismatch("free-pair-cumulants-catalan", mismatch))
-    mismatch = _first_mismatch(
-        (w(k), boo.moment(w(k)), Fraction(v))
-        for k, v in expect_boo.items() if k <= sem.max_degree)
-    report.add(CheckResult.from_mismatch("boolean-pair-cumulants-interval", mismatch))
+    powers = [w(k) for k in (2, 4, 6) if k <= sem.max_degree]
+    for name, kind, expect in (("free-pair-cumulants-catalan", "free", (1, 2, 5)),
+                               ("boolean-pair-cumulants-interval", "boolean", (1, 1, 1))):
+        got = from_cumulants(pairc, kind, sem.letters, sem.max_degree)
+        report.add(CheckResult.from_mismatch(name, _entrywise(
+            powers, got.moment, dict(zip(powers, expect)))))
 
     # Round trips and conversions.
     d0 = dists[0]
-    mismatch = None
-    for kind in kinds:
-        back = from_cumulants(to_cumulants(d0, kind), kind, d0.letters, D)
-        mismatch = _first_mismatch((w, back.moment(w), d0.moment(w)) for w in d0.words())
-        if mismatch:
-            break
-    report.add(CheckResult.from_mismatch("moment-cumulant-round-trip", mismatch))
+    report.extend(_first_over(kinds, {"moment-cumulant-round-trip": lambda kind: _entrywise(
+        d0.words(), from_cumulants(to_cumulants(d0, kind), kind, d0.letters, D).moment,
+        d0.moment)}))
 
     cmap = to_cumulants(d0, "free")
-    mismatch = None
-    for src in kinds:
-        base = convert(cmap, "free", src, D, d0.letters)
-        for dst in kinds:
-            there = convert(base, src, dst, D, d0.letters)
-            detour = to_cumulants(from_cumulants(base, src, d0.letters, D), dst)
-            mismatch = mismatch or _first_mismatch(
-                (w, Fraction(there.get(w, 0)), Fraction(detour.get(w, 0)))
-                for w in d0.words())
-            back = convert(there, dst, src, D, d0.letters)
-            mismatch = mismatch or _first_mismatch(
-                (w, Fraction(back.get(w, 0)), Fraction(base.get(w, 0)))
-                for w in d0.words())
-    report.add(CheckResult.from_mismatch("convert-round-trips-and-detour", mismatch))
+    bases = {src: convert(cmap, "free", src, D, d0.letters) for src in kinds}
+
+    def round_trip(pair):
+        src, dst = pair
+        there = convert(bases[src], src, dst, D, d0.letters)
+        detour = to_cumulants(from_cumulants(bases[src], src, d0.letters, D), dst)
+        return (_entrywise(d0.words(), there, detour)
+                or _entrywise(d0.words(), convert(there, dst, src, D, d0.letters),
+                              bases[src]))
+    report.extend(_first_over(product(kinds, kinds),
+                              {"convert-round-trips-and-detour": round_trip}))
 
     # Monotone from pure-pair boolean cumulants: h4 = -1/2.
     mono2 = convert(pairc, "boolean", "monotone", 4, sem.letters)
-    got = Fraction(mono2.get(w(4), 0))
-    report.add(CheckResult.ok("boolean-pair-to-monotone-h4") if got == Fraction(-1, 2)
-               else CheckResult.fail("boolean-pair-to-monotone-h4", w(4), got, Fraction(-1, 2)))
+    report.add(_expect("boolean-pair-to-monotone-h4", w(4), Fraction(mono2.get(w(4), 0)),
+                       Fraction(-1, 2)))
 
     # All three families agree in degrees 1 and 2.
-    mismatch = None
-    for d in dists[:3]:
+    def low_degrees_agree(d):
         vals = [to_cumulants(d, kind) for kind in kinds]
-        mismatch = _first_mismatch(
+        return _first_mismatch(
             (wd, Fraction(vals[0].get(wd, 0)), Fraction(vals[i].get(wd, 0)))
             for wd in words_up_to(ls, min(D, 2)) for i in (1, 2))
-        if mismatch:
-            break
-    report.add(CheckResult.from_mismatch("degree-le-2-cumulants-agree", mismatch))
+    report.extend(_first_over(dists[:3], {"degree-le-2-cumulants-agree": low_degrees_agree}))
 
     # Series identities.
-    d1 = dists[1]
-    M = series(d1, "M")
-    eta = series(d1, "eta")
-    lhs = M
-    rhs = eta + M * eta
-    mismatch = _first_mismatch(
-        (wd, lhs.coefficient(wd), rhs.coefficient(wd)) for wd in words_up_to(ls, D))
-    report.add(CheckResult.from_mismatch("moment-series-fixed-point", mismatch))
+    M = series(dists[1], "M")
+    eta = series(dists[1], "eta")
+    report.add(CheckResult.from_mismatch("moment-series-fixed-point", _entrywise(
+        words_up_to(ls, D), M.coefficient, (eta + M * eta).coefficient)))
 
-    R = series(sem, "R")
-    expect = {w(2): Fraction(1)}
-    report.add(CheckResult.ok("semicircle-R-series") if R.coefficients == expect
-               else CheckResult.fail("semicircle-R-series", w(2),
-                                     repr(R.coefficients), repr(expect)))
+    report.add(_expect("semicircle-R-series", w(2), series(sem, "R").coefficients,
+                       {w(2): Fraction(1)}))
 
     pm = point_mass(Fraction(3, 2), min(D, 6))
-    eta_pm = series(pm, "eta")
-    expect = {Word((pm.letters[0],)): Fraction(3, 2)}
-    report.add(CheckResult.ok("point-mass-eta-series") if eta_pm.coefficients == expect
-               else CheckResult.fail("point-mass-eta-series", pm.letters[0],
-                                     repr(eta_pm.coefficients), repr(expect)))
+    report.add(_expect("point-mass-eta-series", pm.letters[0], series(pm, "eta").coefficients,
+                       {Word((pm.letters[0],)): Fraction(3, 2)}))
     return report
 
 
@@ -497,38 +452,38 @@ def products_suite(max_degree: int = 5, seed: int = 0,
     def random_univariate(name):
         return Distribution.univariate(name, [_rand_fraction(rng) for _ in range(D)], D)
 
-    mismatches = {"monotone": None, "antimonotone": None, "free": None, "boolean": None}
-    for _ in range(10):
-        ctx = pr.LabeledContext.from_distributions(random_univariate("x"),
-                                                   random_univariate("y"))
-        phi1, phi2 = ctx.characters()
-        mono = pr.monotone_conv(phi1, phi2)
-        anti = pr.antimonotone_conv(phi1, phi2)
-        free = pr.free_conv(phi1, phi2)
-        boole = pr.boolean_conv(phi1, phi2)
-        alt = list(ctx.alternating_words(min(D, 5)))
-        mismatches["monotone"] = mismatches["monotone"] or _first_mismatch(
-            (w, mono(w), ctx.closed_monotone(w)) for w in alt)
-        mismatches["antimonotone"] = mismatches["antimonotone"] or _first_mismatch(
-            (w, anti(w), ctx.closed_antimonotone(w)) for w in alt)
-        mismatches["free"] = mismatches["free"] or _first_mismatch(
-            (w, free(w), ctx.closed_free(free, w)) for w in alt)
-        mismatches["boolean"] = mismatches["boolean"] or _first_mismatch(
-            (w, boole(w), ctx.closed_boolean(w)) for w in alt)
-        if all(v is not None for v in mismatches.values()):
-            break
-    for kind in ("monotone", "antimonotone", "free", "boolean"):
-        report.add(CheckResult.from_mismatch(f"universal-product-{kind}", mismatches[kind]))
+    def contexts():
+        while True:
+            ctx = pr.LabeledContext.from_distributions(random_univariate("x"),
+                                                       random_univariate("y"))
+            yield ctx, ctx.characters(), list(ctx.alternating_words(min(D, 5)))
+
+    def universal(conv, closed):
+        # closed(ctx, product node, w): the closed form at an alternating word
+        def check(draw):
+            ctx, chars, alt = draw
+            node = conv(*chars)
+            return _entrywise(alt, node, lambda w: closed(ctx, node, w))
+        return check
+
+    draws = contexts()
+    report.extend(_first_over(islice(draws, 10), {
+        "universal-product-monotone":
+            universal(pr.monotone_conv, lambda ctx, _, w: ctx.closed_monotone(w)),
+        "universal-product-antimonotone":
+            universal(pr.antimonotone_conv, lambda ctx, _, w: ctx.closed_antimonotone(w)),
+        "universal-product-free":
+            universal(pr.free_conv, lambda ctx, node, w: ctx.closed_free(node, w)),
+        "universal-product-boolean":
+            universal(pr.boolean_conv, lambda ctx, _, w: ctx.closed_boolean(w)),
+    }))
 
     # The signed-subset recursion satisfied by the free product character.
-    ctx = pr.LabeledContext.from_distributions(random_univariate("x"),
-                                               random_univariate("y"))
-    phi1, phi2 = ctx.characters()
-    free = pr.free_conv(phi1, phi2)
+    ctx, chars, alt = next(draws)
+    free = pr.free_conv(*chars)
     rec = fn.hs_left(free, fn.positive_part(fn.neumann_inverse(free)))
-    mismatch = _first_mismatch(
-        (w, free(w), -rec(w)) for w in ctx.alternating_words(min(D, 5)) if len(w) >= 2)
-    report.add(CheckResult.from_mismatch("free-product-recursion", mismatch))
+    report.add(CheckResult.from_mismatch("free-product-recursion", _entrywise(
+        [w for w in alt if len(w) >= 2], free, lambda w: -rec(w))))
 
     # Convolution group laws on a common algebra.
     ls = _letters(letters)
@@ -578,61 +533,47 @@ def products_suite(max_degree: int = 5, seed: int = 0,
     # Semicircle + semicircle doubles the free cumulants.
     sem = semicircle(min(D, 6) if D >= 4 else 4)
     total = pr.convolve_distributions(sem, sem, "free")
-    a = sem.letters[0]
-    expect = {2: 2, 4: 8, 6: 40}
-    mismatch = _first_mismatch(
-        (Word((a,) * k), total.moment(Word((a,) * k)), Fraction(v))
-        for k, v in expect.items() if k <= sem.max_degree)
-    report.add(CheckResult.from_mismatch("semicircle-free-convolution", mismatch))
+    expect = {Word((sem.letters[0],) * k): v for k, v in ((2, 2), (4, 8), (6, 40))
+              if k <= sem.max_degree}
+    report.add(CheckResult.from_mismatch("semicircle-free-convolution", _entrywise(
+        expect, total.moment, expect)))
 
-    # Subordination identities, over ten random character pairs/triples.
+    # Subordination identities, over ten random character triples.  All ten
+    # are drawn first, as the eta-series draws below come after them.
     d5 = min(D, 5)
-    found = {"subordination-decomposition": None,
-             "subordination-decomposition-swapped": None,
-             "subordination-decomposition-right": None,
-             "subordination-distributivity": None,
-             "subordination-change-of-product": None,
-             "subordination-log-additivity": None}
-    for _ in range(10):
-        P1, P2, P3 = (fn.exp_left(_random_infinitesimal(rng, ls, d5))
-                      for _ in range(3))
-        left_sub = lambda a, b: pr.subordinate(a, b, Side.LEFT)
-        checks = {
-            "subordination-decomposition":
-                (pr.free_conv(P1, P2), fn.conv(P1, left_sub(P2, P1))),
-            "subordination-decomposition-swapped":
-                (pr.free_conv(P1, P2), fn.conv(P2, left_sub(P1, P2))),
-            "subordination-decomposition-right":
-                (pr.boolean_conv(P1, P2),
-                 fn.conv(pr.subordinate(P2, P1, Side.RIGHT), P2)),
-            "subordination-distributivity":
-                (left_sub(pr.free_conv(P1, P2), P3),
-                 pr.free_conv(left_sub(P1, P3), left_sub(P2, P3))),
-            "subordination-change-of-product":
-                (pr.free_conv(P1, P2),
-                 pr.boolean_conv(left_sub(P1, P2), left_sub(P2, P1))),
-            "subordination-log-additivity":
-                (fn.log_right(pr.free_conv(P1, P2)),
-                 fn.log_right(left_sub(P1, P2)) + fn.log_right(left_sub(P2, P1))),
-        }
-        for name, (lhs, rhs) in checks.items():
-            found[name] = found[name] or _disagreement(lhs, rhs, ls, d5)
-    for name, mismatch in found.items():
-        report.add(CheckResult.from_mismatch(name, mismatch))
+    triples = [[fn.exp_left(_random_infinitesimal(rng, ls, d5)) for _ in range(3)]
+               for _ in range(10)]
+    left_sub = lambda a, b: pr.subordinate(a, b, Side.LEFT)
+    sides = {
+        "subordination-decomposition": lambda P1, P2, P3: (
+            pr.free_conv(P1, P2), fn.conv(P1, left_sub(P2, P1))),
+        "subordination-decomposition-swapped": lambda P1, P2, P3: (
+            pr.free_conv(P1, P2), fn.conv(P2, left_sub(P1, P2))),
+        "subordination-decomposition-right": lambda P1, P2, P3: (
+            pr.boolean_conv(P1, P2), fn.conv(pr.subordinate(P2, P1, Side.RIGHT), P2)),
+        "subordination-distributivity": lambda P1, P2, P3: (
+            left_sub(pr.free_conv(P1, P2), P3),
+            pr.free_conv(left_sub(P1, P3), left_sub(P2, P3))),
+        "subordination-change-of-product": lambda P1, P2, P3: (
+            pr.free_conv(P1, P2), pr.boolean_conv(left_sub(P1, P2), left_sub(P2, P1))),
+        "subordination-log-additivity": lambda P1, P2, P3: (
+            fn.log_right(pr.free_conv(P1, P2)),
+            fn.log_right(left_sub(P1, P2)) + fn.log_right(left_sub(P2, P1))),
+    }
+    report.extend(_first_over(triples, {
+        name: lambda P, pair=pair: fn.agree_up_to(*pair(*P), ls, d5)
+        for name, pair in sides.items()}))
 
     # The same additivity at the eta-series level, on distribution pairs.
-    mismatch = None
-    for _ in range(10):
-        dmu = _random_distribution(rng, ls, d5)
-        dnu = _random_distribution(rng, ls, d5)
-        conv_d = pr.convolve_distributions(dmu, dnu, "free")
-        sub_mu = pr.subordinate_distributions(dmu, dnu, "left")
-        sub_nu = pr.subordinate_distributions(dnu, dmu, "left")
-        lhs = series(conv_d, "eta")
-        rhs = series(sub_mu, "eta") + series(sub_nu, "eta")
-        mismatch = mismatch or _first_mismatch(
-            (wd, lhs.coefficient(wd), rhs.coefficient(wd)) for wd in words_up_to(ls, d5))
-    report.add(CheckResult.from_mismatch("eta-series-additivity", mismatch))
+    def eta_additive(pair):
+        dmu, dnu = pair
+        lhs = series(pr.convolve_distributions(dmu, dnu, "free"), "eta")
+        rhs = (series(pr.subordinate_distributions(dmu, dnu, "left"), "eta")
+               + series(pr.subordinate_distributions(dnu, dmu, "left"), "eta"))
+        return _entrywise(words_up_to(ls, d5), lhs.coefficient, rhs.coefficient)
+    pairs = [(_random_distribution(rng, ls, d5), _random_distribution(rng, ls, d5))
+             for _ in range(10)]
+    report.extend(_first_over(pairs, {"eta-series-additivity": eta_additive}))
     return report
 
 
@@ -667,32 +608,16 @@ def bp_suite(max_degree: int = 6, seed: int = 0, letters=DEFAULT_LETTERS) -> Rep
     # R-series of the image equals the eta-series of the source.
     d = _random_distribution(rng, ls, D)
     image = pr.bp_distribution(d)
-    lhs = series(image, "R")
-    rhs = series(d, "eta")
-    mismatch = _first_mismatch(
-        (wd, lhs.coefficient(wd), rhs.coefficient(wd)) for wd in words_up_to(ls, D))
-    report.add(CheckResult.from_mismatch("bp-R-equals-eta", mismatch))
+    report.add(CheckResult.from_mismatch("bp-R-equals-eta", _entrywise(
+        words_up_to(ls, D), series(image, "R").coefficient, series(d, "eta").coefficient)))
 
     # Fixed vector: symmetric Bernoulli maps to the semicircle law.
     deg = min(D, 6) if D >= 2 else 2
     bern = bernoulli_symmetric(deg)
     sem = semicircle(deg)
-    image = pr.bp_distribution(bern)
-    mismatch = _first_mismatch(
-        (w, image.moment(w), sem.moment(w))
-        for w in words_up_to(bern.letters, deg))
-    report.add(CheckResult.from_mismatch("bernoulli-to-semicircle", mismatch))
+    report.add(CheckResult.from_mismatch("bernoulli-to-semicircle", _entrywise(
+        words_up_to(bern.letters, deg), pr.bp_distribution(bern).moment, sem.moment)))
     return report
-
-
-def identity_suite(max_degree: int = 5, seed: int = 0,
-                   letters=DEFAULT_LETTERS) -> Report:
-    """Single report aggregating the product/subordination identities and the
-    bijection fundamentals (the union of the products and bp suites)."""
-    merged = Report("identities")
-    for part in (products_suite, bp_suite):
-        merged.extend(part(max_degree=max_degree, seed=seed, letters=letters).results)
-    return merged
 
 
 _SUITE_FUNCS = {

@@ -238,3 +238,29 @@ def test_overlong_json_integer_exits_two(tmp_path, capsys):
                     + "0" * limit + "}}")
     assert main(["cumulants", str(huge), "--kind", "free"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_letter_named_one_exits_two(tmp_path, capsys):
+    # "1" is the key of the empty word, so a letter named 1 could not state
+    # its degree-1 moment
+    for moments in ({"1.1": "1"}, {"1": "1/2", "1.1": "1"}):
+        src = write(tmp_path, "one.json", {"letters": ["1"], "max_degree": 2,
+                                           "moments": moments})
+        assert main(["cumulants", src, "--kind", "free"]) == 2
+        assert "reserved for the empty word" in capsys.readouterr().err
+    with pytest.raises(ValidationError):
+        sio.parse_cumulant_map({"kind": "free", "letters": ["a", "1"], "max_degree": 2})
+
+
+def test_max_degree_above_cumulant_file_exits_two(tmp_path, capsys):
+    # the same rule as for a distribution input: --max-degree may truncate,
+    # never extend
+    src = write(tmp_path, "sem.json", SEMICIRCLE)
+    cums = str(tmp_path / "free.json")
+    assert main(["cumulants", src, "--kind", "free", "--max-degree", "4", "-o", cums]) == 0
+    for cmd in (["moments", cums], ["convert", cums, "--kind", "boolean"]):
+        assert main(cmd + ["--max-degree", "9"]) == 2
+        assert "exceeds the input's max_degree 4" in capsys.readouterr().err
+        assert main(cmd + ["--max-degree", "2"]) == 0
+        assert '"max_degree": 2' in capsys.readouterr().out
+    assert main(["cumulants", src, "--kind", "free", "--max-degree", "9"]) == 2

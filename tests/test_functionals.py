@@ -63,6 +63,16 @@ def test_right_half_product_kills_bar_term():
     assert got == expect
 
 
+def test_agree_up_to_reads_bar_products_past_the_flags():
+    # Both nodes are flagged infinitesimal, so through their flags both read
+    # 0 on every bar product; they differ by 1 at a|b.
+    alpha = random_inf(3, max_degree=3)
+    off = alpha + sp.from_values({bars(w(A), w(B)): 1})
+    off.is_infinitesimal_character = True
+    assert alpha.is_infinitesimal_character and off(bars(w(A), w(B))) == 0
+    assert sp.agree_up_to(alpha, off, AB, 3) == (bars(w(A), w(B)), 0, 1)
+
+
 def test_convolution_is_half_sum():
     f, g = random_inf(1), random_inf(2)
     split = sp.hs_left(f, g) + sp.hs_right(f, g)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,12 @@ from shuffleprob.mutations import DEFECTS, inject_defect
 from shuffleprob.reporting import CheckResult, Report
 from shuffleprob.verify import SUITES, run_suite, run_suites
 from shuffleprob.words import BarWord, Letter, Word
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_lines(name: str) -> list[str]:
+    return (GOLDEN / name).read_text(encoding="utf-8").splitlines()
 
 
 def _witness_degree(result: CheckResult) -> int:
@@ -20,6 +27,9 @@ def test_all_suites_pass_at_degree_four():
     assert [r.suite for r in reports] == list(SUITES)
     for r in reports:
         assert r.passed, (r.suite, [c.name for c in r.failures])
+    # the same stdout as ``verify --suite all --max-degree 4 --seed 0``
+    lines = [line for r in reports for line in r.lines()]
+    assert lines == _golden_lines("verify-all-degree-4-seed-0.txt")
 
 
 def test_unknown_suite_rejected():
@@ -52,6 +62,9 @@ def test_mutation_sensitivity(defect, suites):
     failures = [c for r in reports for c in r.failures]
     assert failures, f"defect {defect} went unnoticed"
     assert min(_witness_degree(c) for c in failures) <= 4
+    # the same failing checks, with the same witnesses
+    lines = [line for r in reports for line in r.lines() if line.startswith("[FAIL]")]
+    assert lines == _golden_lines(f"mutation-{defect}.txt")
     # and the world is intact again afterwards
     reports = run_suites(suites, max_degree=3, seed=0)
     assert all(r.passed for r in reports)
@@ -70,15 +83,6 @@ def test_report_lines_format():
     assert lines and all(line.startswith("[PASS]") for line in lines)
     failing = Report("demo", [CheckResult.fail("identity", "a.a", 1, 2)])
     assert "[FAIL]" in next(iter(failing.lines()))
-
-
-def test_identity_suite_aggregates():
-    from shuffleprob.verify import identity_suite
-    report = identity_suite(max_degree=3, seed=0)
-    names = {c.name for c in report.results}
-    assert "subordination-decomposition" in names
-    assert "bp-R-equals-eta" in names
-    assert report.passed
 
 
 def test_left_exp_multiplicativity_is_not_decided_by_the_flag(monkeypatch):
