@@ -147,10 +147,11 @@ def cmd_series(args) -> int:
 
 
 def _parse_letter_names(raw: str):
-    names = [n.strip() for n in raw.split(",") if n.strip()]
+    names = tuple(n.strip() for n in raw.split(",") if n.strip())
     if not names:
         raise ValidationError("--letters needs a comma-separated list of names")
-    return tuple(names)
+    sio.letters_from_names(names)  # the letter-name rule of the input files
+    return names
 
 
 def cmd_verify(args) -> int:

@@ -4,13 +4,19 @@ On a word ``a1...an`` the full coproduct sums over all subsets S of [n],
 sending ``a_S`` to the left leg and the bar word of maximal runs of [n]-S to
 the right leg; the empty word maps to ``1 (x) 1``.  The left half keeps the
 subsets containing position 1, the right half the proper subsets avoiding it,
-so the two halves add up to the full coproduct on every nonempty word.  On a
-bar word the maps extend multiplicatively, the chosen half acting on the
-first component only.
+so the two halves add up to the full coproduct on every nonempty word and
+both vanish on the empty word.  On a bar word the maps extend
+multiplicatively, the chosen half acting on the first component only.  Apart
+from the reference closed form ``products.LabeledContext.closed_free``, this
+module is the only code that enumerates position subsets.
 
-Everything is memoized; the same small words recur constantly inside the
-fixed-point recursions of the functional layer.  The module-level caches are
-plain dicts: confine them to one thread or guard them externally.
+Everything is memoized in one dict keyed by (bar word, side, reduced); the
+same small words recur constantly inside the fixed-point recursions of the
+functional layer.  The subset loop builds the entries of the empty and the
+one-component bar words; a bar word of two or more components multiplies
+cached entries, and is cached too, because the evaluation loops look it up
+again far more often than it is built.  The memo is a plain dict: confine it
+to one thread or guard it externally.
 """
 
 from __future__ import annotations
@@ -32,36 +38,25 @@ class Side(enum.Enum):
         return f"Side.{self.name}"
 
 
-_word_cache: dict = {}
-_bar_cache: dict = {}
+_cache: dict = {}
 
 
 def clear_caches():
-    _word_cache.clear()
-    _bar_cache.clear()
+    _cache.clear()
 
 
-def _word_coproduct(w: Word, side: Side) -> TensorSum:
-    key = (w, side)
-    cached = _word_cache.get(key)
-    if cached is not None:
-        return cached
-    n = len(w.letters)
-    if n == 0:
-        # By the subset formulas both halves vanish on the empty word; the
-        # full coproduct is 1 (x) 1 by definition.
-        out = TensorSum.unit() if side is Side.FULL else TensorSum._raw({})
-        _word_cache[key] = out
-        return out
-    drop_singleton = side is Side.LEFT and mutations.is_active("drop-left-singleton")
+def _subset_sum(letters: tuple, side: Side) -> TensorSum:
+    """The subset formula on the word with these letters."""
+    n = len(letters)
     if side is Side.FULL:
         masks = range(1 << n)
     elif side is Side.LEFT:
         masks = range(1, 1 << n, 2)
     else:
-        masks = range(0, 1 << n, 2)
+        # even masks short of the full set, none at all on the empty word
+        masks = range(0, (1 << n) - 1, 2)
+    drop_singleton = side is Side.LEFT and mutations.is_active("drop-left-singleton")
     data: dict = {}
-    letters = w.letters
     for mask in masks:
         if drop_singleton and mask == 1:
             continue
@@ -83,14 +78,12 @@ def _word_coproduct(w: Word, side: Side) -> TensorSum:
         left = BarWord((Word(picked),)) if picked else EMPTY_BAR
         pair = (left, BarWord(runs))
         data[pair] = data.get(pair, 0) + 1
-    out = TensorSum._raw(data)
-    _word_cache[key] = out
-    return out
+    return TensorSum._raw(data)
 
 
 def unshuffle(w: Word) -> TensorSum:
     """Full coproduct of a word (subset expansion)."""
-    return _word_coproduct(w, Side.FULL)
+    return unshuffle_bar(BarWord.from_word(w))
 
 
 def half_unshuffle(w: Word, side: Side, reduced: bool = False) -> TensorSum:
@@ -109,11 +102,12 @@ def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum
     the full coproduct on the rest, multiplied componentwise."""
     b = as_barword(b)
     key = (b, side, reduced)
-    out = _bar_cache.get(key)
+    out = _cache.get(key)
     if out is not None:
         return out
+    words = b.words
     if reduced:
-        if not b.words:
+        if not words:
             raise DomainError("reduced coproducts are undefined on the empty bar word")
         out = unshuffle_bar(b, side)
         if side is Side.LEFT:
@@ -122,11 +116,11 @@ def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum
             out = out - TensorSum._raw({(EMPTY_BAR, b): 1})
         else:
             out = out - TensorSum._raw({(b, EMPTY_BAR): 1, (EMPTY_BAR, b): 1})
-    elif not b.words:
-        out = TensorSum.unit() if side is Side.FULL else TensorSum._raw({})
+    elif len(words) > 1:
+        out = unshuffle_bar(words[0], side)
+        for w in words[1:]:
+            out = out.bar_mul(unshuffle_bar(w))
     else:
-        out = _word_coproduct(b.words[0], side)
-        for w in b.words[1:]:
-            out = out.bar_mul(_word_coproduct(w, Side.FULL))
-    _bar_cache[key] = out
+        out = _subset_sum(words[0].letters if words else (), side)
+    _cache[key] = out
     return out

@@ -313,10 +313,14 @@ class _Series(Functional):
 
 
 class _AdjointAction(Functional):
-    """Closed-form Lie-level adjoint action of g1 on g2 (written g2^{g1}):
-    on a word, the sum of g2(subword) * E<(g1)(complement runs) over the
-    subsets containing both endpoints; zero off single-component bar words.
-    Extensionally equal to the conjugation E<(g1)^{-1} > g2 < E<(g1)."""
+    """Closed-form Lie-level adjoint action of g1 on g2 (written g2^{g1}).
+
+    On a word w = w_1...w_n the action sums g2(w_S) * E<(g1)(runs of [n]-S)
+    over the subsets S that hold both ends.  Those are the terms c * x (x) y
+    of the full coproduct of the inner word w_2...w_{n-1}, each giving
+    c * g2(w_1.x.w_n) * E<(g1)(y); the inner coproduct of a degree-2 word is
+    1 (x) 1.  The action is zero off single-component bar words, and
+    extensionally equal to the conjugation E<(g1)^{-1} > g2 < E<(g1)."""
 
     __slots__ = ("g1", "g2", "exp", "_composed")
 
@@ -333,20 +337,18 @@ class _AdjointAction(Functional):
     def _value(self, b):
         if len(b.words) != 1:
             return Fraction(0)
-        w = b.words[0]
-        n = len(w)
+        letters = b.words[0].letters
         g2, exp = self.g2, self.exp
-        if n == 1:
+        if len(letters) == 1:
             total = g2(b)
         else:
+            first, last = letters[:1], letters[-1:]
             total = Fraction(0)
-            first_last = 1 | (1 << (n - 1))
-            for inner in range(1 << (n - 2)) if n > 2 else (0,):
-                mask = first_last | (inner << 1)
-                positions = [i + 1 for i in range(n) if mask >> i & 1]
-                val = g2(BarWord.from_word(w.subword(positions)))
+            for (x, y), c in unshuffle_bar(Word(letters[1:-1])):
+                inner = x.words[0].letters if x else ()
+                val = g2(BarWord((Word(first + inner + last),)))
                 if val:
-                    total += val * exp(w.complement_components(positions))
+                    total += c * val * exp(y)
         if CROSS_CHECK_AD:
             if self._composed is None:
                 self._composed = adjoint(self.exp, self.g2)

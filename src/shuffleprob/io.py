@@ -57,12 +57,12 @@ def parse_word(s: str, letters: Mapping[str, Letter]) -> Word:
     return Word(out)
 
 
-def _parse_letters(obj) -> tuple[Letter, ...]:
-    raw = obj.get("letters")
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError("'letters' must be a nonempty list of names")
+def letters_from_names(names) -> tuple[Letter, ...]:
+    """The letters with these names.  A name is a nonempty string free of
+    '.', '|', '#' and blanks, it is not "1", and no two names are alike;
+    anything else raises :class:`ValidationError`."""
     letters = []
-    for name in raw:
+    for name in names:
         if not isinstance(name, str) or not name or any(c in name for c in ".|# \t"):
             raise ValidationError(f"bad letter name {name!r}")
         if name == "1":
@@ -71,6 +71,13 @@ def _parse_letters(obj) -> tuple[Letter, ...]:
     if len(set(letters)) != len(letters):
         raise ValidationError("duplicate letter names")
     return tuple(letters)
+
+
+def _parse_letters(obj) -> tuple[Letter, ...]:
+    raw = obj.get("letters")
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError("'letters' must be a nonempty list of names")
+    return letters_from_names(raw)
 
 
 def _parse_degree(obj) -> int:

@@ -57,9 +57,6 @@ class TensorSum:
     def __eq__(self, other):
         return isinstance(other, TensorSum) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "TensorSum") -> "TensorSum":
         data = dict(self.terms)
         for key, coeff in other.terms.items():

@@ -79,31 +79,6 @@ class Word:
             raise DomainError(f"subset {pos} out of range for a word of degree {n}")
         return Word(self.letters[p - 1] for p in pos)
 
-    def complement_components(self, positions: Iterable[int]) -> "BarWord":
-        """Bar word of the maximal consecutive runs of positions NOT selected.
-
-        For a word of degree n and S inside [n], the positions of [n]-S split
-        into maximal runs J1 < J2 < ... ; the result is the bar word
-        ``a_J1 | a_J2 | ...``.  Selecting everything yields the empty bar word;
-        selecting nothing yields the whole word as a single component.
-        """
-        pos = set(positions)
-        n = len(self.letters)
-        if pos and (min(pos) < 1 or max(pos) > n):
-            raise DomainError(f"subset {sorted(pos)} out of range for a word of degree {n}")
-        runs: list[Word] = []
-        current: list[Letter] = []
-        for i in range(1, n + 1):
-            if i in pos:
-                if current:
-                    runs.append(Word(current))
-                    current = []
-            else:
-                current.append(self.letters[i - 1])
-        if current:
-            runs.append(Word(current))
-        return BarWord(runs)
-
     def sort_key(self):
         return (len(self.letters), tuple((l.name, l.tag) for l in self.letters))
 

@@ -1,6 +1,6 @@
 import itertools
 
-from shuffleprob import Letter, Side, Word, half_unshuffle
+from shuffleprob import BarWord, Letter, Side, Word, half_unshuffle, unshuffle_bar
 from shuffleprob.axioms import check_axioms
 from shuffleprob.mutations import inject_defect
 from shuffleprob.words import words_up_to
@@ -93,14 +93,25 @@ def test_classical_tensor_algebra_fixture():
         assert _triple(succ, _collapsed_bar, True) == _triple(succ, rhalf, False), w
 
 
-def test_complement_components_against_brute_force():
+def test_unshuffle_bar_against_brute_force():
+    # the sum over S of w_S (x) runs([n]-S): LEFT takes the subsets holding
+    # position 1, RIGHT the proper subsets avoiding it, FULL all subsets
     letters = (Letter("a"), Letter("b"), Letter("c"))
-    for w in words_up_to(letters, 4):
+    for w in words_up_to(letters, 4, include_empty=True):
         n = len(w)
-        for r in range(n + 1):
-            for S in itertools.combinations(range(1, n + 1), r):
-                rest = sorted(set(range(1, n + 1)) - set(S))
+        everything = set(range(1, n + 1))
+        subsets = [set(S) for r in range(n + 1)
+                   for S in itertools.combinations(range(1, n + 1), r)]
+        chosen = {Side.LEFT: [S for S in subsets if 1 in S],
+                  Side.RIGHT: [S for S in subsets if 1 not in S and S != everything],
+                  Side.FULL: subsets}
+        for side, picks in chosen.items():
+            expect = {}
+            for S in picks:
+                rest = sorted(everything - S)
                 runs = [tuple(g) for _, g in itertools.groupby(
                     rest, key=lambda i, c=itertools.count(): i - next(c))]
-                expect = [w.subword(run) for run in runs]
-                assert list(w.complement_components(S).words) == expect, (w, S)
+                key = (BarWord.from_word(w.subword(S)),
+                       BarWord(w.subword(run) for run in runs))
+                expect[key] = expect.get(key, 0) + 1
+            assert unshuffle_bar(w, side).terms == expect, (w, side)

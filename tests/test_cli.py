@@ -1,6 +1,7 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +253,15 @@ def test_letter_named_one_exits_two(tmp_path, capsys):
         sio.parse_cumulant_map({"kind": "free", "letters": ["a", "1"], "max_degree": 2})
 
 
+def test_bad_letter_names_exit_two(capsys):
+    # the letter-name rule of the input files: a duplicate would enumerate
+    # every word twice, and "1", "a.b" and "a|b" would print as other words
+    for raw in ("a,a", "1,b", "a.b,c", "a|b"):
+        for cmd in (["verify", "--suite", "coalgebra"], ["verify-coalgebra"]):
+            assert main(cmd + ["--letters", raw, "--max-degree", "2"]) == 2, (cmd, raw)
+            assert "error:" in capsys.readouterr().err
+
+
 def test_max_degree_above_cumulant_file_exits_two(tmp_path, capsys):
     # the same rule as for a distribution input: --max-degree may truncate,
     # never extend
@@ -264,3 +274,36 @@ def test_max_degree_above_cumulant_file_exits_two(tmp_path, capsys):
         assert main(cmd + ["--max-degree", "2"]) == 0
         assert '"max_degree": 2' in capsys.readouterr().out
     assert main(["cumulants", src, "--kind", "free", "--max-degree", "9"]) == 2
+
+
+# Golden outputs: each command's stdout on a fixed 2-letter degree-4
+# distribution pair and cumulant file, compared byte for byte.
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
+KINDS = ("free", "boolean", "monotone")
+
+
+def golden_cli_cases():
+    """(name, argv) of each golden CLI run; its stdout is ``<name>.json``.
+    convert reads the golden ``cumulants-<kind>.json`` files as its inputs."""
+    d1, d2, cums = (str(GOLDEN_CLI / f"in-{n}.json")
+                    for n in ("dist-1", "dist-2", "cumulants"))
+    cases = [(f"cumulants-{k}", ["cumulants", d1, "--kind", k]) for k in KINDS]
+    cases += [(f"moments-{k}", ["moments", cums, "--kind", k]) for k in KINDS]
+    cases += [(f"convert-{a}-{b}",
+               ["convert", str(GOLDEN_CLI / f"cumulants-{a}.json"), "--kind", b])
+              for a in KINDS for b in KINDS]
+    cases += [(f"convolve-{k}", ["convolve", d1, d2, "--kind", k])
+              for k in ("free", "boolean", "monotone-left", "monotone-right")]
+    cases += [(f"subordinate-{s}", ["subordinate", d1, d2, "--side", s])
+              for s in ("left", "right")]
+    cases += [(f"bp-{t.replace('/', '_')}", ["bp", d1, "--t", t])
+              for t in ("1", "1/2", "0", "3")]
+    cases += [(f"series-{k}", ["series", d1, "--kind", k]) for k in ("M", "R", "eta")]
+    return cases
+
+
+@pytest.mark.parametrize("name,argv", golden_cli_cases(), ids=[n for n, _ in golden_cli_cases()])
+def test_cli_output_matches_golden(name, argv, capsys):
+    assert main(argv) == 0
+    expected = (GOLDEN_CLI / f"{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -5,6 +5,7 @@ import pytest
 from conftest import ROOT, run_python
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def test_demos_are_found():
@@ -15,3 +16,6 @@ def test_demos_are_found():
 def test_demo_runs(demo: Path):
     done = run_python(str(demo))
     assert done.returncode == 0, done.stderr
+    # byte for byte the stdout recorded in tests/golden/demo-<name>.txt
+    expected = (GOLDEN / f"demo-{demo.stem}.txt").read_text(encoding="utf-8")
+    assert done.stdout == expected

@@ -228,6 +228,19 @@ def test_ad_action_matches_conjugation_with_cross_check():
         functionals.CROSS_CHECK_AD = old
 
 
+def test_ad_action_matches_conjugation_on_one_letter():
+    # On one letter many subsets give the same term of the inner word's
+    # coproduct, so the closed form meets multiplicities above 1.
+    a = sp.Letter("a")
+    g1 = random_inf(24, letters=(a,), max_degree=12)
+    g2 = random_inf(25, letters=(a,), max_degree=12)
+    ad = sp.ad_action(g1, g2)
+    composed = functionals.ad_action_composed(g1, g2)
+    for k in range(1, 13):
+        word = Word((a,) * k)
+        assert ad(word) == composed(word), k
+
+
 def test_ad_action_rejects_generic_functionals():
     table = sp.from_values({bars(w(A)): F(1)})
     with pytest.raises(DomainError):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from shuffleprob import BarWord, DomainError, EMPTY_BAR, EMPTY_WORD, Letter, Word
@@ -28,23 +26,6 @@ def test_subword_out_of_range():
         Word((A, B)).subword({0, 1})
     with pytest.raises(DomainError):
         Word((A, B)).subword({3})
-
-
-def test_complement_components_examples():
-    w = Word((A, B, C))
-    assert w.complement_components({2}) == BarWord((Word((A,)), Word((C,))))
-    w4 = Word((A, B, C, A))
-    assert w4.complement_components({1, 4}) == BarWord((Word((B, C)),))
-    assert Word((A, B)).complement_components({1, 2}) == EMPTY_BAR
-    assert w.complement_components(set()) == BarWord((w,))
-
-
-def test_subword_complement_degrees_sum():
-    w = Word((A, B, A, C, B))
-    n = len(w)
-    for r in range(n + 1):
-        for S in itertools.combinations(range(1, n + 1), r):
-            assert len(w.subword(S)) + w.complement_components(S).degree == n
 
 
 def test_barword_drops_empty_components():
