@@ -25,7 +25,7 @@ from .functionals import (Functional, ad_action, ad_action_right, adjoint,
 from .magnus import (BernoulliTable, bch, bernoulli, group_law_left,
                      group_law_right, magnus, magnus_inverse)
 from .partitions import (PartitionFamily, SetPartition, enumerate_partitions,
-                         oracle_moments, tree_factorial)
+                         oracle_convert, oracle_moments, tree_factorial)
 from .products import (LabeledContext, antimonotone_conv, boolean_conv, bp,
                        bp_distribution, bp_inverse, bp_t, convolve_distributions,
                        factorize, free_conv, monotone_conv, subordinate,
@@ -48,8 +48,8 @@ __all__ = [
     "free_conv", "from_cumulants", "from_values", "group_law_left",
     "group_law_right", "half_unshuffle", "hs_left", "hs_power", "hs_right",
     "infinitesimal", "log_left", "log_right", "log_star", "magnus",
-    "magnus_inverse", "monotone_conv", "neumann_inverse", "oracle_moments",
-    "point_mass", "prelie", "run_suite", "run_suites", "semicircle", "series",
-    "subordinate", "subordinate_distributions", "to_cumulants", "tree_factorial",
-    "unit", "unshuffle", "unshuffle_bar",
+    "magnus_inverse", "monotone_conv", "neumann_inverse", "oracle_convert",
+    "oracle_moments", "point_mass", "prelie", "run_suite", "run_suites",
+    "semicircle", "series", "subordinate", "subordinate_distributions",
+    "to_cumulants", "tree_factorial", "unit", "unshuffle", "unshuffle_bar",
 ]

@@ -11,6 +11,17 @@ families are the three logarithms of its moment character:
 and the inverse transforms are the corresponding exponentials.  Conversions
 between families go through the Magnus map and pre-Lie exponential directly
 at the infinitesimal-character level, never through moments.
+
+The distribution API (:func:`to_cumulants`, :func:`from_cumulants`,
+:func:`convert`, and the distribution-level products of :mod:`products`)
+evaluates on scaled inputs.  Every term of the unshuffle coproduct keeps the
+degree, so the grading automorphism theta_D : w -> D^|w| w commutes with
+every construction of :mod:`functionals` and :mod:`magnus`.  Each entry
+point takes D as the lcm of its input denominators, builds its leaves on
+the integers D^|w| v, evaluates the same tree in int arithmetic (bar the
+series coefficients), and divides each value by D^|w| once, so every
+result is a ``Fraction``.  The public constructors, :func:`cumulant_functional`
+and :meth:`Distribution.character` build unscaled trees.
 """
 
 from __future__ import annotations
@@ -140,12 +151,52 @@ _EXP_LOG = {
 
 def tabulate(phi: fn.Functional, letters, max_degree: int) -> dict[Word, Fraction]:
     """phi on every nonempty word of degree <= max_degree, zeros omitted."""
+    return _unscaled(phi, 1, letters, max_degree)
+
+
+def _scaled(maps, extra: int = 1):
+    """theta_D on word maps with Fraction values: (D, the maps with each
+    value v at w replaced by the int D^|w| v), where D is the lcm of their
+    denominators times extra.  Every key must be a nonempty word."""
+    D = math.lcm(*(v.denominator for m in maps for v in m.values())) * extra
+    return D, [{w: v.numerator * (D // v.denominator) * D ** (len(w) - 1)
+                for w, v in m.items()} for m in maps]
+
+
+def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
+              ) -> dict[Word, Fraction]:
+    """phi(w) / D^|w| on every nonempty word of degree <= max_degree, zeros
+    omitted: the values of the tree built on leaves scaled by theta_D."""
     out = {}
     for w in words_up_to(letters, max_degree):
         v = phi(w)
         if v:
-            out[w] = v
+            out[w] = Fraction(v, D ** len(w))
     return out
+
+
+def _unscaled_distribution(phi: fn.Functional, D: int, d: Distribution) -> Distribution:
+    return Distribution(d.letters, d.max_degree, _unscaled(phi, D, d.letters, d.max_degree))
+
+
+def _cumulant_map(c: Mapping[Word, Fraction], letters, max_degree: int
+                  ) -> dict[Word, Fraction]:
+    """c with Fraction values, its keys checked as a Distribution checks its
+    moment keys: words, nonempty, over the declared letters (any letters
+    when letters is None).  Keys above max_degree are dropped: no word up to
+    max_degree reads them."""
+    allowed = None if letters is None else set(letters)
+    clean = {}
+    for w, v in c.items():
+        if not isinstance(w, Word):
+            raise ValidationError(f"cumulant keys must be words, got {w!r}")
+        if w == EMPTY_WORD:
+            raise ValidationError("cumulant maps have no value at the empty word")
+        if allowed is not None and any(l not in allowed for l in w.letters):
+            raise ValidationError(f"cumulant key {w!r} uses undeclared letters")
+        if len(w) <= max_degree:
+            clean[w] = Fraction(v)
+    return clean
 
 
 def cumulant_functional(d: Distribution, kind) -> fn.Functional:
@@ -157,7 +208,9 @@ def cumulant_functional(d: Distribution, kind) -> fn.Functional:
 
 def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
     """Cumulants of every word of degree <= max_degree (zeros omitted)."""
-    return tabulate(cumulant_functional(d, kind), d.letters, d.max_degree)
+    log = _EXP_LOG[_as_kind(kind)][1]
+    D, (moments,) = _scaled((d.moments,))
+    return _unscaled(log(fn.character(moments)), D, d.letters, d.max_degree)
 
 
 def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
@@ -165,9 +218,10 @@ def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
     """Distribution whose cumulants of the given kind are c: evaluate the
     matching exponential of the infinitesimal character on all words."""
     exp = _EXP_LOG[_as_kind(kind)][0]
-    phi = exp(fn.infinitesimal(c))
     letters = tuple(letters)
-    return Distribution(letters, max_degree, tabulate(phi, letters, max_degree))
+    D, (values,) = _scaled((_cumulant_map(c, letters, max_degree),))
+    phi = exp(fn.infinitesimal(values))
+    return Distribution(letters, max_degree, _unscaled(phi, D, letters, max_degree))
 
 
 def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
@@ -179,13 +233,15 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
     is omitted it is inferred from the keys of c.
     """
     kind_from, kind_to = _as_kind(kind_from), _as_kind(kind_to)
+    letters = None if letters is None else tuple(letters)
+    D, (values,) = _scaled((_cumulant_map(c, letters, max_degree),))
     if letters is None:
         letters = sorted({l for w in c for l in w.letters}, key=lambda l: (l.name, l.tag))
         if not letters:
             raise ValidationError("cannot infer letters from an empty cumulant map; "
                                   "pass letters explicitly")
-    out = _convert_functional(fn.infinitesimal(c), kind_from, kind_to)
-    return tabulate(out, tuple(letters), max_degree)
+    out = _convert_functional(fn.infinitesimal(values), kind_from, kind_to)
+    return _unscaled(out, D, tuple(letters), max_degree)
 
 
 def _sign_twisted(f):

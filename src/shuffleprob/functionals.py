@@ -7,6 +7,17 @@ coproducts of the argument, and memoized per node.  All series-type operators
 one at a bar word of degree d only ever touches evaluations at degree <= d,
 so every value is an exact finite sum.
 
+A value is an ``int`` or a ``Fraction``.  The leaves store integral values
+as ints, unit terms and the flag short-circuit start from int 0 and 1, an
+integral scalar multiple keeps an int coefficient, and a linear combination
+returns an int when its sum is integral.  So a tree on integral leaves runs
+its pairing and adjoint loops in int arithmetic; only the series
+coefficients (1/n!, (-1)^i/(i+1), B_m/m!) bring Fractions in.  The
+distribution API in :mod:`cumulants` and :mod:`products` relies on this:
+every construction here commutes with the grading automorphism
+theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
+divides once at the end.
+
 One node kind, ``_Pairing``, pairs two functionals across one side of the
 unshuffle coproduct.  The convolution product, the two half-shuffle
 products, the convolution inverse and the two half-shuffle exponentials are
@@ -62,6 +73,14 @@ from .words import BarWord, EMPTY_BAR, Word, all_barwords, as_barword
 #: under ``python -O``).  Enabled by the test suite.
 CROSS_CHECK_AD = False
 
+#: Functional values are exact: an int when integral, else a Fraction.
+Value = int | Fraction
+
+
+def _exact(v) -> Value:
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
 
 class Functional:
     __slots__ = ("_memo", "is_character", "is_infinitesimal_character")
@@ -71,11 +90,11 @@ class Functional:
     _leaf = False
 
     def __init__(self):
-        self._memo: dict[BarWord, Fraction] = {}
+        self._memo: dict[BarWord, Value] = {}
         self.is_character = False
         self.is_infinitesimal_character = False
 
-    def __call__(self, element) -> Fraction:
+    def __call__(self, element) -> Value:
         if type(element) is not BarWord:
             element = as_barword(element)
         memo = self._memo
@@ -85,19 +104,19 @@ class Functional:
             if len(words) < 2 or self._leaf:
                 v = self._value(element)
             elif self.is_character:
-                v = Fraction(1)
+                v = 1
                 for w in words:
                     v *= self(BarWord((w,)))
                     if not v:
                         break
             elif self.is_infinitesimal_character:
-                v = Fraction(0)
+                v = 0
             else:
                 v = self._value(element)
             memo[element] = v
         return v
 
-    def _value(self, b: BarWord) -> Fraction:
+    def _value(self, b: BarWord) -> Value:
         raise NotImplementedError
 
     # Linear structure; scalar multiples only (convolution is conv()).
@@ -111,7 +130,7 @@ class Functional:
         return _Linear(((-1, self),))
 
     def __mul__(self, scalar) -> "Functional":
-        return _Linear(((Fraction(scalar), self),))
+        return _Linear(((_exact(scalar), self),))
 
     __rmul__ = __mul__
 
@@ -127,7 +146,7 @@ class _Unit(Functional):
         self.is_character = True
 
     def _value(self, b):
-        return Fraction(1) if not b.words else Fraction(0)
+        return 0 if b.words else 1
 
 
 #: The convolution unit.  Construction helpers compare against this instance
@@ -152,7 +171,7 @@ class _Character(Functional):
         for w, v in moments.items():
             if not isinstance(w, Word):
                 raise DomainError(f"moment keys must be words, got {w!r}")
-            v = Fraction(v)
+            v = _exact(v)
             if not w:
                 if v != 1:
                     raise DomainError("the empty word must have moment 1")
@@ -163,12 +182,12 @@ class _Character(Functional):
         self.is_character = True
 
     def _value(self, b):
-        out = Fraction(1)
+        out = 1
         moments = self.moments
         for w in b.words:
             m = moments.get(w)
             if m is None:
-                return Fraction(0)
+                return 0
             out *= m
         return out
 
@@ -188,7 +207,7 @@ class _Infinitesimal(Functional):
                 raise DomainError(f"value keys must be words, got {w!r}")
             if not w:
                 raise DomainError("an infinitesimal character vanishes on the empty word")
-            v = Fraction(v)
+            v = _exact(v)
             if v:
                 clean[w] = v
         self.values = clean
@@ -196,8 +215,8 @@ class _Infinitesimal(Functional):
 
     def _value(self, b):
         if len(b.words) != 1:
-            return Fraction(0)
-        return self.values.get(b.words[0], Fraction(0))
+            return 0
+        return self.values.get(b.words[0], 0)
 
 
 class _Table(Functional):
@@ -216,7 +235,7 @@ class _Table(Functional):
 class _Linear(Functional):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: Iterable[tuple[Fraction, Functional]]):
+    def __init__(self, parts: Iterable[tuple[Value, Functional]]):
         super().__init__()
         self.parts = tuple(parts)
         self.is_infinitesimal_character = all(
@@ -228,6 +247,8 @@ class _Linear(Functional):
             v = f(b)
             if v:
                 total += c * v
+        if type(total) is Fraction and total.denominator == 1:
+            return total.numerator
         return total
 
 
@@ -336,14 +357,14 @@ class _AdjointAction(Functional):
 
     def _value(self, b):
         if len(b.words) != 1:
-            return Fraction(0)
+            return 0
         letters = b.words[0].letters
         g2, exp = self.g2, self.exp
         if len(letters) == 1:
             total = g2(b)
         else:
             first, last = letters[:1], letters[-1:]
-            total = Fraction(0)
+            total = 0
             for (x, y), c in unshuffle_bar(Word(letters[1:-1])):
                 inner = x.words[0].letters if x else ()
                 val = g2(BarWord((Word(first + inner + last),)))
@@ -386,7 +407,7 @@ def _half(f: Functional, g: Functional, side: Side) -> Functional:
     # The half-products live on the augmentation kernel: 0 at the empty bar word.
     if isinstance(f, _Unit) and isinstance(g, _Unit):
         raise DomainError("the half-products of the unit with itself are undefined")
-    return _Pairing(f, g, side, Fraction(0))
+    return _Pairing(f, g, side, 0)
 
 
 def hs_left(f: Functional, g: Functional) -> Functional:
@@ -415,7 +436,7 @@ def neumann_inverse(f: Functional) -> Functional:
     The Neumann series sum_k (e - f)^{*k}, realised as X = e + X * (e - f)."""
     if f(EMPTY_BAR) != 1:
         raise DomainError("only functionals with value 1 on the empty bar word are invertible")
-    out = _Pairing(None, e - f, Side.FULL, Fraction(1))
+    out = _Pairing(None, e - f, Side.FULL, 1)
     out.is_character = f.is_character
     return out
 
@@ -429,7 +450,7 @@ def exp_star(alpha: Functional) -> Functional:
     """Convolution exponential e + sum alpha^{*n} / n!."""
     if alpha(EMPTY_BAR) != 0:
         raise DomainError("exp* needs an operand vanishing on the empty bar word")
-    out = _powers(alpha, lambda i: Fraction(1, factorial(i + 1)), Fraction(1))
+    out = _powers(alpha, lambda i: Fraction(1, factorial(i + 1)), 1)
     out.is_character = alpha.is_infinitesimal_character
     return out
 
@@ -438,7 +459,7 @@ def log_star(phi: Functional) -> Functional:
     """Convolution logarithm sum (-1)^{n+1} (phi - e)^{*n} / n."""
     if phi(EMPTY_BAR) != 1:
         raise DomainError("log* needs an operand with value 1 on the empty bar word")
-    out = _powers(phi - e, lambda i: Fraction(-1 if i % 2 else 1, i + 1), Fraction(0))
+    out = _powers(phi - e, lambda i: Fraction(-1 if i % 2 else 1, i + 1), 0)
     out.is_infinitesimal_character = phi.is_character
     return out
 
@@ -447,7 +468,7 @@ def _half_exp(alpha: Functional, f, g, side: Side) -> Functional:
     if alpha(EMPTY_BAR) != 0:
         raise DomainError("half-shuffle exponentials need an operand vanishing "
                           "on the empty bar word")
-    out = _Pairing(f, g, side, Fraction(1))
+    out = _Pairing(f, g, side, 1)
     out.is_character = alpha.is_infinitesimal_character
     return out
 
@@ -526,7 +547,7 @@ def positive_part(f: Functional) -> Functional:
     return f - f(EMPTY_BAR) * e
 
 
-def _own_value(f: Functional, b: BarWord) -> Fraction:
+def _own_value(f: Functional, b: BarWord) -> Value:
     """f(b) from the recursion of f itself, as if its flags were cleared.
     The terms of a linear combination are read the same way; the nodes
     below keep their flags, so each flag is checked one level at a time."""

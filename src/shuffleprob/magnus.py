@@ -62,7 +62,7 @@ def magnus(kappa: Functional) -> Functional:
     is well founded."""
     if not kappa.is_infinitesimal_character:
         raise DomainError("the Magnus expansion acts on infinitesimal characters")
-    out = _Series(kappa, prelie, _magnus_coeff, Fraction(0))
+    out = _Series(kappa, prelie, _magnus_coeff, 0)
     out.is_infinitesimal_character = True
     return out
 
@@ -74,7 +74,7 @@ def magnus_inverse(rho: Functional) -> Functional:
     if not rho.is_infinitesimal_character:
         raise DomainError("the inverse Magnus expansion acts on infinitesimal characters")
     out = _Series(rho, lambda _, t: prelie(rho, t),
-                  lambda n: Fraction(1, factorial(n + 1)), Fraction(0))
+                  lambda n: Fraction(1, factorial(n + 1)), 0)
     out.is_infinitesimal_character = True
     return out
 

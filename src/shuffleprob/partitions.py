@@ -2,9 +2,10 @@
 
 This module is the validation oracle: cumulant-to-moment sums over all /
 non-crossing / interval set partitions, with the tree-factorial weight for
-the monotone family.  Nothing here touches coproducts or functionals, so a
-bug would have to be reproduced twice, combinatorially and algebraically,
-to go unnoticed.
+the monotone family, and three cumulant-to-cumulant sums over the
+irreducible non-crossing partitions.  Nothing here touches coproducts or
+functionals, so a bug would have to be reproduced twice, combinatorially and
+algebraically, to go unnoticed.
 """
 
 from __future__ import annotations
@@ -163,18 +164,59 @@ def oracle_moments(cumulants: Mapping[Word, Fraction], kind, w: Word) -> Fractio
         raise DomainError(f"unknown cumulant kind {kind!r}")
     total = Fraction(0)
     for p in parts:
-        prod = Fraction(1)
-        for block in p.blocks:
-            c = cumulants.get(w.subword(block), 0)
-            if not c:
-                prod = 0
-                break
-            prod *= c
-        if not prod:
-            continue
-        if weighted:
-            prod = Fraction(prod, tree_factorial(p))
-        total += prod
+        prod = _block_product(cumulants, w, p)
+        if prod:
+            total += Fraction(prod, tree_factorial(p)) if weighted else prod
+    return total
+
+
+def _block_product(cumulants: Mapping[Word, Fraction], w: Word, p: SetPartition):
+    """The product over the blocks V of p of the cumulant of w's subword at V."""
+    prod = Fraction(1)
+    for block in p.blocks:
+        c = cumulants.get(w.subword(block), 0)
+        if not c:
+            return 0
+        prod *= c
+    return prod
+
+
+#: The weight of an irreducible partition pi in each cumulant-to-cumulant
+#: sum: Lehner (2002) and Belinschi-Nica (2008) for free <-> boolean,
+#: Arizmendi-Hasebe-Lehner-Vargas (2015), Thm 1.1, for monotone -> boolean.
+_CONVERT_WEIGHTS = {
+    ("free", "boolean"): lambda p: 1,
+    ("boolean", "free"): lambda p: -1 if len(p.blocks) % 2 == 0 else 1,
+    ("monotone", "boolean"): lambda p: Fraction(1, tree_factorial(p)),
+}
+
+
+def oracle_convert(cumulants: Mapping[Word, Fraction], kind_from, kind_to,
+                   w: Word) -> Fraction:
+    """Cumulant of w of kind_to from a cumulant map of kind_from, by direct
+    summation over NC_irr(n), the non-crossing partitions of [n] with 1 and
+    n in one block:
+
+        boolean from free:      b(w) = sum kappa_pi(w)
+        free from boolean:      kappa(w) = sum (-1)^(|pi| - 1) b_pi(w)
+        boolean from monotone:  b(w) = sum h_pi(w) / tau(pi)!
+
+    Block values are read as in :func:`oracle_moments`.  The other pairs of
+    kinds have no such formula here and raise DomainError.
+    """
+    pair = (getattr(kind_from, "value", kind_from), getattr(kind_to, "value", kind_to))
+    weight = _CONVERT_WEIGHTS.get(pair)
+    if weight is None:
+        raise DomainError(f"no partition formula for {pair[0]} to {pair[1]} cumulants")
+    n = len(w)
+    total = Fraction(0)
+    if n == 0:
+        return total
+    for p in enumerate_partitions(n, PartitionFamily.NON_CROSSING):
+        if p.blocks[0][-1] == n:  # the block of 1 holds n
+            prod = _block_product(cumulants, w, p)
+            if prod:
+                total += weight(p) * prod
     return total
 
 

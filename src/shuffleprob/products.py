@@ -8,6 +8,14 @@ The two-algebra universal products are the same operations applied to
 characters that extend each factor by zero on the other's letters; a
 :class:`LabeledContext` packages that embedding and the closed forms the
 products reduce to on alternating words.
+
+The distribution-level entry points (:func:`convolve_distributions`,
+:func:`subordinate_distributions`, :func:`bp_distribution`) evaluate like
+those of :mod:`cumulants`: on moments scaled by theta_D : w -> D^|w| w, in
+int arithmetic, dividing once.  D is the lcm of the moment denominators;
+for :func:`bp_distribution` it is also multiplied by the denominator of t,
+so that t times the scaled left logarithm stays integral.  The results are
+Fractions.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from itertools import product as iproduct
 
 from . import functionals as fn
 from .coproducts import Side
-from .cumulants import Distribution, tabulate
+from .cumulants import Distribution, _scaled, _unscaled_distribution
 from .errors import DomainError, ValidationError
 from .words import Letter, Word
 
@@ -280,8 +288,8 @@ def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Dis
            "monotone-left": monotone_conv, "monotone-right": antimonotone_conv}
     if kind not in ops:
         raise ValidationError(f"unknown convolution kind {kind!r}; expected one of {sorted(ops)}")
-    phi = ops[kind](d1.character(), d2.character())
-    return Distribution(d1.letters, d1.max_degree, tabulate(phi, d1.letters, d1.max_degree))
+    D, (m1, m2) = _scaled((d1.moments, d2.moments))
+    return _unscaled_distribution(ops[kind](fn.character(m1), fn.character(m2)), D, d1)
 
 
 def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> Distribution:
@@ -290,10 +298,13 @@ def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> 
     side_enum = {"left": Side.LEFT, "right": Side.RIGHT}.get(side)
     if side_enum is None:
         raise ValidationError(f"unknown side {side!r}; expected left or right")
-    phi = subordinate(d1.character(), d2.character(), side_enum)
-    return Distribution(d1.letters, d1.max_degree, tabulate(phi, d1.letters, d1.max_degree))
+    D, (m1, m2) = _scaled((d1.moments, d2.moments))
+    return _unscaled_distribution(subordinate(fn.character(m1), fn.character(m2), side_enum),
+                                  D, d1)
 
 
 def bp_distribution(d: Distribution, t=1) -> Distribution:
-    phi = bp_t(d.character(), t)
-    return Distribution(d.letters, d.max_degree, tabulate(phi, d.letters, d.max_degree))
+    # t * kappa stays integral when D also clears the denominator of t
+    t = Fraction(t)
+    D, (moments,) = _scaled((d.moments,), t.denominator)
+    return _unscaled_distribution(bp_t(fn.character(moments), t), D, d)

@@ -6,6 +6,7 @@ import pytest
 import shuffleprob as sp
 from shuffleprob import Distribution, ValidationError, Word
 from shuffleprob.cumulants import CumulantKind, series
+from shuffleprob.mutations import inject_defect
 from shuffleprob.words import words_up_to
 
 from conftest import AB, random_fraction
@@ -146,3 +147,47 @@ def test_series_fixed_examples():
 def test_unknown_kind_rejected():
     with pytest.raises(ValidationError):
         sp.to_cumulants(sp.semicircle(2), "classical")
+
+
+def test_convert_rejects_keys_that_are_not_words():
+    with pytest.raises(ValidationError):
+        sp.convert({5: F(1)}, "free", "boolean", 3)
+    with pytest.raises(ValidationError):
+        sp.convert({Word(): F(0)}, "free", "boolean", 3, (A,))
+
+
+def test_cumulant_maps_reject_undeclared_letters():
+    stray = {uw(B, 1): F(1)}
+    with pytest.raises(ValidationError):
+        sp.from_cumulants(stray, "free", (A,), 2)
+    with pytest.raises(ValidationError):
+        sp.convert(stray, "free", "boolean", 2, (A,))
+    # keys above max_degree still truncate
+    pair = {uw(A, 2): F(1), uw(A, 5): F(7)}
+    assert sp.convert(pair, "free", "boolean", 4, (A,)) == {uw(A, 2): 1, uw(A, 4): 1}
+    assert sp.from_cumulants(pair, "free", (A,), 2).moments == {uw(A, 2): 1}
+
+
+def random_cumulant_map(seed, letters=AB, max_degree=6):
+    rng = random.Random(seed)
+    return {w: F(rng.randint(-3, 3), rng.randint(1, 12))
+            for w in words_up_to(letters, max_degree)}
+
+
+ORACLE_PAIRS = (("free", "boolean"), ("boolean", "free"), ("monotone", "boolean"))
+
+
+def test_convert_matches_the_partition_oracle():
+    for seed, (src, dst) in enumerate(ORACLE_PAIRS, 57):
+        c = random_cumulant_map(seed)
+        got = sp.convert(c, src, dst, 6, AB)
+        for w in words_up_to(AB, 6):
+            assert got.get(w, 0) == sp.oracle_convert(c, src, dst, w), (src, dst, w)
+
+
+def test_partition_oracle_catches_a_wrong_magnus_coefficient():
+    c = random_cumulant_map(57)
+    with inject_defect("skip-bernoulli-2"):
+        got = sp.convert(c, "free", "boolean", 6, AB)
+    assert any(got.get(w, 0) != sp.oracle_convert(c, "free", "boolean", w)
+               for w in words_up_to(AB, 6))

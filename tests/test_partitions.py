@@ -5,7 +5,7 @@ import pytest
 from shuffleprob import DomainError, Letter, Word
 from shuffleprob.partitions import (PartitionFamily, SetPartition, bell_number,
                                     catalan_number, enumerate_partitions,
-                                    oracle_moments, tree_factorial)
+                                    oracle_convert, oracle_moments, tree_factorial)
 
 A = Letter("a")
 B = Letter("b")
@@ -97,3 +97,17 @@ def test_monotone_weight_sum_denominator_divides_factorial():
         total = sum(F(1, tree_factorial(p))
                     for p in enumerate_partitions(n, PartitionFamily.NON_CROSSING))
         assert math.factorial(n) % total.denominator == 0
+
+
+def test_oracle_convert_examples_and_domain():
+    # semicircle: free cumulants {a^2: 1}; boolean b_2k = Catalan(k - 1)
+    pair = {Word((A, A)): F(1)}
+    got = [oracle_convert(pair, "free", "boolean", Word((A,) * n)) for n in range(7)]
+    assert got == [0, 0, 1, 0, 1, 0, 2]
+    boolean = {Word((A,) * n): F(v) for n, v in ((2, 1), (4, 1), (6, 2))}
+    assert oracle_convert(boolean, "boolean", "free", Word((A,) * 6)) == 0
+    assert oracle_convert(pair, "monotone", "boolean", Word((A,) * 4)) == F(1, 2)
+    for pair_of_kinds in (("free", "monotone"), ("boolean", "monotone"),
+                          ("monotone", "free"), ("free", "free")):
+        with pytest.raises(DomainError):
+            oracle_convert(pair, *pair_of_kinds, Word((A, A)))

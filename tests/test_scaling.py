@@ -1,0 +1,119 @@
+"""The distribution API evaluates its trees on theta_D-scaled leaves
+(w -> D^|w| w, with D the lcm of the input denominators) and divides by
+D^|w| once.  Each entry point must equal ``tabulate`` of the same public
+tree built on unscaled leaves, return Fractions only, and, where the tree
+has no series coefficients, evaluate in int arithmetic."""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+
+import shuffleprob as sp
+from shuffleprob import Distribution, cumulants, functionals as fn, products as pr
+from shuffleprob.coproducts import Side
+from shuffleprob.cumulants import CumulantKind, tabulate
+from shuffleprob.words import words_up_to
+
+from conftest import AB
+
+N = 4
+PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+WORDS = list(words_up_to(AB, N))  # 30 words, fewer than the 46 primes
+
+
+def integer_map(offset):
+    return {w: F((3 * i + offset) % 7 - 3) for i, w in enumerate(WORDS)}
+
+
+def prime_map(offset):
+    """Every value has its own prime denominator up to 199."""
+    return {w: F((i + offset) % 5 - 2 or 1, PRIMES[(i + offset) % len(PRIMES)])
+            for i, w in enumerate(WORDS)}
+
+
+MAPS = {"integer": integer_map, "primes": prime_map, "zero": lambda offset: {}}
+
+
+def distribution(values, letters=AB, n=N):
+    """The distribution with the given free cumulants."""
+    phi = fn.exp_left(fn.infinitesimal(values))
+    return Distribution(letters, n, tabulate(phi, letters, n))
+
+
+@pytest.fixture
+def raw(monkeypatch):
+    """Records the values each entry point evaluates before it divides."""
+    seen = []
+    real = cumulants._unscaled
+
+    def spy(phi, D, letters, max_degree):
+        seen.append((D, [phi(w) for w in words_up_to(letters, max_degree)]))
+        return real(phi, D, letters, max_degree)
+
+    monkeypatch.setattr(cumulants, "_unscaled", spy)
+    return seen
+
+
+def check(raw, expected, entry, integral, D=None):
+    """entry() equals expected, holds Fractions only, and (when integral)
+    came from int values before the division."""
+    got = entry()
+    got = getattr(got, "moments", got)
+    assert got == expected
+    assert all(type(v) is F for v in got.values())
+    scale, values = raw[-1]
+    if D is not None:
+        assert scale == D
+    if integral:
+        assert all(type(v) is int for v in values)
+
+
+@pytest.mark.parametrize("shape", sorted(MAPS))
+def test_cumulant_entry_points_equal_unscaled_trees(raw, shape):
+    values = MAPS[shape](0)
+    d = distribution(values)
+    for kind in CumulantKind:
+        integral = kind is not CumulantKind.MONOTONE  # log* has 1/n coefficients
+        check(raw, tabulate(cumulants.cumulant_functional(d, kind), AB, N),
+              lambda: sp.to_cumulants(d, kind), integral)
+        exp = cumulants._EXP_LOG[kind][0]
+        check(raw, tabulate(exp(fn.infinitesimal(values)), AB, N),
+              lambda: sp.from_cumulants(values, kind, AB, N), integral)
+        for dst in CumulantKind:
+            tree = cumulants._convert_functional(fn.infinitesimal(values), kind, dst)
+            check(raw, tabulate(tree, AB, N), lambda: sp.convert(values, kind, dst, N, AB),
+                  kind is dst)
+
+
+@pytest.mark.parametrize("shape", sorted(MAPS))
+def test_product_entry_points_equal_unscaled_trees(raw, shape):
+    d1, d2 = distribution(MAPS[shape](0)), distribution(MAPS[shape](3))
+    phi1, phi2 = d1.character(), d2.character()
+    convolutions = {"free": pr.free_conv, "boolean": pr.boolean_conv,
+                    "monotone-left": pr.monotone_conv,
+                    "monotone-right": pr.antimonotone_conv}
+    for kind, op in convolutions.items():
+        check(raw, tabulate(op(phi1, phi2), AB, N),
+              lambda: pr.convolve_distributions(d1, d2, kind), True)
+    for side, side_enum in (("left", Side.LEFT), ("right", Side.RIGHT)):
+        check(raw, tabulate(pr.subordinate(phi1, phi2, side_enum), AB, N),
+              lambda: pr.subordinate_distributions(d1, d2, side), True)
+
+
+@pytest.mark.parametrize("shape", sorted(MAPS))
+@pytest.mark.parametrize("t", [F(2, 3), F(0), F(1)])
+def test_bp_scales_by_the_denominator_of_t(raw, shape, t):
+    d = distribution(MAPS[shape](0))
+    D = math.lcm(*(v.denominator for v in d.moments.values())) * t.denominator
+    check(raw, tabulate(pr.bp_t(d.character(), t), AB, N), lambda: pr.bp_distribution(d, t),
+          True, D)
+
+
+def test_univariate_degree_twelve_round_trip(raw):
+    # one prime denominator per degree, so D is their product and D^12 is large
+    a = AB[:1]
+    values = {w: F(len(w) % 3 - 1 or 2, PRIMES[len(w)]) for w in words_up_to(a, 12)}
+    d = distribution(values, a, 12)
+    check(raw, values, lambda: sp.to_cumulants(d, "free"), True)
+    check(raw, d.moments, lambda: sp.from_cumulants(values, "free", a, 12), True)
