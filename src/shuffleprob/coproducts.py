@@ -15,8 +15,10 @@ same small words recur constantly inside the fixed-point recursions of the
 functional layer.  The subset loop builds the entries of the empty and the
 one-component bar words; a bar word of two or more components multiplies
 cached entries, and is cached too, because the evaluation loops look it up
-again far more often than it is built.  The memo is a plain dict: confine it
-to one thread or guard it externally.
+again far more often than it is built.  Bar words are canonical (see
+:mod:`.words`), so a memo key's bar word matches by identity, and the legs
+built here are the same objects that key the functional memos.  The memo is
+a plain dict: confine it to one thread or guard it externally.
 """
 
 from __future__ import annotations

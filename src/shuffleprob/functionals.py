@@ -51,9 +51,11 @@ products that way, past its flags.  The flag tests compare every flagged
 constructor with a flag-cleared twin, so what the flags assert is still
 checked.
 
-Expression trees are immutable and freely shareable; the per-node memo dicts
-are not synchronized, so concurrent evaluation needs external locking or
-per-thread nodes (results are deterministic either way).
+Expression trees are immutable and freely shareable.  The memo dicts are
+keyed by canonical bar words, whose table in :mod:`.words` is locked, but
+the per-node memo dicts themselves are not synchronized, so concurrent
+evaluation needs external locking or per-thread nodes (results are
+deterministic either way).
 """
 
 from __future__ import annotations

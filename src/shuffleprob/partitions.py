@@ -111,7 +111,7 @@ def tree_factorial(partition: SetPartition) -> int:
     return math.prod(sizes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def enumerate_partitions(n: int, family: PartitionFamily = PartitionFamily.ALL
                          ) -> tuple[SetPartition, ...]:
     """All set partitions of [n] in the family, via restricted-growth strings."""

@@ -6,13 +6,17 @@ of the double tensor algebra built on top of it.  The empty word and the
 empty bar word are the respective units and both print as ``"1"``.
 
 Every value here is immutable and hashable; they are used as dictionary keys
-throughout the package, so hashes (and bar-word degrees) are computed once at
-construction.
+throughout the package.  A word's hash is computed once at construction.  A
+bar word is canonical: constructing one returns the one live object for its
+sequence of words, so bar words compare and hash by identity, in C, and every
+memo or coproduct lookup keyed by one is an identity hit.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -90,22 +94,46 @@ class Word:
 
 EMPTY_WORD = Word()
 
+# the canonical bar words, keyed by their tuple of letter tuples
+_live_bars: "weakref.WeakValueDictionary[tuple, BarWord]" = weakref.WeakValueDictionary()
+_create_lock = threading.Lock()
+
 
 class BarWord:
     """An ordered sequence of nonempty words, written ``w1|w2|...|wm``.
 
     Empty component words are silently dropped at construction, which
     realises the identification of ``w1|1|w2`` with ``w1|w2``.
+
+    Bar words are canonical: ``BarWord(words)`` returns the one live object
+    for its sequence of words, so equal bar words are the same object and
+    equality and hashing are object identity.  The table of live bar words
+    is weak, so it keeps none alive by itself and dropping the last
+    reference (the caches included) frees the entry.  A bar word is created
+    under a module lock, checked again inside it, so two threads never make
+    twins, which would compare unequal; finding a live one takes no lock.
+    Copies and unpickled bar words go through the constructor, so they are
+    the canonical object too.
     """
 
-    __slots__ = ("words", "degree", "_key", "_hash")
+    __slots__ = ("words", "degree", "__weakref__")
 
-    def __init__(self, words: Iterable[Word] = ()):
-        self.words = tuple(w for w in words if w.letters)
-        # flat letter tuples: equality and hashing stay in C
-        self._key = key = tuple(w.letters for w in self.words)
-        self._hash = hash(key)
-        self.degree = sum(map(len, key))
+    def __new__(cls, words: Iterable[Word] = ()):
+        words = tuple(w for w in words if w.letters)
+        key = tuple(w.letters for w in words)
+        self = _live_bars.get(key)
+        if self is None:
+            with _create_lock:
+                self = _live_bars.get(key)
+                if self is None:
+                    self = object.__new__(cls)
+                    self.words = words
+                    self.degree = sum(map(len, key))
+                    _live_bars[key] = self
+        return self
+
+    def __reduce__(self):
+        return (BarWord, (self.words,))
 
     @classmethod
     def from_word(cls, w: Word) -> "BarWord":
@@ -114,12 +142,6 @@ class BarWord:
     @property
     def bar_length(self) -> int:
         return len(self.words)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, BarWord) and self._key == other._key
 
     def __bool__(self):
         return bool(self.words)
@@ -190,8 +212,12 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def all_barwords(letters: tuple[Letter, ...], max_degree: int) -> tuple[BarWord, ...]:
-    """Materialized nonempty bar words of degree <= max_degree, cached so the
-    same objects (and their memoized evaluations) are reused across sweeps."""
+    """Materialized nonempty bar words of degree <= max_degree.
+
+    Bar words are canonical, so every sweep gets the same objects anyway;
+    the bounded cache only saves the enumeration, which the nested sweeps of
+    :mod:`verify` repeat.  It is the one strong holder of enumerated bar
+    words outside the memos."""
     return tuple(barwords_up_to(tuple(letters), max_degree))

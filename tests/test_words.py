@@ -1,8 +1,17 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+
 import pytest
 
-from shuffleprob import BarWord, DomainError, EMPTY_BAR, EMPTY_WORD, Letter, Word
+from shuffleprob import (BarWord, DomainError, EMPTY_BAR, EMPTY_WORD, Letter, Side, Word,
+                         as_barword, exp_star, infinitesimal, unshuffle, unshuffle_bar)
+from shuffleprob import words as words_module
+from shuffleprob.coproducts import clear_caches
 from shuffleprob.words import (all_barwords, barwords_of_degree, barwords_up_to,
-                               words_of_degree)
+                               words_of_degree, words_up_to)
 
 A, B, C = Letter("a"), Letter("b"), Letter("c")
 
@@ -53,3 +62,96 @@ def test_concat_degree_and_bar_length():
     b = BarWord((Word((A,)), Word((B, C))))
     assert b.degree == 3 and b.bar_length == 2
     assert b.concat(BarWord((Word((A,)),))).bar_length == 3
+
+
+# Canonical bar words: one live object per bar word, compared by identity.
+
+def _rebuilt(b):
+    """The bar word of b's letters, built from fresh Word objects."""
+    return BarWord(tuple(Word(w.letters) for w in b.words))
+
+
+def test_equal_bar_words_are_one_object():
+    ab, c = Word((A, B)), Word((C,))
+    b = BarWord((ab, c))
+    assert b is BarWord((Word((A, B)), EMPTY_WORD, Word((C,))))
+    assert BarWord.from_word(ab) is BarWord((Word((A, B)),))
+    assert as_barword(ab) is BarWord.from_word(Word((A, B)))
+    assert as_barword(b) is b
+    assert BarWord.from_word(ab).concat(BarWord.from_word(c)) is b
+    assert EMPTY_BAR is BarWord() is BarWord((EMPTY_WORD,)) is EMPTY_BAR.concat(EMPTY_BAR)
+    for x in all_barwords((A, B), 3):
+        assert _rebuilt(x) is x
+    # identity equality still tells bar words from other values
+    assert BarWord.from_word(ab) != ab
+    assert b != (ab, c) and b != ((A, B), (C,))
+    assert EMPTY_BAR != EMPTY_WORD and EMPTY_BAR != ()
+
+
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("reduced", [False, True])
+def test_coproduct_legs_and_bar_products_are_canonical(side, reduced):
+    for x in all_barwords((A, B, C), 3):
+        terms = unshuffle_bar(x, side, reduced)
+        for left, right in terms.terms:
+            assert _rebuilt(left) is left and _rebuilt(right) is right
+        for left, right in terms.bar_mul(unshuffle_bar(x)).terms:
+            assert _rebuilt(left) is left and _rebuilt(right) is right
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda b: pickle.loads(pickle.dumps(b))])
+def test_copies_are_the_canonical_object(copier):
+    b = BarWord((Word((A,)), Word((B, C))))
+    for x in (b, EMPTY_BAR, BarWord.from_word(Word((A,)))):
+        assert copier(x) is x
+    pair = copier((b, {b: 1}))
+    assert pair[0] is b and pair[1] == {b: 1}
+    assert not EMPTY_BAR.words and EMPTY_BAR.degree == 0 and repr(EMPTY_BAR) == "1"
+
+
+def test_threads_constructing_the_same_bar_words_share_the_objects():
+    n_threads = 4
+    previous = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for trial in range(3):
+            # letters no other test uses, so every bar word here is new
+            letters = tuple(Letter(name, 1000 + trial) for name in "abc")
+            words = [Word(w.letters) for w in words_up_to(letters, 5)]
+            barrier = threading.Barrier(n_threads)
+            results = [None] * n_threads
+
+            def build(i):
+                barrier.wait(timeout=30)
+                results[i] = [BarWord.from_word(w) for w in words]
+
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for got in results[1:]:
+                assert all(x is y for x, y in zip(got, results[0]))
+            assert all(len(got) == len(words) for got in results)
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_dropped_bar_words_leave_the_table():
+    letters = (Letter("a", 2000), Letter("b", 2000))
+
+    def mine():
+        return [k for k in list(words_module._live_bars.keys())
+                if any(l.tag == 2000 for w in k for l in w)]
+
+    f = exp_star(infinitesimal({w: 1 for w in words_up_to(letters, 4)}))
+    for w in words_up_to(letters, 4):
+        f(w)
+        unshuffle_bar(BarWord.from_word(w), Side.LEFT, True).bar_mul(unshuffle(w))
+    assert mine()
+    del f, w
+    clear_caches()
+    gc.collect()
+    assert mine() == []
