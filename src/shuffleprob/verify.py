@@ -25,7 +25,7 @@ from .cumulants import (CumulantKind, Distribution, bernoulli_symmetric,
 from .errors import ValidationError
 from .magnus import (bch, bernoulli, group_law_left, group_law_left_definitional,
                      group_law_right, magnus, magnus_inverse)
-from .partitions import oracle_moments
+from .partitions import oracle_convert, oracle_moments
 from .reporting import CheckResult, Report
 from .words import Letter, Word, all_barwords, words_up_to
 
@@ -413,6 +413,17 @@ def cumulants_suite(max_degree: int = 6, seed: int = 0,
                               bases[src]))
     report.extend(_first_over(product(kinds, kinds),
                               {"convert-round-trips-and-detour": round_trip}))
+
+    # Conversions against the partition sums over NC_irr, outside the engine.
+    def convert_oracle(src, dst):
+        def check(d):
+            given = to_cumulants(d, src)
+            return _entrywise(d.words(), convert(given, src, dst, D, d.letters),
+                              partial(oracle_convert, given, src, dst))
+        return check
+    report.extend(_first_over(dists[:3], {
+        f"convert-oracle-{src}-to-{dst}": convert_oracle(src, dst)
+        for src, dst in (("free", "boolean"), ("boolean", "free"), ("monotone", "boolean"))}))
 
     # Monotone from pure-pair boolean cumulants: h4 = -1/2.
     mono2 = convert(pairc, "boolean", "monotone", 4, sem.letters)

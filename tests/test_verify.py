@@ -53,7 +53,7 @@ def test_report_json_shape():
 
 @pytest.mark.parametrize("defect,suites", [
     ("drop-left-singleton", ["coalgebra", "shuffle"]),
-    ("skip-bernoulli-2", ["magnus"]),
+    ("skip-bernoulli-2", ["magnus", "cumulants"]),
     ("flip-ad-conjugator", ["bp", "products"]),
 ])
 def test_mutation_sensitivity(defect, suites):
