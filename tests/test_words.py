@@ -118,7 +118,7 @@ def test_threads_constructing_the_same_bar_words_share_the_objects():
         for trial in range(3):
             # letters no other test uses, so every bar word here is new
             letters = tuple(Letter(name, 1000 + trial) for name in "abc")
-            words = [Word(w.letters) for w in words_up_to(letters, 5)]
+            words = list(words_up_to(letters, 5))
             barrier = threading.Barrier(n_threads)
             results = [None] * n_threads
 
@@ -132,9 +132,9 @@ def test_threads_constructing_the_same_bar_words_share_the_objects():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
+            assert all(len(got) == len(words) for got in results)
             for got in results[1:]:
                 assert all(x is y for x, y in zip(got, results[0]))
-            assert all(len(got) == len(words) for got in results)
     finally:
         sys.setswitchinterval(previous)
 
