@@ -22,6 +22,11 @@ the integers D^|w| v, evaluates the same tree in int arithmetic (bar the
 series coefficients), and divides each value by D^|w| once, so every
 result is a ``Fraction``.  The public constructors, :func:`cumulant_functional`
 and :meth:`Distribution.character` build unscaled trees.
+
+Input follows one rule each, and :mod:`shuffleprob.io` reads its files by
+the same rules: a value by ``functionals.parse_rational``, a max_degree by
+:func:`_degree`, and the keys of a moment map, a library cumulant map or a
+cumulant file by :func:`_word_map`.
 """
 
 from __future__ import annotations
@@ -68,26 +73,13 @@ class Distribution:
             raise ValidationError("a distribution needs at least one letter")
         if len(set(self.letters)) != len(self.letters):
             raise ValidationError("duplicate letters in distribution")
-        if self.max_degree < 1:
-            raise ValidationError("max_degree must be >= 1")
-        allowed = set(self.letters)
-        clean = {}
-        for w, v in self.moments.items():
-            if not isinstance(w, Word):
-                raise ValidationError(f"moment keys must be words, got {w!r}")
-            if w == EMPTY_WORD:
-                if Fraction(v) != 1:
-                    raise ValidationError("the empty word always has moment 1")
-                continue
-            if len(w) > self.max_degree:
-                raise ValidationError(f"moment key {w!r} exceeds max_degree {self.max_degree}")
-            if any(l not in allowed for l in w.letters):
-                raise ValidationError(f"moment key {w!r} uses undeclared letters")
-            v = Fraction(v)
-            if v:
-                clean[w] = v
+        moments = self.moments
+        if EMPTY_WORD in moments:
+            moments = dict(moments)
+            if fn.parse_rational(moments.pop(EMPTY_WORD)) != 1:
+                raise ValidationError("the empty word always has moment 1")
         object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "moments", clean)
+        object.__setattr__(self, "moments", _word_map(moments, self.letters, self.max_degree))
 
     def moment(self, w: Word) -> Fraction:
         if w == EMPTY_WORD:
@@ -112,8 +104,8 @@ class Distribution:
                    tag: int = 0) -> "Distribution":
         """Distribution of a single variable from the list of its moments
         (m_1, m_2, ...)."""
-        values = [Fraction(v) for v in values]
-        n = max_degree if max_degree is not None else len(values)
+        values = [fn.parse_rational(v) for v in values]
+        n = len(values) if max_degree is None else _degree(max_degree)
         letter = Letter(name, tag)
         moments = {Word((letter,) * (k + 1)): v for k, v in enumerate(values[:n]) if v}
         return cls((letter,), n, moments)
@@ -135,7 +127,7 @@ def bernoulli_symmetric(max_degree: int = 6, name: str = "a") -> Distribution:
 
 
 def point_mass(c, max_degree: int = 6, name: str = "a") -> Distribution:
-    c = Fraction(c)
+    c = fn.parse_rational(c)
     vals = [c ** k for k in range(1, max_degree + 1)]
     return Distribution.univariate(name, vals, max_degree)
 
@@ -179,23 +171,36 @@ def _unscaled_distribution(phi: fn.Functional, D: int, d: Distribution) -> Distr
     return Distribution(d.letters, d.max_degree, _unscaled(phi, D, d.letters, d.max_degree))
 
 
-def _cumulant_map(c: Mapping[Word, Fraction], letters, max_degree: int
-                  ) -> dict[Word, Fraction]:
-    """c with Fraction values, its keys checked as a Distribution checks its
-    moment keys: words, nonempty, over the declared letters (any letters
-    when letters is None).  Keys above max_degree are dropped: no word up to
-    max_degree reads them."""
+def _degree(n) -> int:
+    """n, the one rule for a max_degree: a positive int, not a bool."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"max_degree must be a positive integer, got {n!r}")
+    return n
+
+
+def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
+              drop_above: bool = False) -> dict[Word, Fraction]:
+    """values read by the rational rule, zeros dropped.  Keys are nonempty
+    words over letters (any letters when None; a moment map takes its empty
+    word, of value 1, out first).  A key above max_degree raises, or is
+    dropped when drop_above, as in a library cumulant map."""
+    n = _degree(max_degree)
     allowed = None if letters is None else set(letters)
     clean = {}
-    for w, v in c.items():
+    for w, v in values.items():
         if not isinstance(w, Word):
-            raise ValidationError(f"cumulant keys must be words, got {w!r}")
-        if w == EMPTY_WORD:
-            raise ValidationError("cumulant maps have no value at the empty word")
-        if allowed is not None and any(l not in allowed for l in w.letters):
-            raise ValidationError(f"cumulant key {w!r} uses undeclared letters")
-        if len(w) <= max_degree:
-            clean[w] = Fraction(v)
+            raise ValidationError(f"map keys must be words, got {w!r}")
+        if not w:
+            raise ValidationError("only a moment map has a value at the empty word")
+        if allowed is not None and not allowed.issuperset(w.letters):
+            raise ValidationError(f"key {w!r} uses undeclared letters")
+        if len(w) > n:
+            if drop_above:
+                continue
+            raise ValidationError(f"key {w!r} exceeds max_degree {n}")
+        v = fn.parse_rational(v)
+        if v:
+            clean[w] = v
     return clean
 
 
@@ -219,7 +224,7 @@ def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
     matching exponential of the infinitesimal character on all words."""
     exp = _EXP_LOG[_as_kind(kind)][0]
     letters = tuple(letters)
-    D, (values,) = _scaled((_cumulant_map(c, letters, max_degree),))
+    D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
     phi = exp(fn.infinitesimal(values))
     return Distribution(letters, max_degree, _unscaled(phi, D, letters, max_degree))
 
@@ -234,7 +239,7 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
     """
     kind_from, kind_to = _as_kind(kind_from), _as_kind(kind_to)
     letters = None if letters is None else tuple(letters)
-    D, (values,) = _scaled((_cumulant_map(c, letters, max_degree),))
+    D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
     if letters is None:
         letters = sorted({l for w in c for l in w.letters}, key=lambda l: (l.name, l.tag))
         if not letters:
@@ -279,8 +284,8 @@ class TruncatedSeries:
     def __init__(self, letters, max_degree: int, coefficients: Mapping[Word, Fraction]):
         self.letters = tuple(letters)
         self.max_degree = max_degree
-        self.coefficients = {w: Fraction(v) for w, v in coefficients.items()
-                             if v and len(w) <= max_degree}
+        coefficients = {w: fn.parse_rational(v) for w, v in coefficients.items()}
+        self.coefficients = {w: v for w, v in coefficients.items() if v and len(w) <= max_degree}
 
     def coefficient(self, w: Word) -> Fraction:
         return self.coefficients.get(w, Fraction(0))

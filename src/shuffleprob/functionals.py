@@ -60,6 +60,7 @@ deterministic either way).
 
 from __future__ import annotations
 
+import re
 import weakref
 from fractions import Fraction
 from math import factorial
@@ -67,7 +68,7 @@ from typing import Iterable, Mapping
 
 from . import mutations
 from .coproducts import Side, unshuffle_bar
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .words import BarWord, EMPTY_BAR, Word, all_barwords, as_barword
 
 #: When true, closed-form adjoint nodes re-derive every word evaluation from
@@ -79,8 +80,35 @@ CROSS_CHECK_AD = False
 Value = int | Fraction
 
 
+#: The string forms "p" and "p/q".  Fraction alone would also take decimals
+#: and exponents, and compute 10**3000000 for "1e3000000".
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
+def parse_rational(x) -> Fraction:
+    """x as a Fraction, by the one rule for input rationals, in the library
+    and in JSON files alike: an int (not a bool), a Fraction, or a string
+    "p" or "p/q".  Anything else, floats and Decimals included, raises
+    :class:`ValidationError`."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValidationError(f"bad rational literal {x!r}: expected 'p' or 'p/q'")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational literal {x!r}: {exc}") from None
+    raise ValidationError(f"expected an int, Fraction or 'p/q' string, got {type(x).__name__}")
+
+
 def _exact(v) -> Value:
-    v = Fraction(v)
+    """v by the rational rule, as an int when integral."""
+    if type(v) is int:
+        return v
+    v = parse_rational(v)
     return v.numerator if v.denominator == 1 else v
 
 
@@ -228,10 +256,16 @@ class _Table(Functional):
 
     def __init__(self, values: Mapping[BarWord, Fraction]):
         super().__init__()
-        self.values = {as_barword(k): Fraction(v) for k, v in values.items() if v}
+        self.values = {}
+        for k, v in values.items():
+            if not isinstance(k, (Word, BarWord)):
+                raise DomainError(f"value keys must be words or bar words, got {k!r}")
+            v = _exact(v)
+            if v:
+                self.values[as_barword(k)] = v
 
     def _value(self, b):
-        return self.values.get(b, Fraction(0))
+        return self.values.get(b, 0)
 
 
 class _Linear(Functional):
@@ -507,7 +541,7 @@ def log_right(phi: Functional) -> Functional:
 def hs_power(phi: Functional, s, side: Side = Side.LEFT) -> Functional:
     """Half-shuffle power: rescale the corresponding logarithm by s and
     re-exponentiate.  s = 1 gives phi back, s = 0 the unit."""
-    s = Fraction(s)
+    s = parse_rational(s)
     if side is Side.LEFT:
         return exp_left(s * log_left(phi))
     if side is Side.RIGHT:

@@ -5,40 +5,24 @@ accepted on input for convenience.  Words are dot-joined letter names, and
 "1" is the empty word, so no letter may be named 1; all emitted maps are in
 graded lexicographic order, so re-emitting a parsed file reproduces it byte
 for byte.
+
+This module only turns text into words and rationals.  Values, degrees
+and map keys are checked by the library's own rules (``parse_rational`` of
+:mod:`functionals`, re-exported here, and the checks of :mod:`cumulants`),
+so a file and a library call accept the same input.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Mapping
 
-from .cumulants import Distribution, TruncatedSeries
+from .cumulants import Distribution, TruncatedSeries, _word_map
 from .errors import ValidationError
+from .functionals import parse_rational
 from .reporting import rational_str
 from .words import Letter, Word
-
-
-#: The accepted string forms "p" and "p/q".  Anything else is refused before
-#: it reaches Fraction, which would also take decimals and exponents such as
-#: "1e30000000" (and compute 10**30000000 to do so).
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
-
-
-def parse_rational(x) -> Fraction:
-    if isinstance(x, bool):
-        raise ValidationError(f"expected a rational, got {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
-            raise ValidationError(f"bad rational literal {x!r}: expected 'p' or 'p/q'")
-        try:
-            return Fraction(x.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational literal {x!r}: {exc}") from None
-    raise ValidationError(f"expected a rational as int or 'p/q' string, got {type(x).__name__}")
 
 
 def word_to_str(w: Word) -> str:
@@ -80,33 +64,17 @@ def _parse_letters(obj) -> tuple[Letter, ...]:
     return letters_from_names(raw)
 
 
-def _parse_degree(obj) -> int:
-    n = obj.get("max_degree")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("'max_degree' must be a positive integer")
-    return n
-
-
 def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
     return {word_to_str(w): rational_str(values[w])
             for w in sorted(values, key=Word.sort_key)}
 
 
-def _parse_value_map(obj, field: str, letters, max_degree: int,
-                     allow_empty_word: bool = False) -> dict[Word, Fraction]:
+def _parse_value_map(obj, field: str, letters) -> dict[Word, Fraction]:
     raw = obj.get(field, {})
     if not isinstance(raw, dict):
         raise ValidationError(f"'{field}' must be an object mapping words to rationals")
     table = {l.name: l for l in letters}
-    out = {}
-    for key, val in raw.items():
-        w = parse_word(key, table)
-        if not w and not allow_empty_word:
-            raise ValidationError(f"'{field}' must not contain the empty word \"1\"")
-        if len(w) > max_degree:
-            raise ValidationError(f"word {key!r} exceeds max_degree {max_degree}")
-        out[w] = parse_rational(val)
-    return out
+    return {parse_word(key, table): parse_rational(val) for key, val in raw.items()}
 
 
 def distribution_to_json(d: Distribution) -> dict:
@@ -119,9 +87,7 @@ def parse_distribution(obj) -> Distribution:
     if not isinstance(obj, dict):
         raise ValidationError("distribution file must be a JSON object")
     letters = _parse_letters(obj)
-    n = _parse_degree(obj)
-    moments = _parse_value_map(obj, "moments", letters, n, allow_empty_word=True)
-    return Distribution(letters, n, moments)
+    return Distribution(letters, obj.get("max_degree"), _parse_value_map(obj, "moments", letters))
 
 
 def cumulant_map_to_json(kind: str, letters, max_degree: int,
@@ -140,9 +106,8 @@ def parse_cumulant_map(obj):
     if kind not in ("free", "boolean", "monotone"):
         raise ValidationError(f"bad or missing 'kind': {kind!r}")
     letters = _parse_letters(obj)
-    n = _parse_degree(obj)
-    values = _parse_value_map(obj, "values", letters, n)
-    return kind, letters, n, values
+    n = obj.get("max_degree")
+    return kind, letters, n, _word_map(_parse_value_map(obj, "values", letters), letters, n)
 
 
 def series_to_json(name: str, s: TruncatedSeries) -> dict:

@@ -113,7 +113,7 @@ def bp_t(phi: fn.Functional, t) -> fn.Functional:
     semigroup in t.  For t > 0 it agrees with the boolean 1/t-th power of
     the free t-th power.
     """
-    t = Fraction(t)
+    t = fn.parse_rational(t)
     if t < 0:
         raise DomainError("the bijection semigroup is defined for t >= 0")
     _require_unital(phi)
@@ -305,6 +305,6 @@ def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> 
 
 def bp_distribution(d: Distribution, t=1) -> Distribution:
     # t * kappa stays integral when D also clears the denominator of t
-    t = Fraction(t)
+    t = fn.parse_rational(t)
     D, (moments,) = _scaled((d.moments,), t.denominator)
     return _unscaled_distribution(bp_t(fn.character(moments), t), D, d)

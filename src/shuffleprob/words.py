@@ -47,11 +47,6 @@ class Word:
         self.letters = tuple(letters)
         self._hash = hash(self.letters)
 
-    @classmethod
-    def of(cls, *names: str, tag: int = 0) -> "Word":
-        """Convenience constructor from letter names: ``Word.of("a","b")``."""
-        return cls(Letter(n, tag) for n in names)
-
     @property
     def degree(self) -> int:
         return len(self.letters)
