@@ -114,7 +114,7 @@ class Distribution:
 def semicircle(max_degree: int = 6, name: str = "a") -> Distribution:
     """Standard semicircle moments: Catalan numbers in even degrees."""
     vals = []
-    for k in range(1, max_degree + 1):
+    for k in range(1, _degree(max_degree) + 1):
         vals.append(Fraction(math.comb(k, k // 2) - math.comb(k, k // 2 + 1))
                     if k % 2 == 0 else Fraction(0))
     return Distribution.univariate(name, vals, max_degree)
@@ -122,13 +122,13 @@ def semicircle(max_degree: int = 6, name: str = "a") -> Distribution:
 
 def bernoulli_symmetric(max_degree: int = 6, name: str = "a") -> Distribution:
     """Symmetric Bernoulli (point masses at +1/-1): even moments 1."""
-    vals = [Fraction(0) if k % 2 else Fraction(1) for k in range(1, max_degree + 1)]
+    vals = [Fraction(0) if k % 2 else Fraction(1) for k in range(1, _degree(max_degree) + 1)]
     return Distribution.univariate(name, vals, max_degree)
 
 
 def point_mass(c, max_degree: int = 6, name: str = "a") -> Distribution:
     c = fn.parse_rational(c)
-    vals = [c ** k for k in range(1, max_degree + 1)]
+    vals = [c ** k for k in range(1, _degree(max_degree) + 1)]
     return Distribution.univariate(name, vals, max_degree)
 
 
@@ -174,7 +174,7 @@ def _unscaled_distribution(phi: fn.Functional, D: int, d: Distribution) -> Distr
 def _degree(n) -> int:
     """n, the one rule for a max_degree: a positive int, not a bool."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"max_degree must be a positive integer, got {n!r}")
+        raise ValidationError("max_degree must be a positive integer")
     return n
 
 

@@ -78,8 +78,11 @@ def test_degrees_follow_one_rule_and_survive_the_io_round_trip():
         text = json.dumps(sio.distribution_to_json(built))
         assert sio.parse_distribution(json.loads(text)) == built
     for n in (True, 2.5, 0):
-        with pytest.raises(ValidationError):
-            sp.Distribution((A,), n, {W1: 1})
+        for build in (lambda: sp.Distribution((A,), n, {W1: 1}),
+                      lambda: sp.Distribution.univariate("a", [1], n),
+                      lambda: sp.point_mass(1, n), lambda: sp.semicircle(n)):
+            with pytest.raises(ValidationError):
+                build()
     for n in (0, -3, 2.0):
         with pytest.raises(ValidationError):
             sp.convert({W2: 1}, "free", "boolean", n, (A,))
