@@ -69,17 +69,20 @@ class Distribution:
     moments: Mapping[Word, Fraction]
 
     def __post_init__(self):
-        if not self.letters:
+        letters = tuple(self.letters)
+        if not letters:
             raise ValidationError("a distribution needs at least one letter")
-        if len(set(self.letters)) != len(self.letters):
+        if not all(isinstance(l, Letter) for l in letters):
+            raise ValidationError("the letters of a distribution must be Letters")
+        if len(set(letters)) != len(letters):
             raise ValidationError("duplicate letters in distribution")
         moments = self.moments
         if EMPTY_WORD in moments:
             moments = dict(moments)
             if fn.parse_rational(moments.pop(EMPTY_WORD)) != 1:
                 raise ValidationError("the empty word always has moment 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "moments", _word_map(moments, self.letters, self.max_degree))
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "moments", _word_map(moments, letters, self.max_degree))
 
     def moment(self, w: Word) -> Fraction:
         if w == EMPTY_WORD:
@@ -283,9 +286,8 @@ class TruncatedSeries:
 
     def __init__(self, letters, max_degree: int, coefficients: Mapping[Word, Fraction]):
         self.letters = tuple(letters)
-        self.max_degree = max_degree
-        coefficients = {w: fn.parse_rational(v) for w, v in coefficients.items()}
-        self.coefficients = {w: v for w, v in coefficients.items() if v and len(w) <= max_degree}
+        self.max_degree = _degree(max_degree)
+        self.coefficients = _word_map(coefficients, self.letters, max_degree, drop_above=True)
 
     def coefficient(self, w: Word) -> Fraction:
         return self.coefficients.get(w, Fraction(0))

@@ -37,18 +37,24 @@ multiply by the node.
 
 Two structural flags travel with each node: ``is_character`` (unital and
 multiplicative over bars) and ``is_infinitesimal_character`` (vanishes on
-the empty bar word and on bar products).  They are set when the construction
-guarantees the property, gate the operations whose meaning requires it, and
-drive evaluation: on a memo miss at a bar word of two or more components, a
-flagged derived node returns the product of its values on the component
-words, or 0, instead of recursing through the bar coproduct.  (The leaves
-read bar words off their own data, which is cheaper.)  A flag is therefore a
-promise about values, not a hint.  Clearing one is always safe: the node
-then evaluates every bar word through its own recursion.  Equality of
-functionals is extensional, and :func:`agree_up_to`, the one comparison
-that :mod:`verify` and the tests use, reads each side's values on bar
-products that way, past its flags.  The flag tests compare every flagged
-constructor with a flag-cleared twin, so what the flags assert is still
+the empty bar word and on bar products).  They gate the operations whose
+meaning requires them, and drive evaluation: on a memo miss at a bar word of
+two or more components, a flagged node returns the product of its values on
+the component words, or 0, instead of recursing through the bar coproduct.
+
+There is one leaf node, ``_Table``: explicit bar-word values, 0 elsewhere.
+A leaf's flag is its definition.  ``character`` is a table of its word
+values and 1 at the empty bar word, flagged ``is_character``;
+``infinitesimal`` a table of its word values, flagged
+``is_infinitesimal_character``; the unit ``e`` the table {1: 1}, flagged as a
+character; ``from_values`` an unflagged table.  A derived node's flag is a
+promise about values that its construction guarantees, not a hint, and
+clearing it is always safe: the node then evaluates every bar word through
+its own recursion.  Equality of functionals is extensional, and
+:func:`agree_up_to`, the one comparison that :mod:`verify` and the tests
+use, reads each derived side's values on bar products that way, past its
+flags, and a leaf's through its flag.  The flag tests compare every flagged
+constructor with a flag-cleared twin, so what the flags promise is still
 checked.
 
 Expression trees are immutable and freely shareable.  The memo dicts are
@@ -115,10 +121,6 @@ def _exact(v) -> Value:
 class Functional:
     __slots__ = ("_memo", "is_character", "is_infinitesimal_character")
 
-    #: Leaves whose ``_value`` reads bar words off their own data, which is
-    #: cheaper than factoring through the component words.
-    _leaf = False
-
     def __init__(self):
         self._memo: dict[BarWord, Value] = {}
         self.is_character = False
@@ -131,7 +133,7 @@ class Functional:
         v = memo.get(element)
         if v is None:
             words = element.words
-            if len(words) < 2 or self._leaf:
+            if len(words) < 2:
                 v = self._value(element)
             elif self.is_character:
                 v = 1
@@ -165,104 +167,20 @@ class Functional:
     __rmul__ = __mul__
 
 
-class _Unit(Functional):
-    """The augmentation map e: 1 on the empty bar word, 0 elsewhere."""
-
-    __slots__ = ()
-    _leaf = True
-
-    def __init__(self):
-        super().__init__()
-        self.is_character = True
-
-    def _value(self, b):
-        return 0 if b.words else 1
-
-
-#: The convolution unit.  Construction helpers compare against this instance
-#: to reject the undefined half-products of the unit with itself.
-e = _Unit()
-
-
-def unit() -> Functional:
-    return e
-
-
-class _Character(Functional):
-    """Multiplicative extension of a moment map: the value on a bar word is
-    the product of the word moments, and the empty bar word maps to 1."""
-
-    __slots__ = ("moments",)
-    _leaf = True
-
-    def __init__(self, moments: Mapping[Word, Fraction]):
-        super().__init__()
-        clean = {}
-        for w, v in moments.items():
-            if not isinstance(w, Word):
-                raise DomainError(f"moment keys must be words, got {w!r}")
-            v = _exact(v)
-            if not w:
-                if v != 1:
-                    raise DomainError("the empty word must have moment 1")
-                continue
-            if v:
-                clean[w] = v
-        self.moments = clean
-        self.is_character = True
-
-    def _value(self, b):
-        out = 1
-        moments = self.moments
-        for w in b.words:
-            m = moments.get(w)
-            if m is None:
-                return 0
-            out *= m
-        return out
-
-
-class _Infinitesimal(Functional):
-    """Infinitesimal character from word values: zero on the empty bar word
-    and on every bar word with two or more components."""
-
-    __slots__ = ("values",)
-    _leaf = True
-
-    def __init__(self, values: Mapping[Word, Fraction]):
-        super().__init__()
-        clean = {}
-        for w, v in values.items():
-            if not isinstance(w, Word):
-                raise DomainError(f"value keys must be words, got {w!r}")
-            if not w:
-                raise DomainError("an infinitesimal character vanishes on the empty word")
-            v = _exact(v)
-            if v:
-                clean[w] = v
-        self.values = clean
-        self.is_infinitesimal_character = True
-
-    def _value(self, b):
-        if len(b.words) != 1:
-            return 0
-        return self.values.get(b.words[0], 0)
-
-
 class _Table(Functional):
-    """Arbitrary linear form given by explicit bar-word values (default 0)."""
+    """The one leaf: explicit bar-word values, 0 elsewhere.  A character or
+    an infinitesimal character is a table of its word values with its flag
+    set, and the flag gives its values on bar products."""
 
     __slots__ = ("values",)
 
-    def __init__(self, values: Mapping[BarWord, Fraction]):
+    def __init__(self, values: Mapping, keys, what: str):
         super().__init__()
         self.values = {}
         for k, v in values.items():
-            if not isinstance(k, (Word, BarWord)):
-                raise DomainError(f"value keys must be words or bar words, got {k!r}")
-            v = _exact(v)
-            if v:
-                self.values[as_barword(k)] = v
+            if not isinstance(k, keys):
+                raise DomainError(f"{what}, got {k!r}")
+            self.values[as_barword(k)] = _exact(v)
 
     def _value(self, b):
         return self.values.get(b, 0)
@@ -419,17 +337,35 @@ class _AdjointAction(Functional):
 
 def character(moments: Mapping[Word, Fraction]) -> Functional:
     """The character extending a word -> moment map multiplicatively over bars."""
-    return _Character(moments)
+    out = _Table(moments, Word, "moment keys must be words")
+    if out.values.setdefault(EMPTY_BAR, 1) != 1:
+        raise DomainError("the empty word must have moment 1")
+    out.is_character = True
+    return out
 
 
 def infinitesimal(values: Mapping[Word, Fraction]) -> Functional:
     """The infinitesimal character with the given word values."""
-    return _Infinitesimal(values)
+    out = _Table(values, Word, "value keys must be words")
+    if EMPTY_BAR in out.values:
+        raise DomainError("an infinitesimal character vanishes on the empty word")
+    out.is_infinitesimal_character = True
+    return out
 
 
 def from_values(values: Mapping[BarWord, Fraction]) -> Functional:
     """A plain linear form with explicit bar-word values (all else 0)."""
-    return _Table(values)
+    return _Table(values, (Word, BarWord), "value keys must be words or bar words")
+
+
+#: The convolution unit e: 1 on the empty bar word, 0 elsewhere.  Construction
+#: helpers compare against this instance to reject the undefined
+#: half-products of the unit with itself.
+e = character({})
+
+
+def unit() -> Functional:
+    return e
 
 
 def conv(f: Functional, g: Functional) -> Functional:
@@ -441,7 +377,7 @@ def conv(f: Functional, g: Functional) -> Functional:
 
 def _half(f: Functional, g: Functional, side: Side) -> Functional:
     # The half-products live on the augmentation kernel: 0 at the empty bar word.
-    if isinstance(f, _Unit) and isinstance(g, _Unit):
+    if f is e and g is e:
         raise DomainError("the half-products of the unit with itself are undefined")
     return _Pairing(f, g, side, 0)
 
@@ -586,9 +522,13 @@ def positive_part(f: Functional) -> Functional:
 def _own_value(f: Functional, b: BarWord) -> Value:
     """f(b) from the recursion of f itself, as if its flags were cleared.
     The terms of a linear combination are read the same way; the nodes
-    below keep their flags, so each flag is checked one level at a time."""
+    below keep their flags, so each flag is checked one level at a time.
+    A leaf has no recursion, and its flag is its definition: it is read
+    through f(b)."""
     if isinstance(f, _Linear):
         return sum(c * _own_value(p, b) for c, p in f.parts)
+    if isinstance(f, _Table):
+        return f(b)
     return f._value(b)
 
 

@@ -65,8 +65,14 @@ def _parse_letters(obj) -> tuple[Letter, ...]:
 
 
 def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
-    return {word_to_str(w): rational_str(values[w])
-            for w in sorted(values, key=Word.sort_key)}
+    """values by the rational rule, zeros dropped, in graded lexicographic
+    order; a float or any other non-rational raises ValidationError."""
+    out = {}
+    for w in sorted(values, key=Word.sort_key):
+        v = parse_rational(values[w])
+        if v:
+            out[word_to_str(w)] = rational_str(v)
+    return out
 
 
 def _parse_value_map(obj, field: str, letters) -> dict[Word, Fraction]:
@@ -95,7 +101,7 @@ def cumulant_map_to_json(kind: str, letters, max_degree: int,
     return {"kind": kind,
             "letters": [l.name for l in letters],
             "max_degree": max_degree,
-            "values": _sorted_value_map({w: v for w, v in values.items() if v})}
+            "values": _sorted_value_map(values)}
 
 
 def parse_cumulant_map(obj):

@@ -6,6 +6,7 @@ so the expensive sweeps run once.
 """
 
 import json
+from pathlib import Path
 
 from shuffleprob.cli import main as cli_main
 from shuffleprob.mutations import inject_defect
@@ -134,13 +135,13 @@ def test_criterion_10_cli_verify_and_byte_stability(tmp_path, capsys):
     for name in ("o1.json", "o2.json"):
         out = str(tmp_path / name)
         cli_main(["cumulants", str(src), "--kind", "monotone", "-o", out])
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     reports = []
     for name in ("r1.json", "r2.json"):
         out = str(tmp_path / name)
         cli_main(["verify", "--suite", "cumulants", "--max-degree", "4",
                   "--seed", "11", "-o", out])
-        reports.append(open(out, "rb").read())
+        reports.append(Path(out).read_bytes())
     capsys.readouterr()
     ok = ok and outs[0] == outs[1] and reports[0] == reports[1]
     conclude(10, "CLI verify --suite all --max-degree 5 exits 0; outputs byte-stable", ok)

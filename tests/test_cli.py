@@ -123,7 +123,7 @@ def test_round_trip_is_byte_stable(tmp_path):
     out2 = str(tmp_path / "o2.json")
     main(["cumulants", src, "--kind", "boolean", "-o", out1])
     main(["cumulants", src, "--kind", "boolean", "-o", out2])
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_verify_exits_zero(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import gc
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import shuffleprob as sp
 from shuffleprob import DomainError, EMPTY_BAR, BarWord, Word, functionals
-from shuffleprob.words import all_barwords
+from shuffleprob.words import all_barwords, words_up_to
 
-from conftest import AB, random_inf, run_python
+from conftest import AB, random_fraction, random_inf, run_python
 
 A, B = AB
 
@@ -71,6 +72,16 @@ def test_agree_up_to_reads_bar_products_past_the_flags():
     off.is_infinitesimal_character = True
     assert alpha.is_infinitesimal_character and off(bars(w(A), w(B))) == 0
     assert sp.agree_up_to(alpha, off, AB, 3) == (bars(w(A), w(B)), 0, 1)
+
+
+def test_agree_up_to_reads_a_leaf_through_its_flag():
+    # A leaf's flag is its definition: a character table holds no bar
+    # products, and read past its flag it would be 0 on them.
+    rng = random.Random(9)
+    phi = sp.character({u: random_fraction(rng) for u in words_up_to(AB, 4)})
+    kappa = random_inf(10, max_degree=4)
+    assert sp.agree_up_to(phi, sp.exp_left(sp.log_left(phi)), AB, 4) is None
+    assert sp.agree_up_to(kappa, sp.log_right(sp.exp_right(kappa)), AB, 4) is None
 
 
 def test_convolution_is_half_sum():

@@ -51,6 +51,8 @@ ENTRY_POINTS = {
     "bp_distribution": (_bp_fourth_moment, lambda r: 1 + r if r >= 0 else DomainError),
     "TruncatedSeries": (lambda v: sp.TruncatedSeries((A,), 2, {W1: v}).coefficients,
                         lambda r: {W1: r}),
+    "cumulant_map_to_json": (lambda v: sio.cumulant_map_to_json("free", (A,), 2, {W2: v})["values"],
+                             lambda r: {"a.a": str(r)}),
 }
 
 
@@ -80,7 +82,8 @@ def test_degrees_follow_one_rule_and_survive_the_io_round_trip():
     for n in (True, 2.5, 0):
         for build in (lambda: sp.Distribution((A,), n, {W1: 1}),
                       lambda: sp.Distribution.univariate("a", [1], n),
-                      lambda: sp.point_mass(1, n), lambda: sp.semicircle(n)):
+                      lambda: sp.point_mass(1, n), lambda: sp.semicircle(n),
+                      lambda: sp.TruncatedSeries((A,), n, {W1: 1})):
             with pytest.raises(ValidationError):
                 build()
     for n in (0, -3, 2.0):
@@ -88,6 +91,14 @@ def test_degrees_follow_one_rule_and_survive_the_io_round_trip():
             sp.convert({W2: 1}, "free", "boolean", n, (A,))
         with pytest.raises(ValidationError):
             sp.from_cumulants({W2: 1}, "free", (A,), n)
+
+
+def test_maps_take_words_over_declared_letters():
+    for build in (lambda: sp.Distribution(("a",), 2, {}),
+                  lambda: sp.TruncatedSeries((A,), 2, {"a.a": 1}),
+                  lambda: sp.TruncatedSeries((A,), 2, {Word((B,)): 1})):
+        with pytest.raises(ValidationError):
+            build()
 
 
 def test_from_values_stores_exact_values():
