@@ -25,8 +25,9 @@ and :meth:`Distribution.character` build unscaled trees.
 
 Input follows one rule each, and :mod:`shuffleprob.io` reads its files by
 the same rules: a value by ``functionals.parse_rational``, a max_degree by
-:func:`_degree`, and the keys of a moment map, a library cumulant map or a
-cumulant file by :func:`_word_map`.
+:func:`_degree`, and the keys of a moment map, a library cumulant map, a
+cumulant file or the coefficients of a :class:`TruncatedSeries` by
+:func:`_word_map`.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ for byte.
 This module only turns text into words and rationals.  Values, degrees
 and map keys are checked by the library's own rules (``parse_rational`` of
 :mod:`functionals`, re-exported here, and the checks of :mod:`cumulants`),
-so a file and a library call accept the same input.
+so a file and a library call accept the same input.  The writers read
+each value they are handed by the same rational rule.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""The input rules: every entry point that takes rationals reads them the way
-the JSON files are read, and every max_degree is a positive int."""
+"""The input rules: every entry point that takes rationals, the JSON writers
+included, reads them the way the JSON files are read, every max_degree is a
+positive int, and maps take words over the declared letters."""
 
 import json
 from decimal import Decimal
@@ -93,7 +94,7 @@ def test_degrees_follow_one_rule_and_survive_the_io_round_trip():
             sp.from_cumulants({W2: 1}, "free", (A,), n)
 
 
-def test_maps_take_words_over_declared_letters():
+def test_distribution_letters_and_series_keys_follow_the_rules():
     for build in (lambda: sp.Distribution(("a",), 2, {}),
                   lambda: sp.TruncatedSeries((A,), 2, {"a.a": 1}),
                   lambda: sp.TruncatedSeries((A,), 2, {Word((B,)): 1})):
