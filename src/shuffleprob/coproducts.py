@@ -10,7 +10,13 @@ multiplicatively, the chosen half acting on the first component only.  Apart
 from the reference closed form ``products.LabeledContext.closed_free``, this
 module is the only code that enumerates position subsets.
 
-Everything is memoized in one dict keyed by (bar word, side, reduced); the
+:func:`single_run_terms` gives the terms of one side on a one-word bar word
+whose right leg is one nonempty word: the subsets whose complement is one
+interval, about n^2/2 of them instead of 2^n.  They are all that a pairing
+against an infinitesimal character on the right leg can see.
+
+Everything is memoized in one dict keyed by (bar word, side, reduced), and
+the single-run terms by (bar word, side, "run"); the
 same small words recur constantly inside the fixed-point recursions of the
 functional layer.  The subset loop builds the entries of the empty and the
 one-component bar words; a bar word of two or more components multiplies
@@ -124,5 +130,42 @@ def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum
             out = out.bar_mul(unshuffle_bar(w))
     else:
         out = _subset_sum(words[0].letters if words else (), side)
+    _cache[key] = out
+    return out
+
+
+def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
+    """The terms of ``unshuffle_bar(b, side)`` whose right leg is one
+    nonempty word, on a one-word bar word b: the subsets whose complement is
+    one interval [i..j].  Every interval on the full side; i >= 2 on the
+    left side, with [2..n] dropped under the ``drop-left-singleton`` defect;
+    i = 1 on the right side."""
+    b = as_barword(b)
+    key = (b, side, "run")
+    out = _cache.get(key)
+    if out is not None:
+        return out
+    if len(b.words) != 1:
+        raise DomainError("single-run terms are taken on one-word bar words")
+    letters = b.words[0].letters
+    n = len(letters)
+    # 0-based starts i of the complement letters[i:j]
+    if side is Side.FULL:
+        starts = range(n)
+    elif side is Side.LEFT:
+        starts = range(1, n)
+    else:
+        starts = (0,)
+    drop_singleton = side is Side.LEFT and mutations.is_active("drop-left-singleton")
+    data: dict = {}
+    for i in starts:
+        for j in range(i + 1, n + 1):
+            if drop_singleton and i == 1 and j == n:
+                continue
+            picked = letters[:i] + letters[j:]
+            left = BarWord((Word(picked),)) if picked else EMPTY_BAR
+            pair = (left, BarWord((Word(letters[i:j]),)))
+            data[pair] = data.get(pair, 0) + 1
+    out = TensorSum._raw(data)
     _cache[key] = out
     return out

@@ -73,7 +73,7 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from . import mutations
-from .coproducts import Side, unshuffle_bar
+from .coproducts import Side, single_run_terms, unshuffle_bar
 from .errors import DomainError, ValidationError
 from .words import BarWord, EMPTY_BAR, Word, all_barwords, as_barword
 
@@ -208,29 +208,37 @@ class _Linear(Functional):
 
 class _Pairing(Functional):
     """Pair two functionals across one side of the unshuffle coproduct:
-    the value at b is the sum of c * f(x) * g(y) over the terms
-    c * x (x) y of the chosen (unreduced) coproduct of b.
+    the value at b is base(b) plus the sum of c * f(x) * g(y) over the
+    terms c * x (x) y of the chosen (unreduced) coproduct of b; no base
+    counts as 0.
 
-    ``unit_term``, when not None, replaces that sum at the empty bar word.
     Either operand may be None, which stands for the node itself; this
-    realises the fixed points X = e + a < X, X = e + X > a and
-    X = e + X * (e - f).  The other operand vanishes on the empty bar word,
-    and it is evaluated first, so the one term whose self leg keeps the
-    degree of b is dropped before it recurses.  The node does not store
-    itself, which would make it a reference cycle that outlives its use."""
+    realises the fixed points X = e + a < X, X = e + X > a,
+    X = e + X * (e - f) and X = (phi - e) + (e - phi) > X.  The other
+    operand vanishes on the empty bar word, and it is evaluated first, so
+    the one term whose self leg keeps the degree of b is dropped before it
+    recurses.  The node does not store itself, which would make it a
+    reference cycle that outlives its use.
 
-    __slots__ = ("f", "g", "side", "unit_term")
+    The runs leg is g, or the node itself when g is None.  When it is
+    flagged ``is_infinitesimal_character`` and b is one word, only the terms
+    whose y is one word can be nonzero, and the node reads just those
+    (``coproducts.single_run_terms``)."""
 
-    def __init__(self, f, g, side: Side, unit_term):
+    __slots__ = ("f", "g", "side", "base")
+
+    def __init__(self, f, g, side: Side, base=None):
         super().__init__()
-        self.f, self.g, self.side, self.unit_term = f, g, side, unit_term
+        self.f, self.g, self.side, self.base = f, g, side, base
 
     def _value(self, b):
-        if self.unit_term is not None and not b.words:
-            return self.unit_term
-        terms = unshuffle_bar(b, self.side)
         f, g = self.f, self.g
-        total = 0
+        runs = self if g is None else g
+        if runs.is_infinitesimal_character and len(b.words) == 1:
+            terms = single_run_terms(b, self.side)
+        else:
+            terms = unshuffle_bar(b, self.side)
+        total = 0 if self.base is None else self.base(b)
         if f is None:  # self on the left: the known right leg goes first
             f = self
             for (x, y), c in terms:
@@ -370,7 +378,7 @@ def unit() -> Functional:
 
 def conv(f: Functional, g: Functional) -> Functional:
     """Convolution product f * g."""
-    out = _Pairing(f, g, Side.FULL, None)
+    out = _Pairing(f, g, Side.FULL)
     out.is_character = f.is_character and g.is_character
     return out
 
@@ -379,7 +387,7 @@ def _half(f: Functional, g: Functional, side: Side) -> Functional:
     # The half-products live on the augmentation kernel: 0 at the empty bar word.
     if f is e and g is e:
         raise DomainError("the half-products of the unit with itself are undefined")
-    return _Pairing(f, g, side, 0)
+    return _Pairing(f, g, side)
 
 
 def hs_left(f: Functional, g: Functional) -> Functional:
@@ -408,7 +416,7 @@ def neumann_inverse(f: Functional) -> Functional:
     The Neumann series sum_k (e - f)^{*k}, realised as X = e + X * (e - f)."""
     if f(EMPTY_BAR) != 1:
         raise DomainError("only functionals with value 1 on the empty bar word are invertible")
-    out = _Pairing(None, e - f, Side.FULL, 1)
+    out = _Pairing(None, e - f, Side.FULL, e)
     out.is_character = f.is_character
     return out
 
@@ -440,7 +448,7 @@ def _half_exp(alpha: Functional, f, g, side: Side) -> Functional:
     if alpha(EMPTY_BAR) != 0:
         raise DomainError("half-shuffle exponentials need an operand vanishing "
                           "on the empty bar word")
-    out = _Pairing(f, g, side, 1)
+    out = _Pairing(f, g, side, e)
     out.is_character = alpha.is_infinitesimal_character
     return out
 
@@ -466,12 +474,22 @@ def log_left(phi: Functional) -> Functional:
 
 
 def log_right(phi: Functional) -> Functional:
-    """Right half-shuffle logarithm phi^{-1} > (phi - e)."""
+    """Right half-shuffle logarithm phi^{-1} > (phi - e), as the solution
+    of X = (phi - e) + (e - phi) > X: the equation phi = e + phi > X with
+    e > X = X taken out."""
     if phi(EMPTY_BAR) != 1:
         raise DomainError("half-shuffle logarithms need a unital operand")
-    out = hs_right(neumann_inverse(phi), phi - e)
+    out = _Pairing(e - phi, None, Side.RIGHT, phi - e)
     out.is_infinitesimal_character = phi.is_character
     return out
+
+
+def log_right_definitional(phi: Functional) -> Functional:
+    """The defining expression phi^{-1} > (phi - e) for log_right; kept for
+    cross-checks."""
+    if phi(EMPTY_BAR) != 1:
+        raise DomainError("half-shuffle logarithms need a unital operand")
+    return hs_right(neumann_inverse(phi), phi - e)
 
 
 def hs_power(phi: Functional, s, side: Side = Side.LEFT) -> Functional:

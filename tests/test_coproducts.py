@@ -4,6 +4,8 @@ import pytest
 
 from shuffleprob import (BarWord, DomainError, EMPTY_BAR, Letter, Side,
                          TensorSum, Word, half_unshuffle, unshuffle, unshuffle_bar)
+from shuffleprob.coproducts import single_run_terms
+from shuffleprob.mutations import inject_defect
 from shuffleprob.words import all_barwords, words_up_to
 
 A, B, C = Letter("a"), Letter("b"), Letter("c")
@@ -105,3 +107,32 @@ def test_multiplicative_extension():
         if x.degree + y.degree > 4:
             continue
         assert unshuffle_bar(x.concat(y)) == unshuffle_bar(x).bar_mul(unshuffle_bar(y))
+
+
+def _one_word_right_legs(terms):
+    return TensorSum({(x, y): c for (x, y), c in terms if len(y.words) == 1})
+
+
+@pytest.mark.parametrize("defect", [None, "drop-left-singleton"])
+def test_single_run_terms_are_the_one_word_right_legs(defect):
+    def check():
+        for w in words_up_to((A, B), 6):
+            for side in Side:
+                assert single_run_terms(w, side) == _one_word_right_legs(
+                    unshuffle_bar(w, side)), (w, side)
+
+    if defect is None:
+        check()
+    else:
+        with inject_defect(defect):
+            check()
+
+
+def test_single_run_term_counts():
+    n = 6
+    w = Word(Letter(f"x{i}") for i in range(n))
+    counts = {side: len(single_run_terms(w, side)) for side in Side}
+    assert counts == {Side.FULL: n * (n + 1) // 2, Side.LEFT: n * (n - 1) // 2,
+                      Side.RIGHT: n}
+    with pytest.raises(DomainError):
+        single_run_terms(bw((A,), (B,)))

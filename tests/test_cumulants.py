@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -191,3 +192,22 @@ def test_partition_oracle_catches_a_wrong_magnus_coefficient():
         got = sp.convert(c, "free", "boolean", 6, AB)
     assert any(got.get(w, 0) != sp.oracle_convert(c, "free", "boolean", w)
                for w in words_up_to(AB, 6))
+
+
+def _catalan(k):
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def test_univariate_degree_40_closed_forms():
+    """The pruned pairings reach degree 40 in one variable, bottom-up, with
+    no RecursionError at the default recursion limit."""
+    n = 40
+    a = sp.semicircle(1).letters[0]
+    evens = range(1, n // 2 + 1)
+    catalans = {uw(a, 2 * k): _catalan(k - 1) for k in evens}
+    assert sp.to_cumulants(sp.semicircle(n), "boolean") == catalans
+    assert sp.to_cumulants(sp.bernoulli_symmetric(n), "boolean") == {uw(a, 2): 1}
+    assert sp.to_cumulants(sp.point_mass(F(-2, 3), n), "boolean") == {uw(a, 1): F(-2, 3)}
+    assert sp.convert({uw(a, 2): 1}, "free", "boolean", n, (a,)) == catalans
+    assert sp.from_cumulants({uw(a, 2): 1}, "boolean", (a,), n).moments == {
+        uw(a, 2 * k): 1 for k in evens}

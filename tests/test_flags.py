@@ -1,7 +1,13 @@
 """The structural flags decide a node's values on bar products, so each
 constructor that sets one must be right to: a node agrees with a twin whose
 flags are cleared, and which therefore evaluates every bar word through its
-own recursion, on every bar word of degree <= 5."""
+own recursion, on every bar word of degree <= 5.
+
+A pairing whose runs leg is flagged infinitesimal reads only the coproduct
+terms with a one-word runs leg.  The twins keep flagged leaves, so they are
+pruned too; the pruned pairings are also compared with the same
+constructors built on unflagged copies of their operands, which read the
+full terms."""
 
 import random
 from fractions import Fraction as F
@@ -10,7 +16,7 @@ import pytest
 
 import shuffleprob as sp
 from shuffleprob import functionals
-from shuffleprob.words import all_barwords, words_up_to
+from shuffleprob.words import EMPTY_BAR, all_barwords, words_up_to
 
 from conftest import AB, random_fraction, random_inf
 
@@ -53,3 +59,30 @@ def test_flag_agrees_with_the_unflagged_twin(name):
     twin.is_character = twin.is_infinitesimal_character = False
     for b in all_barwords(AB, 5):
         assert node(b) == twin(b), b
+
+
+PRUNED = {
+    "exp_right": (sp.exp_right, (k1,)),
+    "exp_star": (sp.exp_star, (k1,)),
+    "prelie": (sp.prelie, (k1, k2)),
+    "log_right": (sp.log_right, (psi,)),
+    "magnus_inverse": (sp.magnus_inverse, (k1,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED))
+def test_pruned_pairing_agrees_with_the_full_terms(name):
+    build, operands = PRUNED[name]
+    bars = all_barwords(AB, 5)
+    copies = [sp.from_values({b: f(b) for b in (EMPTY_BAR, *bars)}) for f in operands]
+    # Flag the copies like their originals for the constructor's gate only:
+    # with the flags cleared again, every pairing built on them, now or
+    # lazily later, reads the full coproduct terms.
+    for c, f in zip(copies, operands):
+        c.is_infinitesimal_character = f.is_infinitesimal_character
+    full = build(*copies)
+    for c in copies:
+        c.is_infinitesimal_character = False
+    node = build(*operands)
+    for b in bars:
+        assert node(b) == full(b), b
