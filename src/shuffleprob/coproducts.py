@@ -12,13 +12,15 @@ module is the only code that enumerates position subsets.
 
 :func:`single_run_terms` gives the terms of one side on a one-word bar word
 whose right leg is one nonempty word: the subsets whose complement is one
-interval, about n^2/2 of them instead of 2^n.  They are all that a pairing
-against an infinitesimal character on the right leg can see.
+interval, n(n+1)/2 of them on the full side instead of 2^n, n(n-1)/2 on the
+left and n on the right.  They are all that a pairing against an
+infinitesimal character on the right leg can see.  They are enumerated
+directly, interval by interval, and never through the 2^n masks.
 
-Everything is memoized in one dict keyed by (bar word, side, reduced), and
-the single-run terms by (bar word, side, "run"); the
-same small words recur constantly inside the fixed-point recursions of the
-functional layer.  The subset loop builds the entries of the empty and the
+Everything is memoized in one dict, keyed by (bar word, side, reduced), or
+by (bar word, side, "run") for the single-run terms; the same small words
+recur constantly inside the fixed-point recursions of the functional
+layer.  The subset loop builds the entries of the empty and the
 one-component bar words; a bar word of two or more components multiplies
 cached entries, and is cached too, because the evaluation loops look it up
 again far more often than it is built.  Bar words are canonical (see

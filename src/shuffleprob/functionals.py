@@ -19,12 +19,24 @@ theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
 divides once at the end.
 
 One node kind, ``_Pairing``, pairs two functionals across one side of the
-unshuffle coproduct.  The convolution product, the two half-shuffle
-products, the convolution inverse and the two half-shuffle exponentials are
-all built from it; the last three pair the node against itself, and only
-they use a self operand: the left leg of the inverse (X = e + X * (e - f))
-and of the right exponential (X = e + X > a), the right leg of the left
-exponential (X = e + a < X).
+unshuffle coproduct, on top of an optional base functional: X = base +
+sum c f(x) g(y) over the terms c x (x) y.  The convolution product and the
+two half-shuffle products have no base.  The convolution inverse and the
+two half-shuffle exponentials have the base e and pair the node against
+itself: the left leg of the inverse (X = e + X * (e - f)) and of the right
+exponential (X = e + X > a), the right leg of the left exponential
+(X = e + a < X).  The right half-shuffle logarithm is the fixed point
+X = (phi - e) + (e - phi) > X, with the base phi - e and the node on the
+right leg; ``log_right_definitional`` keeps phi^{-1} > (phi - e) for
+cross-checks.  The right leg y is the bar word of the runs left over, so an
+infinitesimal character there reads 0 unless y is one word: when the right
+operand (or the node, in its place) is flagged ``is_infinitesimal_character``,
+a pairing at a one-word bar word reads only the terms whose complement is
+one interval, at most n(n+1)/2 of them instead of 2^n
+(``coproducts.single_run_terms``).  Clearing the flag brings the full terms
+back.  So ``exp_right``, the powers of ``exp_star``, every ``prelie`` of
+infinitesimal characters and ``log_right`` of a character read O(n^2)
+terms at a word of degree n.
 
 One node kind, ``_Series``, sums the series: a unit term at the empty bar
 word, and elsewhere c_0 T_0 + c_1 T_1 + ... up to the degree of the
@@ -54,8 +66,9 @@ its own recursion.  Equality of functionals is extensional, and
 :func:`agree_up_to`, the one comparison that :mod:`verify` and the tests
 use, reads each derived side's values on bar products that way, past its
 flags, and a leaf's through its flag.  The flag tests compare every flagged
-constructor with a flag-cleared twin, so what the flags promise is still
-checked.
+constructor with a flag-cleared twin, and each pruned pairing with the same
+constructor on unflagged copies of its operands, so what the flags promise
+is still checked.
 
 Expression trees are immutable and freely shareable.  The memo dicts are
 keyed by canonical bar words, whose table in :mod:`.words` is locked, but
@@ -487,8 +500,6 @@ def log_right(phi: Functional) -> Functional:
 def log_right_definitional(phi: Functional) -> Functional:
     """The defining expression phi^{-1} > (phi - e) for log_right; kept for
     cross-checks."""
-    if phi(EMPTY_BAR) != 1:
-        raise DomainError("half-shuffle logarithms need a unital operand")
     return hs_right(neumann_inverse(phi), phi - e)
 
 

@@ -191,8 +191,7 @@ def shuffle_suite(max_degree: int = 6, seed: int = 0,
                       fn.log_right(fn.exp_right(alpha)), alpha, ls, D))
     report.add(_agree("log-exp-round-trip-right",
                       fn.exp_right(fn.log_right(phi)), phi, ls, D))
-    # log_right is a fixed point, so the round trips above no longer read
-    # its definition; compare the two.
+    # log_right is computed as a fixed point: check it against its definition.
     report.add(_agree("log-right-fixed-point",
                       fn.log_right(phi), fn.log_right_definitional(phi), ls, D))
     report.add(_agree("exp-log-round-trip-star",
