@@ -1,4 +1,5 @@
 import itertools
+from contextlib import nullcontext
 
 import pytest
 
@@ -115,17 +116,11 @@ def _one_word_right_legs(terms):
 
 @pytest.mark.parametrize("defect", [None, "drop-left-singleton"])
 def test_single_run_terms_are_the_one_word_right_legs(defect):
-    def check():
+    with inject_defect(defect) if defect else nullcontext():
         for w in words_up_to((A, B), 6):
             for side in Side:
                 assert single_run_terms(w, side) == _one_word_right_legs(
                     unshuffle_bar(w, side)), (w, side)
-
-    if defect is None:
-        check()
-    else:
-        with inject_defect(defect):
-            check()
 
 
 def test_single_run_term_counts():
