@@ -11,7 +11,7 @@ A value is an ``int`` or a ``Fraction``.  The leaves store integral values
 as ints, unit terms and the flag short-circuit start from int 0 and 1, an
 integral scalar multiple keeps an int coefficient, and a linear combination
 returns an int when its sum is integral.  So a tree on integral leaves runs
-its pairing and adjoint loops in int arithmetic; only the series
+its pairing loops in int arithmetic; only the series
 coefficients (1/n!, (-1)^i/(i+1), B_m/m!) bring Fractions in.  The
 distribution API in :mod:`cumulants` and :mod:`products` relies on this:
 every construction here commutes with the grading automorphism
@@ -25,18 +25,23 @@ two half-shuffle products have no base.  The convolution inverse and the
 two half-shuffle exponentials have the base e and pair the node against
 itself: the left leg of the inverse (X = e + X * (e - f)) and of the right
 exponential (X = e + X > a), the right leg of the left exponential
-(X = e + a < X).  The right half-shuffle logarithm is the fixed point
-X = (phi - e) + (e - phi) > X, with the base phi - e and the node on the
-right leg; ``log_right_definitional`` keeps phi^{-1} > (phi - e) for
-cross-checks.  The right leg y is the bar word of the runs left over, so an
-infinitesimal character there reads 0 unless y is one word: when the right
-operand (or the node, in its place) is flagged ``is_infinitesimal_character``,
-a pairing at a one-word bar word reads only the terms whose complement is
+(X = e + a < X).  Division by a unital phi is a pairing of the same kind
+with the base z: phi^{-1} > z solves X = z + (e - phi) > X, and
+z < phi^{-1} solves X = z + X < (e - phi).  The right division gives
+``log_right`` (z = phi - e) and ``adjoint`` (z = mu < phi, by the mixed
+axiom), hence ``ad_action``, the conjugation by E<(g1); the left division
+gives ``log_left`` (z = phi - e) and the conjugate in
+``magnus.group_law_left``.  ``log_right_definitional`` and
+``ad_action_composed`` keep the defining products for cross-checks.  The
+right leg y is the bar word of the runs left over, so an infinitesimal
+character there reads 0 unless y is one word: when the right operand (or
+the node, in its place) is flagged ``is_infinitesimal_character``, a
+pairing at a one-word bar word reads only the terms whose complement is
 one interval, at most n(n+1)/2 of them instead of 2^n
 (``coproducts.single_run_terms``).  Clearing the flag brings the full terms
 back.  So ``exp_right``, the powers of ``exp_star``, every ``prelie`` of
-infinitesimal characters and ``log_right`` of a character read O(n^2)
-terms at a word of degree n.
+infinitesimal characters, and ``log_right`` and ``adjoint`` where flagged,
+read O(n^2) terms at a word of degree n.
 
 One node kind, ``_Series``, sums the series: a unit term at the empty bar
 word, and elsewhere c_0 T_0 + c_1 T_1 + ... up to the degree of the
@@ -90,9 +95,8 @@ from .coproducts import Side, single_run_terms, unshuffle_bar
 from .errors import DomainError, ValidationError
 from .words import BarWord, EMPTY_BAR, Word, all_barwords, as_barword
 
-#: When true, closed-form adjoint nodes re-derive every word evaluation from
-#: the defining conjugation and raise AssertionError on disagreement (also
-#: under ``python -O``).  Enabled by the test suite.
+#: Read by nothing in this package.  perfbench/run.py refuses to run unless it
+#: is false, so the name stays until the benchmark stops reading it.
 CROSS_CHECK_AD = False
 
 #: Functional values are exact: an int when integral, else a Fraction.
@@ -227,11 +231,11 @@ class _Pairing(Functional):
 
     Either operand may be None, which stands for the node itself; this
     realises the fixed points X = e + a < X, X = e + X > a,
-    X = e + X * (e - f) and X = (phi - e) + (e - phi) > X.  The other
-    operand vanishes on the empty bar word, and it is evaluated first, so
-    the one term whose self leg keeps the degree of b is dropped before it
-    recurses.  The node does not store itself, which would make it a
-    reference cycle that outlives its use.
+    X = e + X * (e - f), and the divisions X = z + (e - phi) > X and
+    X = z + X < (e - phi).  The other operand vanishes on the empty bar
+    word, and it is evaluated first, so the one term whose self leg keeps
+    the degree of b is dropped before it recurses.  The node does not store
+    itself, which would make it a reference cycle that outlives its use.
 
     The runs leg is g, or the node itself when g is None.  When it is
     flagged ``is_infinitesimal_character`` and b is one word, only the terms
@@ -305,51 +309,6 @@ class _Series(Functional):
                 v = t(b)
                 if v:
                     total += v if c == 1 else c * v
-        return total
-
-
-class _AdjointAction(Functional):
-    """Closed-form Lie-level adjoint action of g1 on g2 (written g2^{g1}).
-
-    On a word w = w_1...w_n the action sums g2(w_S) * E<(g1)(runs of [n]-S)
-    over the subsets S that hold both ends.  Those are the terms c * x (x) y
-    of the full coproduct of the inner word w_2...w_{n-1}, each giving
-    c * g2(w_1.x.w_n) * E<(g1)(y); the inner coproduct of a degree-2 word is
-    1 (x) 1.  The action is zero off single-component bar words, and
-    extensionally equal to the conjugation E<(g1)^{-1} > g2 < E<(g1)."""
-
-    __slots__ = ("g1", "g2", "exp", "_composed")
-
-    def __init__(self, g1, g2):
-        super().__init__()
-        if not (g1.is_infinitesimal_character and g2.is_infinitesimal_character):
-            raise DomainError("the adjoint actions act on infinitesimal characters")
-        self.g1, self.g2 = g1, g2
-        conjugator = -1 * g1 if mutations.is_active("flip-ad-conjugator") else g1
-        self.exp = exp_left(conjugator)
-        self._composed = None
-        self.is_infinitesimal_character = True
-
-    def _value(self, b):
-        if len(b.words) != 1:
-            return 0
-        letters = b.words[0].letters
-        g2, exp = self.g2, self.exp
-        if len(letters) == 1:
-            total = g2(b)
-        else:
-            first, last = letters[:1], letters[-1:]
-            total = 0
-            for (x, y), c in unshuffle_bar(Word(letters[1:-1])):
-                inner = x.words[0].letters if x else ()
-                val = g2(BarWord((Word(first + inner + last),)))
-                if val:
-                    total += c * val * exp(y)
-        if CROSS_CHECK_AD:
-            if self._composed is None:
-                self._composed = adjoint(self.exp, self.g2)
-            if self._composed(b) != total:
-                raise AssertionError(f"adjoint closed form disagrees at {b!r}")
         return total
 
 
@@ -476,23 +435,32 @@ def exp_right(alpha: Functional) -> Functional:
     return _half_exp(alpha, None, alpha, Side.RIGHT)
 
 
+def _divide_right(phi: Functional, z: Functional) -> Functional:
+    # phi^{-1} > z, the solution of X = z + (e - phi) > X (phi > X = z, e > X = X)
+    return _Pairing(e - phi, None, Side.RIGHT, z)
+
+
+def _divide_left(z: Functional, phi: Functional) -> Functional:
+    # z < phi^{-1}, the solution of X = z + X < (e - phi) (X < phi = z, X < e = X)
+    return _Pairing(None, e - phi, Side.LEFT, z)
+
+
 def log_left(phi: Functional) -> Functional:
     """Left half-shuffle logarithm (phi - e) < phi^{-1}, the compositional
-    inverse of exp_left."""
+    inverse of exp_left; computed as the division X = (phi - e) + X < (e - phi)."""
     if phi(EMPTY_BAR) != 1:
         raise DomainError("half-shuffle logarithms need a unital operand")
-    out = hs_left(phi - e, neumann_inverse(phi))
+    out = _divide_left(phi - e, phi)
     out.is_infinitesimal_character = phi.is_character
     return out
 
 
 def log_right(phi: Functional) -> Functional:
-    """Right half-shuffle logarithm phi^{-1} > (phi - e), as the solution
-    of X = (phi - e) + (e - phi) > X: the equation phi = e + phi > X with
-    e > X = X taken out."""
+    """Right half-shuffle logarithm phi^{-1} > (phi - e), computed as the
+    division X = (phi - e) + (e - phi) > X."""
     if phi(EMPTY_BAR) != 1:
         raise DomainError("half-shuffle logarithms need a unital operand")
-    out = _Pairing(e - phi, None, Side.RIGHT, phi - e)
+    out = _divide_right(phi, phi - e)
     out.is_infinitesimal_character = phi.is_character
     return out
 
@@ -515,32 +483,41 @@ def hs_power(phi: Functional, s, side: Side = Side.LEFT) -> Functional:
 
 
 def adjoint(phi: Functional, mu: Functional) -> Functional:
-    """Group adjoint action Ad_phi(mu) = phi^{-1} > mu < phi."""
+    """Group adjoint action Ad_phi(mu) = phi^{-1} > mu < phi, computed as
+    the division phi^{-1} > (mu < phi) by the mixed axiom
+    (a > b) < c = a > (b < c)."""
     if phi(EMPTY_BAR) != 1:
         raise DomainError("the adjoint action is indexed by unital functionals")
     if mu(EMPTY_BAR) != 0:
         raise DomainError("the adjoint action moves functionals vanishing at the unit")
-    out = hs_left(hs_right(neumann_inverse(phi), mu), phi)
+    out = _divide_right(phi, hs_left(mu, phi))
     out.is_infinitesimal_character = (mu.is_infinitesimal_character and phi.is_character)
     return out
 
 
 def ad_action(g1: Functional, g2: Functional) -> Functional:
-    """Left Lie-level adjoint action of g1 on g2, written g2^{g1}."""
-    return _AdjointAction(g1, g2)
+    """Left Lie-level adjoint action of g1 on g2, written g2^{g1}: the group
+    adjoint Ad_{E<(g1)}(g2) = E<(g1)^{-1} > g2 < E<(g1)."""
+    if not (g1.is_infinitesimal_character and g2.is_infinitesimal_character):
+        raise DomainError("the adjoint actions act on infinitesimal characters")
+    conjugator = -1 * g1 if mutations.is_active("flip-ad-conjugator") else g1
+    return adjoint(exp_left(conjugator), g2)
 
 
 def ad_action_right(g1: Functional, g2: Functional) -> Functional:
     """Right Lie-level adjoint action; equals the left action of -g1."""
-    return _AdjointAction(-1 * g1, g2)
+    return ad_action(-1 * g1, g2)
 
 
 def ad_action_composed(g1: Functional, g2: Functional) -> Functional:
-    """The defining conjugation E<(g1)^{-1} > g2 < E<(g1); used to
-    cross-check the closed form."""
+    """The defining conjugation E<(g1)^{-1} > g2 < E<(g1) as three nodes;
+    kept for cross-checks."""
     if not (g1.is_infinitesimal_character and g2.is_infinitesimal_character):
         raise DomainError("the adjoint actions act on infinitesimal characters")
-    return adjoint(exp_left(g1), g2)
+    E = exp_left(g1)
+    out = hs_left(hs_right(neumann_inverse(E), g2), E)
+    out.is_infinitesimal_character = True
+    return out
 
 
 def positive_part(f: Functional) -> Functional:

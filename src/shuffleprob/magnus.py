@@ -21,9 +21,9 @@ from math import comb, factorial
 
 from . import mutations
 from .errors import DomainError
-from .functionals import (Functional, _Linear, _Series, conv, exp_left,
-                          exp_star, hs_left, hs_right, log_left, log_star,
-                          neumann_inverse, prelie)
+from .functionals import (Functional, _Linear, _Series, _divide_left, conv,
+                          exp_left, exp_star, hs_right, log_left, log_star,
+                          prelie)
 
 
 class BernoulliTable:
@@ -89,12 +89,12 @@ def bch(g1: Functional, g2: Functional) -> Functional:
 def group_law_left(g1: Functional, g2: Functional) -> Functional:
     """Left shuffle group law g1 # g2 = log_left(E<(g1) * E<(g2)).
 
-    Computed in closed form as g1 plus the conjugation of g2 by E<(g1) from
-    the left, which trades a logarithm round trip for a single adjoint."""
+    Computed as g1 plus the conjugate (E > g2) < E^{-1} of g2 by E = E<(g1),
+    one left division instead of a logarithm round trip."""
     if not (g1.is_infinitesimal_character and g2.is_infinitesimal_character):
         raise DomainError("the shuffle group laws act on infinitesimal characters")
     E = exp_left(g1)
-    moved = hs_left(hs_right(E, g2), neumann_inverse(E))
+    moved = _divide_left(hs_right(E, g2), E)
     out = _Linear(((1, g1), (1, moved)))
     out.is_infinitesimal_character = True
     return out

@@ -6,8 +6,8 @@ known defects are first-class switches consulted by the code they corrupt:
 
 - ``"drop-left-singleton"``   — the left half-coproduct omits the S={1} term;
 - ``"skip-bernoulli-2"``      — the Magnus recursion omits its m=2 term;
-- ``"flip-ad-conjugator"``    — the closed-form adjoint conjugates by the
-                                exponential of the negated argument.
+- ``"flip-ad-conjugator"``    — ``ad_action`` conjugates by the exponential
+                                of the negated argument.
 
 These exist for tests only.  Enabling a defect clears the coproduct caches so
 no stale correct values survive; suites build their functionals fresh per run.

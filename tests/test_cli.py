@@ -135,6 +135,14 @@ def test_verify_exits_zero(tmp_path, capsys):
     assert read(out)["passed"] is True
 
 
+def test_verify_all_with_another_suite_runs_each_suite_once(capsys):
+    assert main(["verify", "--suite", "all", "--suite", "coalgebra",
+                 "--max-degree", "2"]) == 0
+    mixed = capsys.readouterr().out
+    assert main(["verify", "--max-degree", "2"]) == 0
+    assert mixed == capsys.readouterr().out
+
+
 def test_verify_reports_failure_with_nonzero_exit(tmp_path, capsys):
     with inject_defect("drop-left-singleton"):
         code = main(["verify", "--suite", "coalgebra", "--max-degree", "3"])

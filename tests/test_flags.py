@@ -62,6 +62,7 @@ def test_flag_agrees_with_the_unflagged_twin(name):
 
 
 PRUNED = {
+    "adjoint": (sp.adjoint, (psi, k1)),
     "exp_right": (sp.exp_right, (k1,)),
     "exp_star": (sp.exp_star, (k1,)),
     "prelie": (sp.prelie, (k1, k2)),

@@ -6,9 +6,10 @@ import pytest
 
 import shuffleprob as sp
 from shuffleprob import DomainError, EMPTY_BAR, BarWord, Word, functionals
+from shuffleprob.verify import _ad_closed_form
 from shuffleprob.words import all_barwords, words_up_to
 
-from conftest import AB, random_fraction, random_inf, run_python
+from conftest import AB, random_fraction, random_inf
 
 A, B = AB
 
@@ -218,6 +219,34 @@ def test_adjoint_examples():
     assert sp.agree_up_to(sp.adjoint(phi, kappa), beta, AB, 5) is None
 
 
+def random_table(seed, unital):
+    rng = random.Random(seed)
+    values = {b: random_fraction(rng) for b in all_barwords(AB, 5) if b.bar_length <= 2}
+    if unital:
+        values[EMPTY_BAR] = 1
+    return sp.from_values(values)
+
+
+DIVISION_OPERANDS = {
+    # a character and an infinitesimal character: the adjoint is flagged and
+    # reads only the pruned terms
+    "characters": lambda: (sp.exp_left(random_inf(31)), random_inf(32)),
+    # unflagged tables, nonzero on bar products: every term is read
+    "tables": lambda: (random_table(33, unital=True), random_table(34, unital=False)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIVISION_OPERANDS))
+def test_divisions_agree_with_their_definitions(kind):
+    phi, mu = DIVISION_OPERANDS[kind]()
+    inv = sp.neumann_inverse(phi)
+    pairs = {"log_left": (sp.log_left(phi), sp.hs_left(phi - sp.e, inv)),
+             "adjoint": (sp.adjoint(phi, mu), sp.hs_left(sp.hs_right(inv, mu), phi))}
+    for name, (node, definition) in pairs.items():
+        for b in (EMPTY_BAR, *all_barwords(AB, 5)):
+            assert node(b) == definition(b), (name, b)
+
+
 def test_ad_action_examples():
     g1, g2 = random_inf(15), random_inf(16)
     assert sp.ad_action(g1, g2)(w(A, B)) == g2(w(A, B))
@@ -229,14 +258,9 @@ def test_ad_action_examples():
 
 def test_ad_action_matches_conjugation_with_cross_check():
     g1, g2 = random_inf(17), random_inf(18)
-    old = functionals.CROSS_CHECK_AD
-    functionals.CROSS_CHECK_AD = True
-    try:
-        ad = sp.ad_action(g1, g2)
-        composed = functionals.ad_action_composed(g1, g2)
-        assert sp.agree_up_to(ad, composed, AB, 4) is None
-    finally:
-        functionals.CROSS_CHECK_AD = old
+    ad = sp.ad_action(g1, g2)
+    composed = functionals.ad_action_composed(g1, g2)
+    assert sp.agree_up_to(ad, composed, AB, 4) is None
 
 
 def test_ad_action_matches_conjugation_on_one_letter():
@@ -247,9 +271,10 @@ def test_ad_action_matches_conjugation_on_one_letter():
     g2 = random_inf(25, letters=(a,), max_degree=12)
     ad = sp.ad_action(g1, g2)
     composed = functionals.ad_action_composed(g1, g2)
+    closed = _ad_closed_form(g1, g2, (a,), 12)
     for k in range(1, 13):
         word = Word((a,) * k)
-        assert ad(word) == composed(word), k
+        assert ad(word) == composed(word) == closed(word), k
 
 
 def test_ad_action_rejects_generic_functionals():
@@ -283,35 +308,6 @@ def test_exp_preconditions():
         sp.log_left(random_inf(22))  # not unital
 
 
-def test_cross_check_ad_raises_under_python_O():
-    # The closed form's exponential is swapped for E<(2 g1) while the
-    # reference conjugation keeps E<(g1); the check must survive -O.
-    code = """
-import random
-from fractions import Fraction
-import shuffleprob as sp
-from shuffleprob import functionals
-from shuffleprob.words import words_up_to
-if __debug__:
-    raise SystemExit("expected python -O")
-letters = (sp.Letter("a"), sp.Letter("b"))
-rng = random.Random(0)
-def inf():
-    return sp.infinitesimal({w: Fraction(rng.randint(1, 3), rng.randint(1, 3))
-                             for w in words_up_to(letters, 4)})
-g1, g2 = inf(), inf()
-functionals.CROSS_CHECK_AD = True
-ad = sp.ad_action(g1, g2)
-ad._composed = functionals.ad_action_composed(g1, g2)
-ad.exp = sp.exp_left(2 * g1)
-for w in words_up_to(letters, 4):
-    ad(w)
-"""
-    done = run_python("-O", "-c", code)
-    assert done.returncode != 0
-    assert "AssertionError: adjoint closed form disagrees" in done.stderr
-
-
 def test_pairing_nodes_are_freed_without_the_cycle_collector():
     # A node that kept itself as an operand would hold its memo until the
     # cyclic collector runs.  The series steps see their node through a weak
@@ -324,7 +320,10 @@ def test_pairing_nodes_are_freed_without_the_cycle_collector():
                 lambda: sp.exp_left(kappa), lambda: sp.exp_right(kappa),
                 lambda: sp.exp_star(kappa), lambda: sp.log_star(phi),
                 lambda: sp.magnus(kappa), lambda: sp.magnus_inverse(kappa),
-                lambda: sp.bch(kappa, kappa2))
+                lambda: sp.bch(kappa, kappa2), lambda: sp.log_left(phi),
+                lambda: sp.log_right(phi), lambda: sp.adjoint(phi, kappa),
+                lambda: sp.ad_action(kappa, kappa2),
+                lambda: sp.group_law_left(kappa, kappa2))
     phi(b)
     phi(word)
     gc.collect()

@@ -32,6 +32,14 @@ def test_all_suites_pass_at_degree_four():
     assert lines == _golden_lines("verify-all-degree-4-seed-0.txt")
 
 
+def test_run_suites_takes_one_name_or_all_anywhere():
+    # A string is one suite name, not a sequence of one-letter names; "all"
+    # anywhere in the names runs the six suites once each, in order.
+    assert [r.suite for r in run_suites("coalgebra", max_degree=2)] == ["coalgebra"]
+    for names in ("all", ("all",), ["coalgebra", "all", "bp"]):
+        assert [r.suite for r in run_suites(names, max_degree=2)] == list(SUITES)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(Exception):
         run_suite("nope", max_degree=3)
