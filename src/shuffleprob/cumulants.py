@@ -12,6 +12,17 @@ and the inverse transforms are the corresponding exponentials.  Conversions
 between families go through the Magnus map and pre-Lie exponential directly
 at the infinitesimal-character level, never through moments.
 
+The transforms evaluate the logarithm that costs least.  log> is a pruned
+pairing, about n terms at a word of degree n, and ``convert`` about n^3;
+log<, exp< and log* read about 2^n.  So :func:`to_cumulants` reads
+monotone cumulants as -O(-log>), the boolean cumulants sent through
+``convert``, at every degree.  Free cumulants are log< while max_degree < 9
+and W(-O(-log>)) from degree 9 on, and :func:`from_cumulants` reads free
+cumulants through exp< below degree 9 and as exp> of their boolean
+conversion from 9 on; the two free routes cross at degree 9 whatever the
+letter count.  Boolean both ways, and monotone :func:`from_cumulants`
+(exp*, a pruned pairing), use the family's own exponential or logarithm.
+
 The distribution API (:func:`to_cumulants`, :func:`from_cumulants`,
 :func:`convert`, and the distribution-level products of :mod:`products`)
 evaluates on scaled inputs.  Every term of the unshuffle coproduct keeps the
@@ -208,16 +219,51 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
     return clean
 
 
+#: The max_degree from which the free transforms go through the boolean
+#: logarithm.  log< and exp< read about 2^(n-1) terms at a word of degree n;
+#: log>, the Magnus maps and exp> about n^3, mostly in Fractions.  Measured
+#: cold, free to_cumulants direct -> through log>: 1 letter 2.8 -> 2.8 ms at
+#: degree 8, 6.0 -> 5.4 ms at 9, 181 -> 16 ms at 14; 2 letters 290 -> 320 ms
+#: at 8, 1447 -> 757 ms at 9; 3 letters 1325 -> 2270 ms at 7.  So the
+#: crossover falls at degree 9 whatever the letter count.
+_FREE_VIA_BOOLEAN_DEGREE = 9
+
+
+def _logarithm(kind: CumulantKind, max_degree: int):
+    """The map from a moment character to its cumulants of kind, read up to
+    max_degree.  Boolean is log>.  Monotone is -O(-log>), the Magnus map of
+    the sign-twisted boolean cumulants, at every degree: it is no slower
+    than log* at 3 letters and faster everywhere else.  Free is log< below
+    _FREE_VIA_BOOLEAN_DEGREE and W(-O(-log>)) from there on."""
+    if kind is CumulantKind.BOOLEAN or (
+            kind is CumulantKind.FREE and max_degree < _FREE_VIA_BOOLEAN_DEGREE):
+        return _EXP_LOG[kind][1]
+    return lambda phi: _convert_functional(fn.log_right(phi), CumulantKind.BOOLEAN, kind)
+
+
+def _exponential(kind: CumulantKind, max_degree: int):
+    """The map from cumulants of kind to the moment character, read up to
+    max_degree: the family's exponential, except for free from
+    _FREE_VIA_BOOLEAN_DEGREE on, which is exp> of the boolean cumulants."""
+    if kind is not CumulantKind.FREE or max_degree < _FREE_VIA_BOOLEAN_DEGREE:
+        return _EXP_LOG[kind][0]
+    return lambda alpha: fn.exp_right(
+        _convert_functional(alpha, CumulantKind.FREE, CumulantKind.BOOLEAN))
+
+
 def cumulant_functional(d: Distribution, kind) -> fn.Functional:
     """The infinitesimal character of the requested family for d's moment
-    character (free: log<, boolean: log>, monotone: log*)."""
-    log = _EXP_LOG[_as_kind(kind)][1]
-    return log(d.character())
+    character phi, built as :func:`to_cumulants` builds it.  Boolean:
+    log>(phi).  Monotone: -O(-log>(phi)), the Magnus map of the sign-twisted
+    boolean cumulants, which equals log*(phi).  Free: log<(phi) when
+    d.max_degree < 9, and W(-O(-log>(phi))), which equals it, from degree 9
+    on, where it is the cheaper of the two."""
+    return _logarithm(_as_kind(kind), d.max_degree)(d.character())
 
 
 def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
     """Cumulants of every word of degree <= max_degree (zeros omitted)."""
-    log = _EXP_LOG[_as_kind(kind)][1]
+    log = _logarithm(_as_kind(kind), d.max_degree)
     D, (moments,) = _scaled((d.moments,))
     return _unscaled(log(fn.character(moments)), D, d.letters, d.max_degree)
 
@@ -225,9 +271,10 @@ def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
 def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
                    ) -> Distribution:
     """Distribution whose cumulants of the given kind are c: evaluate the
-    matching exponential of the infinitesimal character on all words."""
-    exp = _EXP_LOG[_as_kind(kind)][0]
+    matching exponential of the infinitesimal character on all words; for
+    free from degree 9 on, exp> of the matching boolean cumulants."""
     letters = tuple(letters)
+    exp = _exponential(_as_kind(kind), _degree(max_degree))
     D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
     phi = exp(fn.infinitesimal(values))
     return Distribution(letters, max_degree, _unscaled(phi, D, letters, max_degree))

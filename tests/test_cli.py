@@ -315,3 +315,13 @@ def test_cli_output_matches_golden(name, argv, capsys):
     assert main(argv) == 0
     expected = (GOLDEN_CLI / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_cli_degree_forty_free_cumulants_match_golden(monkeypatch, capsys):
+    # free cumulants at degree 40 take the boolean route, in well under a
+    # second; the exponential direct route would not finish
+    monkeypatch.setenv("SHUFFLE_MAX_DEGREE", "40")
+    src = str(GOLDEN_CLI / "in-semicircle-40.json")
+    assert main(["cumulants", src, "--kind", "free"]) == 0
+    expected = (GOLDEN_CLI / "cumulants-free-semicircle-40.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -199,15 +199,27 @@ def _catalan(k):
 
 
 def test_univariate_degree_40_closed_forms():
-    """The pruned pairings reach degree 40 in one variable, bottom-up, with
-    no RecursionError at the default recursion limit."""
+    """Every family reaches degree 40 in one variable, both ways, with no
+    RecursionError at the default recursion limit: boolean by the pruned
+    pairings, free and monotone through the boolean logarithm."""
     n = 40
     a = sp.semicircle(1).letters[0]
     evens = range(1, n // 2 + 1)
     catalans = {uw(a, 2 * k): _catalan(k - 1) for k in evens}
-    assert sp.to_cumulants(sp.semicircle(n), "boolean") == catalans
-    assert sp.to_cumulants(sp.bernoulli_symmetric(n), "boolean") == {uw(a, 2): 1}
-    assert sp.to_cumulants(sp.point_mass(F(-2, 3), n), "boolean") == {uw(a, 1): F(-2, 3)}
+    c = F(-2, 3)
+    closed_forms = [
+        (sp.semicircle(n), {"free": {uw(a, 2): 1}, "boolean": catalans}),
+        (sp.bernoulli_symmetric(n), {
+            "boolean": {uw(a, 2): 1},
+            "free": {uw(a, 2 * k): (-1) ** (k - 1) * _catalan(k - 1) for k in evens}}),
+        (sp.point_mass(c, n), {kind.value: {uw(a, 1): c} for kind in CumulantKind}),
+    ]
+    for d, families in closed_forms:
+        for kind, cumulants in families.items():
+            assert sp.to_cumulants(d, kind) == cumulants, kind
+            assert sp.from_cumulants(cumulants, kind, (a,), n).moments == d.moments, kind
+        monotone = sp.to_cumulants(d, "monotone")
+        assert sp.from_cumulants(monotone, "monotone", (a,), n).moments == d.moments
     assert sp.convert({uw(a, 2): 1}, "free", "boolean", n, (a,)) == catalans
     assert sp.from_cumulants({uw(a, 2): 1}, "boolean", (a,), n).moments == {
         uw(a, 2 * k): 1 for k in evens}
