@@ -12,16 +12,15 @@ and the inverse transforms are the corresponding exponentials.  Conversions
 between families go through the Magnus map and pre-Lie exponential directly
 at the infinitesimal-character level, never through moments.
 
-The transforms evaluate the logarithm that costs least.  log> is a pruned
-pairing, about n terms at a word of degree n, and ``convert`` about n^3;
-log<, exp< and log* read about 2^n.  So :func:`to_cumulants` reads
-monotone cumulants as -O(-log>), the boolean cumulants sent through
-``convert``, at every degree.  Free cumulants are log< while max_degree < 9
-and W(-O(-log>)) from degree 9 on, and :func:`from_cumulants` reads free
-cumulants through exp< below degree 9 and as exp> of their boolean
-conversion from 9 on; the two free routes cross at degree 9 whatever the
-letter count.  Boolean both ways, and monotone :func:`from_cumulants`
-(exp*, a pruned pairing), use the family's own exponential or logarithm.
+The transforms take the cheaper route to the same values.  log> is a
+pruned pairing, about n terms at a word of degree n, and a conversion
+about n^3; log<, exp< and log* read 2^(n-1) to 2^n.  So monotone
+cumulants are -O(-log>), the boolean cumulants converted, at every
+degree.  Free cumulants are log< while max_degree < 9 and W(-O(-log>))
+from 9 on, and free moments exp< below 9 and exp> of the cumulants
+converted to boolean from 9 on: the free routes cross at degree 9
+whatever the letter count.  Boolean both ways and monotone moments (exp*,
+already pruned) use the family's own exponential or logarithm.
 
 The distribution API (:func:`to_cumulants`, :func:`from_cumulants`,
 :func:`convert`, and the distribution-level products of :mod:`products`)
@@ -232,9 +231,9 @@ _FREE_VIA_BOOLEAN_DEGREE = 9
 def _logarithm(kind: CumulantKind, max_degree: int):
     """The map from a moment character to its cumulants of kind, read up to
     max_degree.  Boolean is log>.  Monotone is -O(-log>), the Magnus map of
-    the sign-twisted boolean cumulants, at every degree: it is no slower
-    than log* at 3 letters and faster everywhere else.  Free is log< below
-    _FREE_VIA_BOOLEAN_DEGREE and W(-O(-log>)) from there on."""
+    the sign-twisted boolean cumulants, at every degree: as fast as log* on
+    3 letters at degree 5 and faster on the other measured shapes.  Free is
+    log< below _FREE_VIA_BOOLEAN_DEGREE and W(-O(-log>)) from there on."""
     if kind is CumulantKind.BOOLEAN or (
             kind is CumulantKind.FREE and max_degree < _FREE_VIA_BOOLEAN_DEGREE):
         return _EXP_LOG[kind][1]
@@ -273,10 +272,10 @@ def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
     """Distribution whose cumulants of the given kind are c: evaluate the
     matching exponential of the infinitesimal character on all words; for
     free from degree 9 on, exp> of the matching boolean cumulants."""
+    kind = _as_kind(kind)
     letters = tuple(letters)
-    exp = _exponential(_as_kind(kind), _degree(max_degree))
     D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
-    phi = exp(fn.infinitesimal(values))
+    phi = _exponential(kind, max_degree)(fn.infinitesimal(values))
     return Distribution(letters, max_degree, _unscaled(phi, D, letters, max_degree))
 
 

@@ -110,10 +110,22 @@ def test_bp_scales_by_the_denominator_of_t(raw, shape, t):
           True, D)
 
 
+def prime_by_degree(letters, n):
+    """A value at every word, with one prime denominator per degree, so D is
+    their product and D^n is large."""
+    return {w: F(len(w) % 3 - 1 or 2, PRIMES[len(w)]) for w in words_up_to(letters, n)}
+
+
+def sparse_map(letters, n):
+    """Values on every word of degree <= 2 and on every 61st word above, so
+    that most legs of a pairing are 0."""
+    return {w: F(i % 7 - 3 or 2, 1 + i % 3) for i, w in enumerate(words_up_to(letters, n))
+            if len(w) <= 2 or i % 61 == 0}
+
+
 def univariate_round_trip(raw, n, integral):
-    # one prime denominator per degree, so D is their product and D^n is large
     a = AB[:1]
-    values = {w: F(len(w) % 3 - 1 or 2, PRIMES[len(w)]) for w in words_up_to(a, n)}
+    values = prime_by_degree(a, n)
     d = distribution(values, a, n)
     check(raw, values, lambda: sp.to_cumulants(d, "free"), integral)
     check(raw, d.moments, lambda: sp.from_cumulants(values, "free", a, n), integral)
@@ -130,24 +142,15 @@ def test_univariate_degree_twelve_round_trip(raw):
     univariate_round_trip(raw, 12, False)
 
 
-def sparse_map(letters, n):
-    """Values on every word of degree <= 2 and on every 61st word above, so
-    that most legs of a pairing are 0."""
-    return {w: F(i % 7 - 3 or 2, 1 + i % 3) for i, w in enumerate(words_up_to(letters, n))
-            if len(w) <= 2 or i % 61 == 0}
-
-
-@pytest.mark.parametrize("letters,n", [(AB[:1], 8), (AB[:1], 9), (AB, 9)],
+@pytest.mark.parametrize("letters,n,make", [(AB[:1], 8, prime_by_degree),
+                                            (AB[:1], 9, prime_by_degree),
+                                            (AB, 9, sparse_map)],
                          ids=["a-8", "a-9", "ab-9"])
-def test_free_routes_agree_across_the_threshold(letters, n):
+def test_free_routes_agree_across_the_threshold(letters, n, make):
     # from degree 9 on, the free transforms go through log> and the monotone
     # transform always does; on both sides they must equal the defining
-    # logarithms and exponential.  On one letter the map is dense, with its
-    # own prime denominator in each degree.
-    if len(letters) == 1:
-        values = {w: F(len(w) % 3 - 1 or 2, PRIMES[len(w)]) for w in words_up_to(letters, n)}
-    else:
-        values = sparse_map(letters, n)
+    # logarithms and exponential
+    values = make(letters, n)
     d = Distribution(letters, n, values)
     phi = d.character()
     assert sp.to_cumulants(d, "free") == tabulate(fn.log_left(phi), letters, n)
