@@ -63,8 +63,11 @@ def _truncate(d: Distribution, n: int) -> Distribution:
 
 def _emit(obj, path: str | None):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            sio.dump_json(obj, fh)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                sio.dump_json(obj, fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from None
     else:
         sio.dump_json(obj, sys.stdout)
 
@@ -75,11 +78,11 @@ def _load_distribution(path: str, override: int | None) -> Distribution:
 
 
 def _load_cumulant_map(path: str, override: int | None):
-    """(kind, letters, degree, values) of a cumulant file, truncated to the
-    degree by the same rule as a distribution."""
+    """(kind, letters, degree, values) of a cumulant file, at the degree
+    chosen by the same rule as a distribution's; the library drops the
+    values above it."""
     kind, letters, n, values = sio.parse_cumulant_map(sio.load_json_file(path))
-    n = _effective_degree(n, override)
-    return kind, letters, n, {w: v for w, v in values.items() if len(w) <= n}
+    return kind, letters, _effective_degree(n, override), values
 
 
 def _parse_t(raw: str) -> Fraction:

@@ -6,24 +6,31 @@ the right leg; the empty word maps to ``1 (x) 1``.  The left half keeps the
 subsets containing position 1, the right half the proper subsets avoiding it,
 so the two halves add up to the full coproduct on every nonempty word and
 both vanish on the empty word.  On a bar word the maps extend
-multiplicatively, the chosen half acting on the first component only.  Apart
-from the reference closed form ``products.LabeledContext.closed_free``, this
-module is the only code that enumerates position subsets.
+multiplicatively, the chosen half acting on the first component only.
+
+One enumeration builds every term on a word: it fixes a term by the first
+run letters[i:j] of the complement.  The letters before i are picked, and so
+is letters[j]; the letters after j split by their own full coproduct, read
+from the memo.  The side fixes i: any i on the full side, i >= 1 on the
+left, i = 0 on the right.  Apart from the reference closed form
+``products.LabeledContext.closed_free``, it is the only code that enumerates
+position subsets.
 
 :func:`single_run_terms` gives the terms of one side on a one-word bar word
 whose right leg is one nonempty word: the subsets whose complement is one
 interval, n(n+1)/2 of them on the full side instead of 2^n, n(n-1)/2 on the
 left and n on the right.  They are all that a pairing against an
-infinitesimal character on the right leg can see.  They are enumerated
-directly, interval by interval, and never through the 2^n masks.
+infinitesimal character on the right leg can see.  The same enumeration
+gives them, with the letters after the run picked whole.
 
 Everything is memoized in one dict, keyed by (bar word, side, reduced), or
 by (bar word, side, "run") for the single-run terms; the same small words
 recur constantly inside the fixed-point recursions of the functional
-layer.  The subset loop builds the entries of the empty and the
-one-component bar words; a bar word of two or more components multiplies
-cached entries, and is cached too, because the evaluation loops look it up
-again far more often than it is built.  Bar words are canonical (see
+layer.  The enumeration builds the entries of the empty and the
+one-component bar words, and caches the full coproducts of the suffixes it
+reads; a bar word of two or more components multiplies cached entries, and
+is cached too, because the evaluation loops look it up again far more often
+than it is built.  Bar words are canonical (see
 :mod:`.words`), so a memo key's bar word matches by identity, and the legs
 built here are the same objects that key the functional memos.  The memo is
 a plain dict: confine it to one thread or guard it externally.
@@ -55,39 +62,36 @@ def clear_caches():
     _cache.clear()
 
 
-def _subset_sum(letters: tuple, side: Side) -> TensorSum:
-    """The subset formula on the word with these letters."""
+def _by_first_run(letters: tuple, side: Side, single_run: bool) -> TensorSum:
+    """The terms of one side on the word with these letters, by the first
+    run letters[i:j] of the complement (see the module docstring), or only
+    those whose right leg is that run.  The empty run i = j = n is the term
+    that picks every letter."""
     n = len(letters)
+    stop = n if single_run else n + 1
     if side is Side.FULL:
-        masks = range(1 << n)
+        starts = range(stop)
     elif side is Side.LEFT:
-        masks = range(1, 1 << n, 2)
+        starts = range(1, stop)
     else:
-        # even masks short of the full set, none at all on the empty word
-        masks = range(0, (1 << n) - 1, 2)
+        starts = range(min(n, 1))
     drop_singleton = side is Side.LEFT and mutations.is_active("drop-left-singleton")
     data: dict = {}
-    for mask in masks:
-        if drop_singleton and mask == 1:
-            continue
-        picked = []
-        runs = []
-        current = []
-        m = mask
-        for i in range(n):
-            if m & 1:
-                picked.append(letters[i])
-                if current:
-                    runs.append(Word(current))
-                    current = []
-            else:
-                current.append(letters[i])
-            m >>= 1
-        if current:
-            runs.append(Word(current))
-        left = BarWord((Word(picked),)) if picked else EMPTY_BAR
-        pair = (left, BarWord(runs))
-        data[pair] = data.get(pair, 0) + 1
+    for i in starts:
+        for j in range(i + 1, n + 1) or (n,):
+            if drop_singleton and i == 1 and j == n:  # the term of S = {1}
+                continue
+            run = Word(letters[i:j])
+            if single_run or j == n:
+                pair = (BarWord((Word(letters[:i] + letters[j:]),)), BarWord((run,)))
+                data[pair] = data.get(pair, 0) + 1
+                continue
+            head = letters[:i] + letters[j:j + 1]
+            rest = unshuffle_bar(Word(letters[j + 1:])).terms
+            for (x, y), c in rest.items():
+                picked = head + x.words[0].letters if x.words else head
+                pair = (BarWord((Word(picked),)), BarWord((run,) + y.words))
+                data[pair] = data.get(pair, 0) + c
     return TensorSum._raw(data)
 
 
@@ -131,7 +135,7 @@ def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum
         for w in words[1:]:
             out = out.bar_mul(unshuffle_bar(w))
     else:
-        out = _subset_sum(words[0].letters if words else (), side)
+        out = _by_first_run(words[0].letters if words else (), side, False)
     _cache[key] = out
     return out
 
@@ -149,25 +153,5 @@ def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
         return out
     if len(b.words) != 1:
         raise DomainError("single-run terms are taken on one-word bar words")
-    letters = b.words[0].letters
-    n = len(letters)
-    # 0-based starts i of the complement letters[i:j]
-    if side is Side.FULL:
-        starts = range(n)
-    elif side is Side.LEFT:
-        starts = range(1, n)
-    else:
-        starts = (0,)
-    drop_singleton = side is Side.LEFT and mutations.is_active("drop-left-singleton")
-    data: dict = {}
-    for i in starts:
-        for j in range(i + 1, n + 1):
-            if drop_singleton and i == 1 and j == n:
-                continue
-            picked = letters[:i] + letters[j:]
-            left = BarWord((Word(picked),)) if picked else EMPTY_BAR
-            pair = (left, BarWord((Word(letters[i:j]),)))
-            data[pair] = data.get(pair, 0) + 1
-    out = TensorSum._raw(data)
-    _cache[key] = out
+    out = _cache[key] = _by_first_run(b.words[0].letters, side, True)
     return out

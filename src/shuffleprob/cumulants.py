@@ -37,7 +37,9 @@ Input follows one rule each, and :mod:`shuffleprob.io` reads its files by
 the same rules: a value by ``functionals.parse_rational``, a max_degree by
 :func:`_degree`, and the keys of a moment map, a library cumulant map, a
 cumulant file or the coefficients of a :class:`TruncatedSeries` by
-:func:`_word_map`.
+:func:`_word_map`.  The declared letters of a :class:`Distribution`, of
+:func:`from_cumulants` and of :func:`convert`, when given, follow
+:func:`_letters`, checked before any evaluation.
 """
 
 from __future__ import annotations
@@ -80,13 +82,7 @@ class Distribution:
     moments: Mapping[Word, Fraction]
 
     def __post_init__(self):
-        letters = tuple(self.letters)
-        if not letters:
-            raise ValidationError("a distribution needs at least one letter")
-        if not all(isinstance(l, Letter) for l in letters):
-            raise ValidationError("the letters of a distribution must be Letters")
-        if len(set(letters)) != len(letters):
-            raise ValidationError("duplicate letters in distribution")
+        letters = _letters(self.letters)
         moments = self.moments
         if EMPTY_WORD in moments:
             moments = dict(moments)
@@ -146,15 +142,6 @@ def point_mass(c, max_degree: int = 6, name: str = "a") -> Distribution:
     return Distribution.univariate(name, vals, max_degree)
 
 
-#: Each family as the (exponential, logarithm) pair linking its cumulants
-#: with the moment character.
-_EXP_LOG = {
-    CumulantKind.FREE: (fn.exp_left, fn.log_left),
-    CumulantKind.BOOLEAN: (fn.exp_right, fn.log_right),
-    CumulantKind.MONOTONE: (fn.exp_star, fn.log_star),
-}
-
-
 def tabulate(phi: fn.Functional, letters, max_degree: int) -> dict[Word, Fraction]:
     """phi on every nonempty word of degree <= max_degree, zeros omitted."""
     return _unscaled(phi, 1, letters, max_degree)
@@ -190,6 +177,19 @@ def _degree(n) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError("max_degree must be a positive integer")
     return n
+
+
+def _letters(letters) -> tuple[Letter, ...]:
+    """letters as a tuple, the one rule for a declared letter set: at least
+    one letter, each a :class:`Letter`, no two alike."""
+    letters = tuple(letters)
+    if not letters:
+        raise ValidationError("at least one letter is needed")
+    if not all(isinstance(l, Letter) for l in letters):
+        raise ValidationError("letters must be Letters")
+    if len(set(letters)) != len(letters):
+        raise ValidationError("duplicate letters")
+    return letters
 
 
 def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
@@ -234,9 +234,10 @@ def _logarithm(kind: CumulantKind, max_degree: int):
     the sign-twisted boolean cumulants, at every degree: as fast as log* on
     3 letters at degree 5 and faster on the other measured shapes.  Free is
     log< below _FREE_VIA_BOOLEAN_DEGREE and W(-O(-log>)) from there on."""
-    if kind is CumulantKind.BOOLEAN or (
-            kind is CumulantKind.FREE and max_degree < _FREE_VIA_BOOLEAN_DEGREE):
-        return _EXP_LOG[kind][1]
+    if kind is CumulantKind.BOOLEAN:
+        return fn.log_right
+    if kind is CumulantKind.FREE and max_degree < _FREE_VIA_BOOLEAN_DEGREE:
+        return fn.log_left
     return lambda phi: _convert_functional(fn.log_right(phi), CumulantKind.BOOLEAN, kind)
 
 
@@ -244,8 +245,12 @@ def _exponential(kind: CumulantKind, max_degree: int):
     """The map from cumulants of kind to the moment character, read up to
     max_degree: the family's exponential, except for free from
     _FREE_VIA_BOOLEAN_DEGREE on, which is exp> of the boolean cumulants."""
-    if kind is not CumulantKind.FREE or max_degree < _FREE_VIA_BOOLEAN_DEGREE:
-        return _EXP_LOG[kind][0]
+    if kind is CumulantKind.BOOLEAN:
+        return fn.exp_right
+    if kind is CumulantKind.MONOTONE:
+        return fn.exp_star
+    if max_degree < _FREE_VIA_BOOLEAN_DEGREE:
+        return fn.exp_left
     return lambda alpha: fn.exp_right(
         _convert_functional(alpha, CumulantKind.FREE, CumulantKind.BOOLEAN))
 
@@ -273,7 +278,7 @@ def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
     matching exponential of the infinitesimal character on all words; for
     free from degree 9 on, exp> of the matching boolean cumulants."""
     kind = _as_kind(kind)
-    letters = tuple(letters)
+    letters = _letters(letters)
     D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
     phi = _exponential(kind, max_degree)(fn.infinitesimal(values))
     return Distribution(letters, max_degree, _unscaled(phi, D, letters, max_degree))
@@ -288,7 +293,7 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
     is omitted it is inferred from the keys of c.
     """
     kind_from, kind_to = _as_kind(kind_from), _as_kind(kind_to)
-    letters = None if letters is None else tuple(letters)
+    letters = None if letters is None else _letters(letters)
     D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
     if letters is None:
         letters = sorted({l for w in c for l in w.letters}, key=lambda l: (l.name, l.tag))

@@ -1,4 +1,7 @@
 import itertools
+from contextlib import nullcontext
+
+import pytest
 
 from shuffleprob import BarWord, Letter, Side, Word, half_unshuffle, unshuffle_bar
 from shuffleprob.axioms import check_axioms
@@ -93,25 +96,33 @@ def test_classical_tensor_algebra_fixture():
         assert _triple(succ, _collapsed_bar, True) == _triple(succ, rhalf, False), w
 
 
-def test_unshuffle_bar_against_brute_force():
+@pytest.mark.parametrize("defect", [None, "drop-left-singleton"])
+def test_unshuffle_bar_against_brute_force(defect):
     # the sum over S of w_S (x) runs([n]-S): LEFT takes the subsets holding
-    # position 1, RIGHT the proper subsets avoiding it, FULL all subsets
-    letters = (Letter("a"), Letter("b"), Letter("c"))
-    for w in words_up_to(letters, 4, include_empty=True):
-        n = len(w)
-        everything = set(range(1, n + 1))
-        subsets = [set(S) for r in range(n + 1)
-                   for S in itertools.combinations(range(1, n + 1), r)]
-        chosen = {Side.LEFT: [S for S in subsets if 1 in S],
-                  Side.RIGHT: [S for S in subsets if 1 not in S and S != everything],
-                  Side.FULL: subsets}
-        for side, picks in chosen.items():
-            expect = {}
-            for S in picks:
-                rest = sorted(everything - S)
-                runs = [tuple(g) for _, g in itertools.groupby(
-                    rest, key=lambda i, c=itertools.count(): i - next(c))]
-                key = (BarWord.from_word(w.subword(S)),
-                       BarWord(w.subword(run) for run in runs))
-                expect[key] = expect.get(key, 0) + 1
-            assert unshuffle_bar(w, side).terms == expect, (w, side)
+    # position 1, RIGHT the proper subsets avoiding it, FULL all subsets;
+    # the defect drops LEFT's S = {1} term and nothing else
+    a, b, c = Letter("a"), Letter("b"), Letter("c")
+    with inject_defect(defect) if defect else nullcontext():
+        for letters, degree in (((a, b, c), 4), ((a,), 10), ((a, b), 7)):
+            for w in words_up_to(letters, degree, include_empty=True):
+                _check_against_brute_force(w, defect is not None)
+
+
+def _check_against_brute_force(w: Word, drop_singleton: bool):
+    n = len(w)
+    everything = set(range(1, n + 1))
+    subsets = [set(S) for r in range(n + 1)
+               for S in itertools.combinations(range(1, n + 1), r)]
+    chosen = {Side.LEFT: [S for S in subsets if 1 in S and not (drop_singleton and S == {1})],
+              Side.RIGHT: [S for S in subsets if 1 not in S and S != everything],
+              Side.FULL: subsets}
+    for side, picks in chosen.items():
+        expect = {}
+        for S in picks:
+            rest = sorted(everything - S)
+            runs = [tuple(g) for _, g in itertools.groupby(
+                rest, key=lambda i, c=itertools.count(): i - next(c))]
+            key = (BarWord.from_word(w.subword(S)),
+                   BarWord(w.subword(run) for run in runs))
+            expect[key] = expect.get(key, 0) + 1
+        assert unshuffle_bar(w, side).terms == expect, (w, side)

@@ -196,6 +196,15 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    src = write(tmp_path, "sem.json", SEMICIRCLE)
+    out = str(tmp_path / "no-such-dir" / "x.json")
+    assert main(["cumulants", src, "--kind", "free", "-o", out]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert main(["verify", "--suite", "coalgebra", "--max-degree", "2", "-o", out]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+
+
 def test_empty_word_key_in_cumulant_file_exits_two(tmp_path, capsys):
     src = write(tmp_path, "bad.json", {"kind": "free", "letters": ["a"],
                                        "max_degree": 2, "values": {"1": "1"}})

@@ -117,10 +117,11 @@ def _one_word_right_legs(terms):
 @pytest.mark.parametrize("defect", [None, "drop-left-singleton"])
 def test_single_run_terms_are_the_one_word_right_legs(defect):
     with inject_defect(defect) if defect else nullcontext():
-        for w in words_up_to((A, B), 6):
-            for side in Side:
-                assert single_run_terms(w, side) == _one_word_right_legs(
-                    unshuffle_bar(w, side)), (w, side)
+        for letters, degree in (((A, B), 6), ((A, B, C), 4)):
+            for w in words_up_to(letters, degree):
+                for side in Side:
+                    assert single_run_terms(w, side) == _one_word_right_legs(
+                        unshuffle_bar(w, side)), (w, side)
 
 
 def test_single_run_term_counts():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import shuffleprob as sp
-from shuffleprob import Distribution, ValidationError, Word
+from shuffleprob import Distribution, ValidationError, Word, cumulants
 from shuffleprob.cumulants import CumulantKind, series
 from shuffleprob.mutations import inject_defect
 from shuffleprob.words import words_up_to
@@ -223,3 +223,17 @@ def test_univariate_degree_40_closed_forms():
     assert sp.convert({uw(a, 2): 1}, "free", "boolean", n, (a,)) == catalans
     assert sp.from_cumulants({uw(a, 2): 1}, "boolean", (a,), n).moments == {
         uw(a, 2 * k): 1 for k in evens}
+
+
+@pytest.mark.parametrize("letters", [(A, A), (A, "b"), ()])
+def test_declared_letters_follow_one_rule(letters, monkeypatch):
+    with pytest.raises(ValidationError):
+        Distribution(letters, 2, {})
+    with pytest.raises(ValidationError):
+        sp.convert({uw(A, 2): F(1)}, "free", "boolean", 4, letters)
+    # from_cumulants refuses the letters before it evaluates anything
+    def no_evaluation(*args):
+        raise AssertionError("evaluated before the letters were checked")
+    monkeypatch.setattr(cumulants, "_exponential", no_evaluation)
+    with pytest.raises(ValidationError):
+        sp.from_cumulants({uw(A, 2): F(1)}, "free", letters, 4)
