@@ -74,11 +74,11 @@ def _by_first_run(letters: tuple, side: Side, single_run: bool) -> TensorSum:
     elif side is Side.LEFT:
         starts = range(1, stop)
     else:
-        starts = range(min(n, 1))
+        starts = range(min(n, 1))  # i = 0, none on the empty word
     drop_singleton = side is Side.LEFT and mutations.is_active("drop-left-singleton")
     data: dict = {}
     for i in starts:
-        for j in range(i + 1, n + 1) or (n,):
+        for j in range(i + 1, n + 1) or (n,):  # i = n: only the empty run
             if drop_singleton and i == 1 and j == n:  # the term of S = {1}
                 continue
             run = Word(letters[i:j])
