@@ -10,7 +10,20 @@ set-partition oracle that every algebraic path is validated against.
 
 All arithmetic is exact (stdlib fractions); there is no floating point
 anywhere.
+
+Importing the package loads the engine: ``words``, ``errors``, ``tensors``,
+``coproducts``, ``functionals``, ``magnus`` and ``cumulants``.  The names of
+``partitions``, ``products`` and ``verify`` load their module on first
+access (PEP 562), so a process that only transforms moments and cumulants,
+such as the CLI's ``cumulants``, ``moments`` and ``convert``, never
+compiles them.  ``magnus`` stays eager although it is also a submodule: the
+first import of a submodule sets the package attribute of its name to the
+module, so a lazy ``magnus`` would read as the module once anything had
+imported ``shuffleprob.magnus``.  Imported here, before the function is
+re-exported, the name stays the function.
 """
+
+import importlib
 
 from .coproducts import Side, half_unshuffle, unshuffle, unshuffle_bar
 from .cumulants import (CumulantKind, Distribution, TruncatedSeries,
@@ -24,17 +37,33 @@ from .functionals import (Functional, ad_action, ad_action_right, adjoint,
                           neumann_inverse, prelie, unit)
 from .magnus import (BernoulliTable, bch, bernoulli, group_law_left,
                      group_law_right, magnus, magnus_inverse)
-from .partitions import (PartitionFamily, SetPartition, enumerate_partitions,
-                         oracle_convert, oracle_moments, tree_factorial)
-from .products import (LabeledContext, antimonotone_conv, boolean_conv, bp,
-                       bp_distribution, bp_inverse, bp_t, convolve_distributions,
-                       factorize, free_conv, monotone_conv, subordinate,
-                       subordinate_distributions)
 from .tensors import TensorSum
-from .verify import run_suite, run_suites
 from .words import BarWord, EMPTY_BAR, EMPTY_WORD, Letter, Word, as_barword
 
 __version__ = "0.1.0"
+
+#: The module of each name that loads on first access.
+_LAZY = {
+    "PartitionFamily": "partitions", "SetPartition": "partitions",
+    "enumerate_partitions": "partitions", "oracle_convert": "partitions",
+    "oracle_moments": "partitions", "tree_factorial": "partitions",
+    "LabeledContext": "products", "antimonotone_conv": "products",
+    "boolean_conv": "products", "bp": "products", "bp_distribution": "products",
+    "bp_inverse": "products", "bp_t": "products",
+    "convolve_distributions": "products", "factorize": "products",
+    "free_conv": "products", "monotone_conv": "products",
+    "subordinate": "products", "subordinate_distributions": "products",
+    "run_suite": "verify", "run_suites": "verify",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BarWord", "BernoulliTable", "CumulantKind", "Distribution", "DomainError",

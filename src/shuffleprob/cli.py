@@ -3,10 +3,17 @@
 Subcommands: cumulants, moments, convert, convolve, subordinate, bp, series,
 verify, verify-coalgebra.  All file formats are the JSON schemas of
 :mod:`shuffleprob.io`; rationals travel as "p/q" strings.  Exit codes:
-0 success, 1 verification failure, 2 bad input.
+0 success, 1 verification failure, 2 bad input.  An ``-o`` path that cannot
+be written exits 2 before any work.
 
 The degree cap defaults to 8 and can be overridden with the environment
 variable SHUFFLE_MAX_DEGREE.
+
+A process loads only what its command runs: :mod:`products` is imported by
+convolve, subordinate and bp, and :mod:`verify` by the two verify commands.
+So the parser knows no suite or letter names: :func:`verify.run_suites`
+refuses an unknown suite, and an omitted ``--letters`` means the suites'
+``DEFAULT_LETTERS``.
 """
 
 from __future__ import annotations
@@ -17,10 +24,8 @@ import sys
 from fractions import Fraction
 
 from . import io as sio
-from . import products as pr
 from .cumulants import Distribution, convert, from_cumulants, series, to_cumulants
 from .errors import DomainError, ValidationError
-from .verify import DEFAULT_LETTERS, SUITES, run_suites
 
 DEFAULT_CAP = 8
 
@@ -59,6 +64,20 @@ def _truncate(d: Distribution, n: int) -> Distribution:
         return d
     return Distribution(d.letters, n,
                         {w: v for w, v in d.moments.items() if len(w) <= n})
+
+
+def _check_writable(path: str):
+    """Fails before any work when path cannot be written.  Append mode
+    leaves an existing file as it is, and a file made here is removed again,
+    so a command that fails later leaves no trace at path."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _emit(obj, path: str | None):
@@ -116,6 +135,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_convolve(args) -> int:
+    from . import products as pr
     d1 = _load_distribution(args.first, args.max_degree)
     d2 = _load_distribution(args.second, args.max_degree)
     out = pr.convolve_distributions(d1, d2, args.kind)
@@ -124,6 +144,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_subordinate(args) -> int:
+    from . import products as pr
     d1 = _load_distribution(args.first, args.max_degree)
     d2 = _load_distribution(args.second, args.max_degree)
     out = pr.subordinate_distributions(d1, d2, args.side)
@@ -132,6 +153,7 @@ def cmd_subordinate(args) -> int:
 
 
 def cmd_bp(args) -> int:
+    from . import products as pr
     d = _load_distribution(args.input, args.max_degree)
     t = _parse_t(args.t)
     if t < 0:
@@ -149,7 +171,12 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _parse_letter_names(raw: str):
+def _parse_letter_names(raw: str | None):
+    """The letter names of --letters, or the suites' default when it is
+    not given."""
+    if raw is None:
+        from .verify import DEFAULT_LETTERS
+        return DEFAULT_LETTERS
     names = tuple(n.strip() for n in raw.split(",") if n.strip())
     if not names:
         raise ValidationError("--letters needs a comma-separated list of names")
@@ -158,6 +185,7 @@ def _parse_letter_names(raw: str):
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
     n = _check_degree(args.max_degree)
     letters = _parse_letter_names(args.letters)
     reports = run_suites(args.suite, max_degree=n, seed=args.seed, letters=letters)
@@ -173,6 +201,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_verify_coalgebra(args) -> int:
+    from .verify import run_suites
     n = _check_degree(args.max_degree)
     letters = _parse_letter_names(args.letters)
     [report] = run_suites(["coalgebra"], max_degree=n, letters=letters)
@@ -249,16 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", action="append", default=None,
-                   choices=list(SUITES) + ["all"],
-                   help="suite to run (repeatable; default all)")
+                   help="suite to run, or all (repeatable; default all)")
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--letters", default=",".join(DEFAULT_LETTERS))
+    p.add_argument("--letters", default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("verify-coalgebra", help="coalgebra axioms only")
-    p.add_argument("--letters", default=",".join(DEFAULT_LETTERS))
+    p.add_argument("--letters", default=None)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify_coalgebra)
@@ -272,6 +300,8 @@ def main(argv=None) -> int:
     if getattr(args, "suite", None) is None and args.command == "verify":
         args.suite = "all"
     try:
+        if args.output:
+            _check_writable(args.output)
         return args.func(args)
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -71,25 +70,44 @@ def _as_kind(kind) -> CumulantKind:
         raise ValidationError(f"unknown cumulant kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
 class Distribution:
     """Moments of a family of non-commutative random variables, one letter
     per variable, for every word of degree <= max_degree (absent words have
-    moment 0; the empty word implicitly has moment 1)."""
+    moment 0; the empty word implicitly has moment 1).  Immutable: assigning
+    a field raises AttributeError; equal by value, and unhashable."""
 
-    letters: tuple[Letter, ...]
-    max_degree: int
-    moments: Mapping[Word, Fraction]
+    __slots__ = ("letters", "max_degree", "moments")
 
-    def __post_init__(self):
-        letters = _letters(self.letters)
-        moments = self.moments
+    def __init__(self, letters, max_degree: int, moments: Mapping[Word, Fraction]):
+        letters = _letters(letters)
         if EMPTY_WORD in moments:
             moments = dict(moments)
             if fn.parse_rational(moments.pop(EMPTY_WORD)) != 1:
                 raise ValidationError("the empty word always has moment 1")
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "moments", _word_map(moments, letters, self.max_degree))
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "moments", _word_map(moments, letters, max_degree))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Distribution")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Distribution")
+
+    def __reduce__(self):
+        return Distribution, (self.letters, self.max_degree, self.moments)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.letters, self.max_degree, self.moments)
+                == (other.letters, other.max_degree, other.moments))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"Distribution(letters={self.letters!r}, max_degree={self.max_degree!r}, "
+                f"moments={self.moments!r})")
 
     def moment(self, w: Word) -> Fraction:
         if w == EMPTY_WORD:
@@ -290,13 +308,15 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
 
     Monotone and free trade places under the Magnus map and its inverse;
     boolean reaches either by conjugating with a sign twist.  When ``letters``
-    is omitted it is inferred from the keys of c.
+    is omitted it is inferred from the keys of c of degree <= max_degree; the
+    keys above it are dropped.
     """
     kind_from, kind_to = _as_kind(kind_from), _as_kind(kind_to)
     letters = None if letters is None else _letters(letters)
     D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
     if letters is None:
-        letters = sorted({l for w in c for l in w.letters}, key=lambda l: (l.name, l.tag))
+        letters = sorted({l for w in c if len(w) <= max_degree for l in w.letters},
+                         key=lambda l: (l.name, l.tag))
         if not letters:
             raise ValidationError("cannot infer letters from an empty cumulant map; "
                                   "pass letters explicitly")

@@ -22,8 +22,15 @@ from typing import Mapping
 from .cumulants import Distribution, TruncatedSeries, _word_map
 from .errors import ValidationError
 from .functionals import parse_rational
-from .reporting import rational_str
 from .words import Letter, Word
+
+
+def rational_str(v) -> str:
+    try:
+        v = Fraction(v)
+    except (TypeError, ValueError):
+        return str(v)  # witnesses are occasionally structural, not numeric
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def word_to_str(w: Word) -> str:

@@ -3,15 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-
-def rational_str(v) -> str:
-    try:
-        v = Fraction(v)
-    except (TypeError, ValueError):
-        return str(v)  # witnesses are occasionally structural, not numeric
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+from .io import rational_str
 
 
 @dataclass

@@ -661,20 +661,25 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 
-def run_suite(name: str, max_degree: int = 5, seed: int = 0,
-              letters=DEFAULT_LETTERS) -> Report:
+def _suite_func(name: str):
     if name not in _SUITE_FUNCS:
         raise ValidationError(f"unknown suite {name!r}; expected one of "
                               f"{sorted(_SUITE_FUNCS)} or 'all'")
-    return _SUITE_FUNCS[name](max_degree=max_degree, seed=seed, letters=letters)
+    return _SUITE_FUNCS[name]
+
+
+def run_suite(name: str, max_degree: int = 5, seed: int = 0,
+              letters=DEFAULT_LETTERS) -> Report:
+    return _suite_func(name)(max_degree=max_degree, seed=seed, letters=letters)
 
 
 def run_suites(names, max_degree: int = 5, seed: int = 0,
                letters=DEFAULT_LETTERS) -> list[Report]:
     """One report per suite name, in order.  A string is one name, and
-    "all" anywhere runs the six suites once each, in ``SUITES`` order."""
+    "all" anywhere runs the six suites once each, in ``SUITES`` order.  An
+    unknown name raises ValidationError before any suite runs."""
     names = [names] if isinstance(names, str) else list(names)
     if "all" in names:
         names = SUITES
-    return [run_suite(n, max_degree=max_degree, seed=seed, letters=letters)
-            for n in names]
+    funcs = [_suite_func(n) for n in names]
+    return [f(max_degree=max_degree, seed=seed, letters=letters) for f in funcs]

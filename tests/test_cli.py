@@ -9,6 +9,8 @@ from shuffleprob import ValidationError, io as sio
 from shuffleprob.cli import main
 from shuffleprob.mutations import inject_defect
 
+from conftest import run_python
+
 SEMICIRCLE = {
     "letters": ["a"],
     "max_degree": 6,
@@ -197,12 +199,44 @@ def test_missing_file_exits_two(tmp_path, capsys):
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):
+    # the -o path is checked before any value is computed or any suite runs
     src = write(tmp_path, "sem.json", SEMICIRCLE)
     out = str(tmp_path / "no-such-dir" / "x.json")
-    assert main(["cumulants", src, "--kind", "free", "-o", out]) == 2
-    assert "error: cannot write" in capsys.readouterr().err
-    assert main(["verify", "--suite", "coalgebra", "--max-degree", "2", "-o", out]) == 2
-    assert "error: cannot write" in capsys.readouterr().err
+    for cmd in (["cumulants", src, "--kind", "free"],
+                ["verify", "--suite", "coalgebra", "--max-degree", "2"]):
+        assert main(cmd + ["-o", out]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot write" in captured.err
+        assert captured.out == ""
+
+
+def test_failed_command_leaves_output_path_as_it_was(tmp_path, capsys):
+    bad = write(tmp_path, "bad.json", {"letters": ["a"], "max_degree": 2,
+                                       "moments": {"a.b": "1"}})
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier output\n")
+    fresh = tmp_path / "fresh.json"
+    for out in (kept, fresh):
+        assert main(["cumulants", bad, "--kind", "free", "-o", str(out)]) == 2
+        assert "undeclared letter" in capsys.readouterr().err
+    assert kept.read_text() == "earlier output\n"
+    assert not fresh.exists()
+    src = write(tmp_path, "sem.json", SEMICIRCLE)
+    assert main(["cumulants", src, "--kind", "free", "-o", str(kept)]) == 0
+    assert read(kept)["values"] == {"a.a": "1"}
+
+
+def test_unknown_suite_exits_two_naming_the_suites(capsys):
+    from shuffleprob.verify import SUITES
+    for suites in (["bogus"], ["coalgebra", "bogus"]):
+        argv = ["verify", "--max-degree", "2"]
+        for name in suites:
+            argv += ["--suite", name]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown suite 'bogus'" in captured.err
+        assert all(name in captured.err for name in SUITES)
 
 
 def test_empty_word_key_in_cumulant_file_exits_two(tmp_path, capsys):
@@ -334,3 +368,42 @@ def test_cli_degree_forty_free_cumulants_match_golden(monkeypatch, capsys):
     assert main(["cumulants", src, "--kind", "free"]) == 0
     expected = (GOLDEN_CLI / "cumulants-free-semicircle-40.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from shuffleprob.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            sys.exit(f"{argv} failed")
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("shuffleprob.") or m == "dataclasses")))
+"""
+
+#: The modules that the data commands must not load.
+OFF_THE_DATA_PATH = {"shuffleprob.verify", "shuffleprob.products", "shuffleprob.partitions",
+                     "shuffleprob.axioms", "shuffleprob.reporting", "dataclasses"}
+
+
+def loaded_modules(argvs):
+    """The shuffleprob modules and dataclasses loaded after main ran each
+    argv in one fresh interpreter."""
+    done = run_python("-c", IMPORT_PROBE, json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout))
+
+
+def test_data_commands_load_only_the_engine():
+    argvs = [argv for name, argv in golden_cli_cases()
+             if name.split("-")[0] in ("cumulants", "moments", "convert")]
+    loaded = loaded_modules(argvs)
+    assert {"shuffleprob.cumulants", "shuffleprob.io"} <= loaded
+    assert not loaded & OFF_THE_DATA_PATH, sorted(loaded & OFF_THE_DATA_PATH)
+
+
+def test_convolve_loads_products_but_not_verify():
+    d1, d2 = (str(GOLDEN_CLI / f"in-dist-{n}.json") for n in (1, 2))
+    loaded = loaded_modules([["convolve", d1, d2, "--kind", "free"]])
+    assert "shuffleprob.products" in loaded
+    assert "shuffleprob.verify" not in loaded

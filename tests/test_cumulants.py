@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -42,6 +44,27 @@ def test_distribution_validation():
         Distribution((A,), 2, {uw(B, 1): F(1)})
     with pytest.raises(ValidationError):
         Distribution((A,), 2, {Word(): F(2)})
+
+
+def test_distribution_is_an_immutable_value():
+    d = Distribution((A,), 2, {Word(): 1, uw(A, 2): F(1)})
+    same = Distribution([A], 2, {uw(A, 2): 1})
+    assert d == same and d.moments == {uw(A, 2): 1} and d.letters == (A,)
+    assert d != Distribution((A,), 3, {uw(A, 2): 1})
+    assert d != Distribution((A, B), 2, {uw(A, 2): 1})
+    for field in ("letters", "max_degree", "moments"):
+        with pytest.raises(AttributeError):
+            setattr(d, field, getattr(d, field))
+        with pytest.raises(AttributeError):
+            delattr(d, field)
+    with pytest.raises(AttributeError):
+        d.extra = 1
+    with pytest.raises(TypeError):
+        hash(d)
+    assert repr(d) == ("Distribution(letters=(Letter(name='a', tag=0),), max_degree=2, "
+                       "moments={a.a: Fraction(1, 1)})")
+    for copied in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert copied == d
 
 
 def test_semicircle_fixed_vectors():
@@ -113,6 +136,22 @@ def test_convert_infers_letters():
     assert sp.convert(pair, "free", "boolean", 4) == {uw(A, 2): 1, uw(A, 4): 1}
     with pytest.raises(ValidationError):
         sp.convert({}, "free", "boolean", 4)
+
+
+def test_convert_infers_letters_from_the_kept_keys_only(monkeypatch):
+    # a key above max_degree is dropped, so its letters are no letters of
+    # the sweep: z^9 adds no word over z
+    z = sp.Letter("z")
+    expected = sp.convert({uw(A, 2): 1}, "free", "boolean", 8)
+    swept = []
+
+    def spy(letters, max_degree):
+        swept.append(tuple(letters))
+        return words_up_to(letters, max_degree)
+
+    monkeypatch.setattr(cumulants, "words_up_to", spy)
+    assert sp.convert({uw(A, 2): 1, uw(z, 9): 1}, "free", "boolean", 8) == expected
+    assert swept == [(A,)]
 
 
 def test_degree_one_two_cumulants_agree():
