@@ -43,18 +43,14 @@ from .words import BarWord, EMPTY_BAR, EMPTY_WORD, Letter, Word, as_barword
 __version__ = "0.1.0"
 
 #: The module of each name that loads on first access.
-_LAZY = {
-    "PartitionFamily": "partitions", "SetPartition": "partitions",
-    "enumerate_partitions": "partitions", "oracle_convert": "partitions",
-    "oracle_moments": "partitions", "tree_factorial": "partitions",
-    "LabeledContext": "products", "antimonotone_conv": "products",
-    "boolean_conv": "products", "bp": "products", "bp_distribution": "products",
-    "bp_inverse": "products", "bp_t": "products",
-    "convolve_distributions": "products", "factorize": "products",
-    "free_conv": "products", "monotone_conv": "products",
-    "subordinate": "products", "subordinate_distributions": "products",
-    "run_suite": "verify", "run_suites": "verify",
-}
+_LAZY = {name: module for module, names in (
+    ("partitions", "PartitionFamily SetPartition enumerate_partitions oracle_convert "
+                   "oracle_moments tree_factorial"),
+    ("products", "LabeledContext antimonotone_conv boolean_conv bp bp_distribution "
+                 "bp_inverse bp_t convolve_distributions factorize free_conv "
+                 "monotone_conv subordinate subordinate_distributions"),
+    ("verify", "run_suite run_suites"),
+) for name in names.split()}
 
 
 def __getattr__(name):

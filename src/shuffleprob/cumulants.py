@@ -318,8 +318,8 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
         letters = sorted({l for w in c if len(w) <= max_degree for l in w.letters},
                          key=lambda l: (l.name, l.tag))
         if not letters:
-            raise ValidationError("cannot infer letters from an empty cumulant map; "
-                                  "pass letters explicitly")
+            raise ValidationError("cannot infer letters from a cumulant map with no key "
+                                  "up to max_degree; pass letters explicitly")
     out = _convert_functional(fn.infinitesimal(values), kind_from, kind_to)
     return _unscaled(out, D, tuple(letters), max_degree)
 

@@ -152,6 +152,8 @@ def test_convert_infers_letters_from_the_kept_keys_only(monkeypatch):
     monkeypatch.setattr(cumulants, "words_up_to", spy)
     assert sp.convert({uw(A, 2): 1, uw(z, 9): 1}, "free", "boolean", 8) == expected
     assert swept == [(A,)]
+    with pytest.raises(ValidationError, match="no key up to max_degree"):
+        sp.convert({uw(z, 9): 1}, "free", "boolean", 8)
 
 
 def test_degree_one_two_cumulants_agree():
