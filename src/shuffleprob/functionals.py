@@ -75,6 +75,15 @@ constructor with a flag-cleared twin, and each pruned pairing with the same
 constructor on unflagged copies of its operands, so what the flags promise
 is still checked.
 
+The evaluation kernels (the loops of ``_Pairing``, ``_Linear`` and
+``_Series``, and a character's product over the components of a bar word)
+read an operand's memo dict directly and call the operand only on a miss,
+which evaluates and fills that memo.  A hit is the object the call would
+return, so values and the order of every sum are the same either way; in a
+warm tree nearly every read is a hit, and it skips the call.  A running
+kernel holds its operands' bound ``get`` methods, so a node's ``_memo`` dict
+is filled in place and never rebound.
+
 Expression trees are immutable and freely shareable.  The memo dicts are
 keyed by canonical bar words, whose table in :mod:`.words` is locked, but
 the per-node memo dicts themselves are not synchronized, so concurrent
@@ -155,7 +164,9 @@ class Functional:
             elif self.is_character:
                 v = 1
                 for w in words:
-                    v *= self(BarWord((w,)))
+                    part = BarWord((w,))
+                    u = memo.get(part)
+                    v *= self(part) if u is None else u
                     if not v:
                         break
             elif self.is_infinitesimal_character:
@@ -215,7 +226,9 @@ class _Linear(Functional):
     def _value(self, b):
         total = 0
         for c, f in self.parts:
-            v = f(b)
+            v = f._memo.get(b)
+            if v is None:
+                v = f(b)
             if v:
                 total += c * v
         if type(total) is Fraction and total.denominator == 1:
@@ -258,20 +271,30 @@ class _Pairing(Functional):
         total = 0 if self.base is None else self.base(b)
         if f is None:  # self on the left: the known right leg goes first
             f = self
+            fget, gget = f._memo.get, g._memo.get
             for (x, y), c in terms:
-                right = g(y)
+                right = gget(y)
+                if right is None:
+                    right = g(y)
                 if right:
-                    left = f(x)
+                    left = fget(x)
+                    if left is None:
+                        left = f(x)
                     if left:
                         v = left * right
                         total += v if c == 1 else c * v
             return total
         if g is None:
             g = self
+        fget, gget = f._memo.get, g._memo.get
         for (x, y), c in terms:
-            left = f(x)
+            left = fget(x)
+            if left is None:
+                left = f(x)
             if left:
-                right = g(y)
+                right = gget(y)
+                if right is None:
+                    right = g(y)
                 if right:
                     v = left * right
                     total += v if c == 1 else c * v
@@ -306,7 +329,9 @@ class _Series(Functional):
         total = 0
         for c, t in terms[:d]:
             if c:
-                v = t(b)
+                v = t._memo.get(b)
+                if v is None:
+                    v = t(b)
                 if v:
                     total += v if c == 1 else c * v
         return total

@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -337,3 +338,76 @@ def test_pairing_nodes_are_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _random_form(seed, unit):
+    # An unflagged form on every bar word up to degree 5, so the nodes built
+    # on it read bar products through their own recursion; integral values
+    # stay ints.
+    rng = random.Random(seed)
+    return sp.from_values({EMPTY_BAR: unit, **{b: random_fraction(rng)
+                                               for b in all_barwords(AB, 5)}})
+
+
+def _random_character(seed):
+    rng = random.Random(seed)
+    return sp.character({u: random_fraction(rng) for u in words_up_to(AB, 5)})
+
+
+def _magnus_unflagged():
+    # Flag cleared, so the series reads its terms on bar products too.
+    out = sp.magnus(random_inf(31))
+    out.is_infinitesimal_character = False
+    return out
+
+
+#: One tree per evaluation kernel, built from fresh leaves on every call.
+MEMO_KERNELS = {
+    "self-left pairing": lambda: sp.log_left(_random_form(32, 1)),
+    "self-right pairing": lambda: sp.exp_left(_random_form(33, 0)),
+    "linear": lambda: (sp.conv(_random_form(34, 1), _random_form(35, 0))
+                       - F(3, 2) * _random_form(36, 0)),
+    "series through the Magnus proxy": _magnus_unflagged,
+    "character bar product": lambda: sp.conv(_random_character(37), _random_character(38)),
+}
+
+
+def _nodes_below(root):
+    """Every node below root, once each; the weak proxies through which a
+    series step sees its node are left out."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, functionals._Pairing):
+            below = (node.f, node.g, node.base)
+        elif isinstance(node, functionals._Linear):
+            below = tuple(p for _, p in node.parts)
+        elif isinstance(node, functionals._Series):
+            below = tuple(t for _, t in node._terms)
+        else:
+            below = ()
+        for f in below:
+            if f is not None and type(f) is not weakref.ProxyType and id(f) not in found:
+                found[id(f)] = f
+                stack.append(f)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_KERNELS))
+def test_memo_reads_in_the_kernels_change_no_value(name):
+    # Every read of the warm tree below its root is a memo hit; the cold
+    # tree is read from its highest degree down, so its first reads miss.
+    bars_ = all_barwords(AB, 5)
+    warm, cold = MEMO_KERNELS[name](), MEMO_KERNELS[name]()
+    if isinstance(warm, functionals._Series):
+        warm._value(max(bars_, key=BarWord.sort_key))  # builds its terms to degree 5
+    for node in reversed(_nodes_below(warm)):
+        for b in (EMPTY_BAR, *bars_):
+            node(b)
+    for b in bars_:
+        if len(b.words) == 1:
+            warm(b)
+    cold_values = {b: cold(b) for b in sorted(bars_, key=BarWord.sort_key, reverse=True)}
+    for b in bars_:
+        got, want = warm(b), cold_values[b]
+        assert got == want and type(got) is type(want), (name, b, got, want)
