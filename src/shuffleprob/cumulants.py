@@ -351,13 +351,15 @@ class TruncatedSeries:
     """Polynomial in the non-commuting letters, truncated above max_degree.
 
     Words index the coefficients; multiplication is concatenation, dropping
-    anything beyond the truncation degree.
+    anything beyond the truncation degree.  A sum or product needs both
+    operands over the same letters and is truncated at the smaller
+    max_degree, so both orders agree.
     """
 
     __slots__ = ("letters", "max_degree", "coefficients")
 
     def __init__(self, letters, max_degree: int, coefficients: Mapping[Word, Fraction]):
-        self.letters = tuple(letters)
+        self.letters = _letters(letters)
         self.max_degree = _degree(max_degree)
         self.coefficients = _word_map(coefficients, self.letters, max_degree, drop_above=True)
 
@@ -366,24 +368,32 @@ class TruncatedSeries:
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
+                and self.letters == other.letters
                 and self.max_degree == other.max_degree
                 and self.coefficients == other.coefficients)
 
+    def _common_degree(self, other: "TruncatedSeries") -> int:
+        if self.letters != other.letters:
+            raise ValidationError(f"series over different letters: {self.letters!r} "
+                                  f"and {other.letters!r}")
+        return min(self.max_degree, other.max_degree)
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        n = self._common_degree(other)
         out = dict(self.coefficients)
         for w, v in other.coefficients.items():
             out[w] = out.get(w, 0) + v
-        return TruncatedSeries(self.letters, self.max_degree, out)
+        return TruncatedSeries(self.letters, n, out)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        n = self._common_degree(other)
         out: dict[Word, Fraction] = {}
-        n = self.max_degree
         for u, cu in self.coefficients.items():
             for v, cv in other.coefficients.items():
                 if len(u) + len(v) <= n:
                     key = u.concat(v)
                     out[key] = out.get(key, 0) + cu * cv
-        return TruncatedSeries(self.letters, self.max_degree, out)
+        return TruncatedSeries(self.letters, n, out)
 
     def __repr__(self):
         if not self.coefficients:

@@ -8,7 +8,7 @@ import pytest
 
 import shuffleprob as sp
 from shuffleprob import Distribution, ValidationError, Word, cumulants
-from shuffleprob.cumulants import CumulantKind, series
+from shuffleprob.cumulants import CumulantKind, TruncatedSeries, series
 from shuffleprob.mutations import inject_defect
 from shuffleprob.words import words_up_to
 
@@ -186,6 +186,25 @@ def test_series_fixed_examples():
         series(sem, "Q")
 
 
+def test_series_arithmetic_does_not_depend_on_operand_order():
+    s = TruncatedSeries((A,), 3, {uw(A, 1): 1})
+    t = TruncatedSeries((A,), 5, {uw(A, 1): 2, uw(A, 4): 1})
+    assert s + t == t + s == TruncatedSeries((A,), 3, {uw(A, 1): 3})
+    assert s * t == t * s == TruncatedSeries((A,), 3, {uw(A, 2): 2})
+    assert (t * s).max_degree == 3
+
+
+def test_series_letters_are_checked_and_compared():
+    over_a, over_b = TruncatedSeries((A,), 2, {}), TruncatedSeries((B,), 2, {})
+    assert over_a != over_b
+    assert over_a == TruncatedSeries((A,), 2, {})
+    for combine in (lambda s, t: s + t, lambda s, t: s * t):
+        with pytest.raises(ValidationError):
+            combine(over_a, over_b)
+    with pytest.raises(ValidationError):
+        TruncatedSeries("ab", 2, {})
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValidationError):
         sp.to_cumulants(sp.semicircle(2), "classical")
@@ -270,6 +289,8 @@ def test_univariate_degree_40_closed_forms():
 def test_declared_letters_follow_one_rule(letters, monkeypatch):
     with pytest.raises(ValidationError):
         Distribution(letters, 2, {})
+    with pytest.raises(ValidationError):
+        TruncatedSeries(letters, 2, {})
     with pytest.raises(ValidationError):
         sp.convert({uw(A, 2): F(1)}, "free", "boolean", 4, letters)
     # from_cumulants refuses the letters before it evaluates anything
