@@ -54,6 +54,10 @@ class Side(enum.Enum):
     def __repr__(self):
         return f"Side.{self.name}"
 
+    # by identity, in C: every coproduct memo key hashes a side, and Enum's
+    # own __hash__ is a Python-level call
+    __hash__ = object.__hash__
+
 
 _cache: dict = {}
 

@@ -52,7 +52,7 @@ from typing import Mapping
 from . import functionals as fn
 from .errors import ValidationError
 from .magnus import magnus, magnus_inverse
-from .words import EMPTY_WORD, Letter, Word, words_up_to
+from .words import EMPTY_WORD, Letter, Word, word_bars_up_to, words_up_to
 
 
 class CumulantKind(enum.Enum):
@@ -179,10 +179,14 @@ def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
     """phi(w) / D^|w| on every nonempty word of degree <= max_degree, zeros
     omitted: the values of the tree built on leaves scaled by theta_D."""
     out = {}
-    for w in words_up_to(letters, max_degree):
-        v = phi(w)
+    get = phi._memo.get
+    scale = [D ** k for k in range(max_degree + 1)]
+    for b in word_bars_up_to(tuple(letters), max_degree):
+        v = get(b)
+        if v is None:
+            v = phi(b)
         if v:
-            out[w] = Fraction(v, D ** len(w))
+            out[b.words[0]] = Fraction(v, scale[b.degree])
     return out
 
 
@@ -353,7 +357,8 @@ class TruncatedSeries:
     Words index the coefficients; multiplication is concatenation, dropping
     anything beyond the truncation degree.  A sum or product needs both
     operands over the same letters and is truncated at the smaller
-    max_degree, so both orders agree.
+    max_degree, so both orders agree.  Either operand being anything but a
+    series raises TypeError.
     """
 
     __slots__ = ("letters", "max_degree", "coefficients")
@@ -379,6 +384,8 @@ class TruncatedSeries:
         return min(self.max_degree, other.max_degree)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         n = self._common_degree(other)
         out = dict(self.coefficients)
         for w, v in other.coefficients.items():
@@ -386,6 +393,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.letters, n, out)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         n = self._common_degree(other)
         out: dict[Word, Fraction] = {}
         for u, cu in self.coefficients.items():

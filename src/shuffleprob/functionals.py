@@ -80,7 +80,10 @@ The evaluation kernels (the loops of ``_Pairing``, ``_Linear`` and
 read an operand's memo dict directly and call the operand only on a miss,
 which evaluates and fills that memo.  A hit is the object the call would
 return, so values and the order of every sum are the same either way; in a
-warm tree nearly every read is a hit, and it skips the call.  A running
+warm tree nearly every read is a hit, and it skips the call.  A character
+reads its components from the bar word's ``parts`` slot, filled with their
+canonical one-word bar words on its first bar-product miss, so a second
+character node, or a second tree, builds none of them again.  A running
 kernel holds its operands' bound ``get`` methods, so a node's ``_memo`` dict
 is filled in place and never rebound.
 
@@ -112,9 +115,10 @@ CROSS_CHECK_AD = False
 Value = int | Fraction
 
 
-#: The string forms "p" and "p/q".  Fraction alone would also take decimals
-#: and exponents, and compute 10**3000000 for "1e3000000".
-_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+#: The string forms "p" and "p/q", with p signed and q not.  Fraction alone
+#: would also take decimals and exponents, and compute 10**3000000 for
+#: "1e3000000".
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(x) -> Fraction:
@@ -127,10 +131,12 @@ def parse_rational(x) -> Fraction:
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
+        m = _RATIONAL.fullmatch(x)
+        if m is None:
             raise ValidationError(f"bad rational literal {x!r}: expected 'p' or 'p/q'")
-        try:
-            return Fraction(x)
+        p, q = m.groups()
+        try:  # int() refuses a numeral past the int-string digit limit
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {x!r}: {exc}") from None
     raise ValidationError(f"expected an int, Fraction or 'p/q' string, got {type(x).__name__}")
@@ -162,9 +168,11 @@ class Functional:
             if len(words) < 2:
                 v = self._value(element)
             elif self.is_character:
+                parts = element.parts
+                if parts is None:
+                    parts = element.parts = tuple(BarWord((w,)) for w in words)
                 v = 1
-                for w in words:
-                    part = BarWord((w,))
+                for part in parts:
                     u = memo.get(part)
                     v *= self(part) if u is None else u
                     if not v:
@@ -265,9 +273,9 @@ class _Pairing(Functional):
         f, g = self.f, self.g
         runs = self if g is None else g
         if runs.is_infinitesimal_character and len(b.words) == 1:
-            terms = single_run_terms(b, self.side)
+            terms = single_run_terms(b, self.side).terms.items()
         else:
-            terms = unshuffle_bar(b, self.side)
+            terms = unshuffle_bar(b, self.side).terms.items()
         total = 0 if self.base is None else self.base(b)
         if f is None:  # self on the left: the known right leg goes first
             f = self

@@ -26,27 +26,22 @@ from .words import Letter, Word
 
 
 def rational_str(v) -> str:
-    try:
-        v = Fraction(v)
-    except (TypeError, ValueError):
-        return str(v)  # witnesses are occasionally structural, not numeric
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-def word_to_str(w: Word) -> str:
-    return repr(w)
+    if type(v) is not Fraction:
+        try:
+            v = Fraction(v)
+        except (TypeError, ValueError):
+            return str(v)  # witnesses are occasionally structural, not numeric
+    p, q = v.numerator, v.denominator
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def parse_word(s: str, letters: Mapping[str, Letter]) -> Word:
     if s == "1":
         return Word()
-    parts = s.split(".")
-    out = []
-    for p in parts:
-        if p not in letters:
-            raise ValidationError(f"word {s!r} uses undeclared letter {p!r}")
-        out.append(letters[p])
-    return Word(out)
+    try:
+        return Word([letters[p] for p in s.split(".")])
+    except KeyError as exc:
+        raise ValidationError(f"word {s!r} uses undeclared letter {exc.args[0]!r}") from None
 
 
 def letters_from_names(names) -> tuple[Letter, ...]:
@@ -74,12 +69,19 @@ def _parse_letters(obj) -> tuple[Letter, ...]:
 
 def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
     """values by the rational rule, zeros dropped, in graded lexicographic
-    order; a float or any other non-rational raises ValidationError."""
+    order; a float or any other non-rational raises ValidationError.  A key
+    is the word's repr, joined from its letters' strings, each made once."""
     out = {}
+    names: dict[Letter, str] = {}
     for w in sorted(values, key=Word.sort_key):
         v = parse_rational(values[w])
         if v:
-            out[word_to_str(w)] = rational_str(v)
+            letters = w.letters
+            for l in letters:
+                if l not in names:
+                    names[l] = str(l)
+            key = ".".join([names[l] for l in letters]) if letters else "1"
+            out[key] = rational_str(v)
     return out
 
 

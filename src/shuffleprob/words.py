@@ -9,7 +9,10 @@ Every value here is immutable and hashable; they are used as dictionary keys
 throughout the package.  A word's hash is computed once at construction.  A
 bar word is canonical: constructing one returns the one live object for its
 sequence of words, so bar words compare and hash by identity, in C, and every
-memo or coproduct lookup keyed by one is an identity hit.
+memo or coproduct lookup keyed by one is an identity hit.  A bar product
+caches its one-word components in ``parts`` for the character nodes, and
+:func:`word_bars_up_to` keeps the one-word bar words of the recent word
+sweeps, so a warm sweep or bar product builds no bar word.
 """
 
 from __future__ import annotations
@@ -79,7 +82,9 @@ class Word:
         return Word(self.letters[p - 1] for p in pos)
 
     def sort_key(self):
-        return (len(self.letters), tuple((l.name, l.tag) for l in self.letters))
+        # a Letter is the tuple (name, tag), so this is graded lexicographic
+        # order by name, then tag
+        return (len(self.letters), self.letters)
 
     def __repr__(self):
         if not self.letters:
@@ -109,9 +114,14 @@ class BarWord:
     twins, which would compare unequal; finding a live one takes no lock.
     Copies and unpickled bar words go through the constructor, so they are
     the canonical object too.
+
+    ``parts`` is None until a character node first misses its memo on a bar
+    product; it then holds the one-word bar words ``w1``, ..., ``wm`` of its
+    components, which every character node reads its value from.  A one-word
+    bar word never fills it, so the slot makes no reference cycle.
     """
 
-    __slots__ = ("words", "degree", "__weakref__")
+    __slots__ = ("words", "degree", "parts", "__weakref__")
 
     def __new__(cls, words: Iterable[Word] = ()):
         words = tuple(w for w in words if w.letters)
@@ -124,6 +134,7 @@ class BarWord:
                     self = object.__new__(cls)
                     self.words = words
                     self.degree = sum(map(len, key))
+                    self.parts = None
                     _live_bars[key] = self
         return self
 
@@ -213,6 +224,17 @@ def all_barwords(letters: tuple[Letter, ...], max_degree: int) -> tuple[BarWord,
 
     Bar words are canonical, so every sweep gets the same objects anyway;
     the bounded cache only saves the enumeration, which the nested sweeps of
-    :mod:`verify` repeat.  It is the one strong holder of enumerated bar
-    words outside the memos."""
+    :mod:`verify` repeat.  With :func:`word_bars_up_to` it is one of the two
+    bounded strong holders of enumerated bar words outside the memos."""
     return tuple(barwords_up_to(tuple(letters), max_degree))
+
+
+@lru_cache(maxsize=16)
+def word_bars_up_to(letters: tuple[Letter, ...], max_degree: int) -> tuple[BarWord, ...]:
+    """The one-word bar words ``BarWord((w,))`` of the nonempty words of
+    degree <= max_degree, in the order of :func:`words_up_to`.
+
+    The distribution API sweeps these to read a functional on every word;
+    the bounded cache saves building a word and finding its canonical bar
+    word for every word of every call."""
+    return tuple(BarWord((w,)) for w in words_up_to(tuple(letters), max_degree))

@@ -10,7 +10,7 @@ import shuffleprob as sp
 from shuffleprob import Distribution, ValidationError, Word, cumulants
 from shuffleprob.cumulants import CumulantKind, TruncatedSeries, series
 from shuffleprob.mutations import inject_defect
-from shuffleprob.words import words_up_to
+from shuffleprob.words import word_bars_up_to, words_up_to
 
 from conftest import AB, random_fraction
 
@@ -147,9 +147,9 @@ def test_convert_infers_letters_from_the_kept_keys_only(monkeypatch):
 
     def spy(letters, max_degree):
         swept.append(tuple(letters))
-        return words_up_to(letters, max_degree)
+        return word_bars_up_to(letters, max_degree)
 
-    monkeypatch.setattr(cumulants, "words_up_to", spy)
+    monkeypatch.setattr(cumulants, "word_bars_up_to", spy)
     assert sp.convert({uw(A, 2): 1, uw(z, 9): 1}, "free", "boolean", 8) == expected
     assert swept == [(A,)]
     with pytest.raises(ValidationError, match="no key up to max_degree"):
@@ -192,6 +192,17 @@ def test_series_arithmetic_does_not_depend_on_operand_order():
     assert s + t == t + s == TruncatedSeries((A,), 3, {uw(A, 1): 3})
     assert s * t == t * s == TruncatedSeries((A,), 3, {uw(A, 2): 2})
     assert (t * s).max_degree == 3
+
+
+@pytest.mark.parametrize("combine", [lambda s: s * 2, lambda s: 2 * s,
+                                     lambda s: s + 1, lambda s: 1 + s],
+                         ids=["s*2", "2*s", "s+1", "1+s"])
+def test_series_arithmetic_with_a_number_raises_type_error(combine):
+    # a series combines only with a series; the other operand gets its turn
+    # through NotImplemented, and Python raises TypeError
+    s = TruncatedSeries((A,), 3, {uw(A, 1): 1})
+    with pytest.raises(TypeError):
+        combine(s)
 
 
 def test_series_letters_are_checked_and_compared():

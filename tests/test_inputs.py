@@ -2,7 +2,11 @@
 included, reads them the way the JSON files are read, every max_degree is a
 positive int, and maps take words over the declared letters."""
 
+import io
 import json
+import random
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -11,6 +15,8 @@ import pytest
 import shuffleprob as sp
 from shuffleprob import DomainError, Side, ValidationError, Word
 from shuffleprob import io as sio
+
+from shuffleprob.words import words_up_to
 
 from conftest import AB
 
@@ -114,3 +120,79 @@ def test_from_values_rejects_keys_that_are_not_words():
     for key in ("a", (A,), 1):
         with pytest.raises(DomainError):
             sp.from_values({key: 1})
+
+
+def _fraction_parse(x):
+    """The rational rule on a string as Fraction's own parser reads it: the
+    "p"/"p/q" pattern as the gate, then Fraction(x).  Returns the Fraction,
+    or the message of the ValidationError the rule raises."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*", x):
+        return f"bad rational literal {x!r}: expected 'p' or 'p/q'"
+    try:
+        return F(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad rational literal {x!r}: {exc}"
+
+
+#: literal -> what the rule gives: a Fraction, or None for a refusal.  The
+#: 5000-digit numerals pass the pattern and are refused by the int-string
+#: digit limit, which Fraction's parse and int() share; with the limit
+#: lifted both accept them.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LITERALS = {
+    " +7 ": F(7), "-0/5": F(0), "007/010": F(7, 10), "\t-12/8\n": F(-3, 2),
+    "3/0": None, "-3/0": None, "3/-4": None, "1/2/3": None, "1e3": None, "3.0": None,
+    "": None, " ": None, "١٢": None, "12/١": None, "1_000": None, "+-1": None, "3 /4": None,
+    "1" * 5000: None if _DIGIT_LIMIT else F(int("1" * 5000)),
+    "-7/" + "9" * 5000: None if _DIGIT_LIMIT else F(-7, int("9" * 5000)),
+}
+
+
+@pytest.mark.parametrize("literal", sorted(LITERALS, key=len))
+def test_parse_rational_from_the_pattern_groups_matches_fractions_parse(literal):
+    # parse_rational builds the value from the pattern's groups; it must
+    # give what Fraction's own parse of the literal gives, value, type and
+    # error message alike
+    want, rule = _fraction_parse(literal), LITERALS[literal]
+    if rule is None:
+        assert isinstance(want, str)
+        with pytest.raises(ValidationError) as caught:
+            sio.parse_rational(literal)
+        assert str(caught.value) == want
+    else:
+        assert want == rule
+        got = sio.parse_rational(literal)
+        assert got == want and type(got) is F
+
+
+def _old_sort_key(w):
+    return (len(w.letters), tuple((l.name, l.tag) for l in w.letters))
+
+
+def test_word_sort_key_is_graded_lexicographic_by_name_then_tag():
+    # names tie across tags, and the tag decides only after the name
+    letters = (sp.Letter("x", 2), sp.Letter("x", 0), sp.Letter("y", 1), sp.Letter("x", 1),
+               sp.Letter("b", 2), sp.Letter("y", 0))
+    words = list(words_up_to(letters, 3))
+    rng = random.Random(7)
+    rng.shuffle(words)
+    assert sorted(words, key=Word.sort_key) == sorted(words, key=_old_sort_key)
+    assert [str(l) for l in sorted(letters, key=lambda l: Word((l,)).sort_key())] == [
+        "b#2", "x", "x#1", "x#2", "y", "y#1"]
+
+
+def test_writer_keys_and_values_are_the_words_repr_and_lowest_terms():
+    x1, x2, y, x = sp.Letter("x", 1), sp.Letter("x", 2), sp.Letter("y"), sp.Letter("x")
+    values = {Word((y, x1)): F(-6, 4), Word((x2,)): 3, Word((x1,)): F(0),
+              Word((x, x2, x1)): F(10, 5),
+              Word((x1, x1)): F(-1, 3), Word((x,)): F(7, 1)}
+    text = io.StringIO()
+    sio.dump_json(sio.cumulant_map_to_json("free", (x1, x2, y, x), 3, values), text)
+    assert text.getvalue() == (
+        '{\n  "kind": "free",\n  "letters": [\n    "x",\n    "x",\n    "y",\n    "x"\n  ],\n'
+        '  "max_degree": 3,\n  "values": {\n    "x": "7",\n    "x#2": "3",\n'
+        '    "x#1.x#1": "-1/3",\n    "y.x#1": "-3/2",\n    "x.x#2.x#1": "2"\n  }\n}\n')
+    # the same as the repr of each word, with rational_str of each value
+    old = {repr(w): sio.rational_str(v) for w, v in
+           sorted(values.items(), key=lambda kv: _old_sort_key(kv[0])) if v}
+    assert sio.cumulant_map_to_json("free", (x1,), 3, values)["values"] == old

@@ -7,11 +7,12 @@ import threading
 import pytest
 
 from shuffleprob import (BarWord, DomainError, EMPTY_BAR, EMPTY_WORD, Letter, Side, Word,
-                         as_barword, exp_star, infinitesimal, unshuffle, unshuffle_bar)
+                         as_barword, character, exp_star, infinitesimal, unshuffle,
+                         unshuffle_bar)
 from shuffleprob import words as words_module
 from shuffleprob.coproducts import clear_caches
 from shuffleprob.words import (all_barwords, barwords_of_degree, barwords_up_to,
-                               words_of_degree, words_up_to)
+                               word_bars_up_to, words_of_degree, words_up_to)
 
 A, B, C = Letter("a"), Letter("b"), Letter("c")
 
@@ -56,6 +57,29 @@ def test_enumeration_counts():
         assert len(list(barwords_of_degree((A, B), n))) == 2 ** n * 2 ** (n - 1)
     assert len(list(barwords_up_to((A,), 4))) == 1 + 2 + 4 + 8
     assert all_barwords((A, B), 3) == tuple(barwords_up_to((A, B), 3))
+
+
+def test_word_sweep_is_the_one_word_bar_words_in_word_order():
+    sweep = word_bars_up_to((A, B), 3)
+    assert sweep == tuple(BarWord((w,)) for w in words_up_to((A, B), 3))
+    assert all(b.bar_length == 1 for b in sweep)
+    assert word_bars_up_to((A, B), 3) is sweep  # cached, not built again
+
+
+def test_bar_product_parts_are_its_canonical_one_word_bar_words():
+    # letters no other test sweeps, so no earlier read has filled the slot
+    p, q = Letter("p", 7), Letter("q", 7)
+    u, v = Word((p,)), Word((q, p))
+    b = BarWord((u, v, u))
+    assert b.parts is None
+    phi = character({u: 2, v: 3})
+    assert phi(b) == 12
+    assert b.parts == (BarWord((u,)), BarWord((v,)), BarWord((u,)))
+    assert all(part is BarWord((w,)) for part, w in zip(b.parts, b.words))
+    assert all(part.parts is None for part in b.parts)  # one word fills none
+    # a second character reads the slot, which stays the same tuple
+    parts = b.parts
+    assert character({u: 5, v: 7})(b) == 175 and b.parts is parts
 
 
 def test_concat_degree_and_bar_length():
