@@ -25,11 +25,13 @@ phi1, phi2 = ctx.characters()
 x, y = ctx.d1.letters[0], ctx.d2.letters[0]
 
 w = Word((x, y, x))
+m1 = lambda *letters: ctx.d1.moment(Word(letters))
+m2 = lambda *letters: ctx.d2.moment(Word(letters))
 print(f"on the alternating word {w!r}:")
 print("  monotone product:", monotone_conv(phi1, phi2)(w),
-      "= phi1(x.x) phi2(y) =", ctx.closed_monotone(w))
+      "= phi1(x.x) phi2(y) =", m1(x, x) * m2(y))
 print("  boolean product: ", boolean_conv(phi1, phi2)(w),
-      "= phi1(x) phi2(y) phi1(x) =", ctx.closed_boolean(w))
+      "= phi1(x) phi2(y) phi1(x) =", m1(x) * m2(y) * m1(x))
 print("  free product:    ", free_conv(phi1, phi2)(w))
 print()
 

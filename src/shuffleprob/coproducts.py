@@ -12,8 +12,8 @@ One enumeration builds every term on a word: it fixes a term by the first
 run letters[i:j] of the complement.  The letters before i are picked, and so
 is letters[j]; the letters after j split by their own full coproduct, read
 from the memo.  The side fixes i: any i on the full side, i >= 1 on the
-left, i = 0 on the right.  Apart from the reference closed form
-``products.LabeledContext.closed_free``, it is the only code that enumerates
+left, i = 0 on the right.  Apart from the free product's closed form among
+the references in :mod:`verify`, it is the only code that enumerates
 position subsets.
 
 :func:`single_run_terms` gives the terms of one side on a one-word bar word

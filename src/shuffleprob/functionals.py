@@ -31,8 +31,8 @@ z < phi^{-1} solves X = z + X < (e - phi).  The right division gives
 ``log_right`` (z = phi - e) and ``adjoint`` (z = mu < phi, by the mixed
 axiom), hence ``ad_action``, the conjugation by E<(g1); the left division
 gives ``log_left`` (z = phi - e) and the conjugate in
-``magnus.group_law_left``.  ``log_right_definitional`` and
-``ad_action_composed`` keep the defining products for cross-checks.  The
+``magnus.group_law_left``.  The defining products these replace are
+references in :mod:`verify`, which checks the engine against them.  The
 right leg y is the bar word of the runs left over, so an infinitesimal
 character there reads 0 unless y is one word: when the right operand (or
 the node, in its place) is flagged ``is_infinitesimal_character``, a
@@ -498,12 +498,6 @@ def log_right(phi: Functional) -> Functional:
     return out
 
 
-def log_right_definitional(phi: Functional) -> Functional:
-    """The defining expression phi^{-1} > (phi - e) for log_right; kept for
-    cross-checks."""
-    return hs_right(neumann_inverse(phi), phi - e)
-
-
 def hs_power(phi: Functional, s, side: Side = Side.LEFT) -> Functional:
     """Half-shuffle power: rescale the corresponding logarithm by s and
     re-exponentiate.  s = 1 gives phi back, s = 0 the unit."""
@@ -540,17 +534,6 @@ def ad_action(g1: Functional, g2: Functional) -> Functional:
 def ad_action_right(g1: Functional, g2: Functional) -> Functional:
     """Right Lie-level adjoint action; equals the left action of -g1."""
     return ad_action(-1 * g1, g2)
-
-
-def ad_action_composed(g1: Functional, g2: Functional) -> Functional:
-    """The defining conjugation E<(g1)^{-1} > g2 < E<(g1) as three nodes;
-    kept for cross-checks."""
-    if not (g1.is_infinitesimal_character and g2.is_infinitesimal_character):
-        raise DomainError("the adjoint actions act on infinitesimal characters")
-    E = exp_left(g1)
-    out = hs_left(hs_right(neumann_inverse(E), g2), E)
-    out.is_infinitesimal_character = True
-    return out
 
 
 def positive_part(f: Functional) -> Functional:

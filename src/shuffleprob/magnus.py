@@ -22,8 +22,7 @@ from math import comb, factorial
 from . import mutations
 from .errors import DomainError
 from .functionals import (Functional, _Linear, _Series, _divide_left, conv,
-                          exp_left, exp_star, hs_right, log_left, log_star,
-                          prelie)
+                          exp_left, exp_star, hs_right, log_star, prelie)
 
 
 class BernoulliTable:
@@ -100,11 +99,6 @@ def group_law_left(g1: Functional, g2: Functional) -> Functional:
     return out
 
 
-def group_law_left_definitional(g1: Functional, g2: Functional) -> Functional:
-    """The defining expression for g1 # g2; kept for cross-checks."""
-    return log_left(conv(exp_left(g1), exp_left(g2)))
-
-
 def group_law_right(g1: Functional, g2: Functional) -> Functional:
     """Right shuffle group law g1 (.) g2 = -((-g2) # (-g1))."""
     out = _Linear(((-1, group_law_left(-1 * g2, -1 * g1)),))
@@ -113,4 +107,4 @@ def group_law_right(g1: Functional, g2: Functional) -> Functional:
 
 
 __all__ = ["BernoulliTable", "bernoulli", "magnus", "magnus_inverse", "bch",
-           "group_law_left", "group_law_left_definitional", "group_law_right"]
+           "group_law_left", "group_law_right"]

@@ -6,8 +6,8 @@ adds left-logarithms, the boolean convolution adds right-logarithms, and the
 monotone/antimonotone products are the convolution product in either order.
 The two-algebra universal products are the same operations applied to
 characters that extend each factor by zero on the other's letters; a
-:class:`LabeledContext` packages that embedding and the closed forms the
-products reduce to on alternating words.
+:class:`LabeledContext` packages that embedding.  Their closed forms on
+alternating words, like every reference form, live in :mod:`verify`.
 
 The distribution-level entry points (:func:`convolve_distributions`,
 :func:`subordinate_distributions`, :func:`bp_distribution`) evaluate like
@@ -20,9 +20,7 @@ Fractions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 from . import functionals as fn
@@ -124,6 +122,12 @@ def bp_t(phi: fn.Functional, t) -> fn.Functional:
 # ---------------------------------------------------------------------------
 # two-algebra universal products
 
+def _require_distributions(*ds):
+    if not all(isinstance(d, Distribution) for d in ds):
+        raise ValidationError(f"a labeled context embeds two Distributions, got "
+                              f"{' and '.join(type(d).__name__ for d in ds)}")
+
+
 @dataclass(frozen=True)
 class LabeledContext:
     """Two distributions on disjoint letter sets, embedded in the free
@@ -134,6 +138,7 @@ class LabeledContext:
     d2: Distribution
 
     def __post_init__(self):
+        _require_distributions(self.d1, self.d2)
         names1 = {l.name for l in self.d1.letters}
         names2 = {l.name for l in self.d2.letters}
         if names1 & names2:
@@ -147,6 +152,7 @@ class LabeledContext:
 
     @classmethod
     def from_distributions(cls, d1: Distribution, d2: Distribution) -> "LabeledContext":
+        _require_distributions(d1, d2)
         return cls(d1.retag(1), d2.retag(2))
 
     @property
@@ -172,106 +178,6 @@ class LabeledContext:
                 seqs = [pools[(start + i) % 2] for i in range(n)]
                 for combo in iproduct(*seqs):
                     yield Word(combo)
-
-    @functools.cached_property
-    def _product_characters(self):
-        phi1, phi2 = self.characters()
-        return {"monotone": monotone_conv(phi1, phi2),
-                "antimonotone": antimonotone_conv(phi1, phi2),
-                "free": free_conv(phi1, phi2),
-                "boolean": boolean_conv(phi1, phi2)}
-
-    def _evaluate(self, kind: str, w: Word, closed) -> Fraction:
-        phi = self._product_characters[kind]
-        value = phi(w)
-        try:
-            self._check_alternating(w)
-        except DomainError:
-            return value  # mixed words go through the convolution path only
-        expected = closed(phi, w) if kind == "free" else closed(w)
-        if value != expected:
-            raise AssertionError(f"{kind} product disagrees with its closed form at {w!r}")
-        return value
-
-    def monotone_product(self, w: Word) -> Fraction:
-        """Moment of w under the monotone extension (the convolution product
-        of the two embedded characters, in context order)."""
-        return self._evaluate("monotone", w, self.closed_monotone)
-
-    def antimonotone_product(self, w: Word) -> Fraction:
-        return self._evaluate("antimonotone", w, self.closed_antimonotone)
-
-    def free_product(self, w: Word) -> Fraction:
-        """Moment of w under the free extension (left logarithms add)."""
-        return self._evaluate("free", w, self.closed_free)
-
-    def boolean_product(self, w: Word) -> Fraction:
-        """Moment of w under the boolean extension (right logarithms add)."""
-        return self._evaluate("boolean", w, self.closed_boolean)
-
-    # --- closed forms on alternating words ------------------------------
-
-    def closed_monotone(self, w: Word) -> Fraction:
-        """First algebra's letters multiply inside one moment; second
-        algebra's letters factor out one by one."""
-        self._check_alternating(w)
-        own = w.subword([i + 1 for i, l in enumerate(w.letters) if l.tag == 1])
-        out = self.d1.moment(own) if own else Fraction(1)
-        for l in w.letters:
-            if l.tag == 2:
-                out *= self.d2.moment(Word((l,)))
-        return out
-
-    def closed_antimonotone(self, w: Word) -> Fraction:
-        self._check_alternating(w)
-        own = w.subword([i + 1 for i, l in enumerate(w.letters) if l.tag == 2])
-        out = self.d2.moment(own) if own else Fraction(1)
-        for l in w.letters:
-            if l.tag == 1:
-                out *= self.d1.moment(Word((l,)))
-        return out
-
-    def closed_boolean(self, w: Word) -> Fraction:
-        """Every letter factors out on its own moment."""
-        self._check_alternating(w)
-        out = Fraction(1)
-        for l in w.letters:
-            out *= self.dist_for_tag(l.tag).moment(Word((l,)))
-        return out
-
-    def closed_free(self, phi: fn.Functional, w: Word) -> Fraction:
-        """Signed subset recursion satisfied by the free product character:
-        the moment of w is determined by moments of proper subwords keeping
-        position 1 and by first moments of the dropped letters."""
-        self._check_alternating(w)
-        n = len(w)
-        if n == 1:
-            return self.dist_for_tag(w.letters[0].tag).moment(w)
-        total = Fraction(0)
-        for mask in range(1, 1 << n, 2):
-            if mask == (1 << n) - 1:
-                continue
-            positions = [i + 1 for i in range(n) if mask >> i & 1]
-            inner = phi(w.subword(positions))
-            if not inner:
-                continue
-            sign = -1 if (n - len(positions)) % 2 else 1
-            outer = Fraction(1)
-            for i in range(n):
-                if not mask >> i & 1:
-                    l = w.letters[i]
-                    outer *= self.dist_for_tag(l.tag).moment(Word((l,)))
-            total += sign * inner * outer
-        return -total
-
-    def _check_alternating(self, w: Word):
-        if not w:
-            raise DomainError("closed forms are stated for nonempty alternating words")
-        tags = [l.tag for l in w.letters]
-        if any(t not in (1, 2) for t in tags):
-            raise DomainError(f"word {w!r} uses letters outside the context")
-        if any(a == b for a, b in zip(tags, tags[1:])):
-            raise DomainError(f"word {w!r} does not alternate between the algebras")
 
 
 def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Distribution:

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 import shuffleprob as sp
-from shuffleprob import functionals
+from shuffleprob.verify import _ad_composed
 from shuffleprob.words import EMPTY_BAR, all_barwords, words_up_to
 
 from conftest import AB, random_fraction, random_inf
@@ -42,7 +42,7 @@ BUILDERS = {
     "adjoint": lambda: sp.adjoint(psi, k1),
     "ad_action": lambda: sp.ad_action(k1, k2),
     "ad_action_right": lambda: sp.ad_action_right(k1, k2),
-    "ad_action_composed": lambda: functionals.ad_action_composed(k1, k2),
+    "ad_action_composed": lambda: _ad_composed(k1, k2),
     "magnus": lambda: sp.magnus(k1),
     "magnus_inverse": lambda: sp.magnus_inverse(k1),
     "bch": lambda: sp.bch(k1, k2),

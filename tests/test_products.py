@@ -6,8 +6,10 @@ import pytest
 import shuffleprob as sp
 from shuffleprob import (DomainError, Distribution, LabeledContext, Side,
                          ValidationError, Word)
+from shuffleprob.verify import (_closed_antimonotone, _closed_boolean, _closed_free,
+                                _closed_monotone)
 
-from conftest import AB, random_fraction, random_inf, run_python
+from conftest import AB, random_fraction, random_inf
 
 A, B = AB
 
@@ -26,6 +28,15 @@ def context(seed=60, max_degree=5):
 def test_context_requires_disjoint_names():
     with pytest.raises(ValidationError):
         LabeledContext.from_distributions(univariate(1, "x"), univariate(2, "x"))
+
+
+def test_context_refuses_non_distributions():
+    d = univariate(1, "x").retag(1)
+    for args in ((1, 2), (d, None), ({"x": 1}, d)):
+        with pytest.raises(ValidationError, match="embeds two Distributions"):
+            LabeledContext(*args)
+        with pytest.raises(ValidationError, match="embeds two Distributions"):
+            LabeledContext.from_distributions(*args)
 
 
 def test_monotone_closed_form_examples():
@@ -54,24 +65,10 @@ def test_universal_products_on_all_alternating_words():
     free = sp.free_conv(phi1, phi2)
     boole = sp.boolean_conv(phi1, phi2)
     for w in ctx.alternating_words(5):
-        assert mono(w) == ctx.closed_monotone(w), ("monotone", w)
-        assert anti(w) == ctx.closed_antimonotone(w), ("antimonotone", w)
-        assert free(w) == ctx.closed_free(free, w), ("free", w)
-        assert boole(w) == ctx.closed_boolean(w), ("boolean", w)
-
-
-def test_context_product_evaluators():
-    ctx = context(77)
-    x, y = ctx.d1.letters[0], ctx.d2.letters[0]
-    w = Word((x, y, x))
-    assert ctx.monotone_product(w) == ctx.closed_monotone(w)
-    assert ctx.antimonotone_product(w) == ctx.closed_antimonotone(w)
-    assert ctx.boolean_product(w) == ctx.closed_boolean(w)
-    free = ctx.free_product(w)
-    assert free == sp.free_conv(*ctx.characters())(w)
-    # mixed (non-alternating) words still evaluate through the convolution
-    mixed = Word((x, x, y))
-    assert ctx.monotone_product(mixed) == sp.monotone_conv(*ctx.characters())(mixed)
+        assert mono(w) == _closed_monotone(ctx, mono, w), ("monotone", w)
+        assert anti(w) == _closed_antimonotone(ctx, anti, w), ("antimonotone", w)
+        assert free(w) == _closed_free(ctx, free, w), ("free", w)
+        assert boole(w) == _closed_boolean(ctx, boole, w), ("boolean", w)
 
 
 def test_free_product_mixed_pair_moment():
@@ -193,24 +190,6 @@ def test_alternating_word_validation():
     ctx = context(76)
     x = ctx.d1.letters[0]
     with pytest.raises(DomainError):
-        ctx.closed_monotone(Word((x, x)))
+        _closed_monotone(ctx, None, Word((x, x)))
     with pytest.raises(DomainError):
-        ctx.closed_boolean(Word((A,)))
-
-
-def test_closed_form_check_raises_under_python_O():
-    code = """
-from fractions import Fraction
-import shuffleprob as sp
-if __debug__:
-    raise SystemExit("expected python -O")
-d1 = sp.Distribution.univariate("x", [1, 2, 3], 3)
-d2 = sp.Distribution.univariate("y", [Fraction(1, 2), 1, 5], 3)
-sp.LabeledContext.closed_monotone = lambda self, w: Fraction(-7)
-ctx = sp.LabeledContext.from_distributions(d1, d2)
-x, y = ctx.letters
-ctx.monotone_product(sp.Word((x, y, x)))
-"""
-    done = run_python("-O", "-c", code)
-    assert done.returncode != 0
-    assert "AssertionError: monotone product disagrees" in done.stderr
+        _closed_boolean(ctx, None, Word((A,)))

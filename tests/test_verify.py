@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from shuffleprob import functionals as fn
+from shuffleprob import products
 from shuffleprob.mutations import DEFECTS, inject_defect
 from shuffleprob.reporting import CheckResult, Report
 from shuffleprob.verify import SUITES, run_suite, run_suites
@@ -129,3 +130,24 @@ def test_agreement_checks_are_not_decided_by_the_flags(monkeypatch, suite, name)
     report = run_suite(suite, max_degree=3, seed=0)
     [check] = [c for c in report.results if c.name == name]
     assert check.status == "fail" and check.witness["element"] == "a|b"
+
+
+# Each universal product swapped for a wrong one: the convolution in the
+# other order, or the other logarithm pair.
+WRONG_PRODUCTS = {
+    "monotone_conv": lambda p, q: fn.conv(q, p),
+    "antimonotone_conv": lambda p, q: fn.conv(p, q),
+    "free_conv": lambda p, q: fn.exp_right(fn.log_right(p) + fn.log_right(q)),
+    "boolean_conv": lambda p, q: fn.exp_left(fn.log_left(p) + fn.log_left(q)),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_PRODUCTS)
+def test_universal_product_references_are_not_tautological(monkeypatch, name):
+    # The closed forms in verify are computed apart from the engine's
+    # product, so the wrong product must fail its check, at x y x.
+    monkeypatch.setattr(products, name, WRONG_PRODUCTS[name])
+    report = run_suite("products", max_degree=4, seed=0)
+    check_name = "universal-product-" + name.removesuffix("_conv")
+    [check] = [c for c in report.results if c.name == check_name]
+    assert check.status == "fail" and check.witness["element"] == "x#1.y#2.x#1"
