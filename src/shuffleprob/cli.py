@@ -7,13 +7,14 @@ verify, verify-coalgebra.  All file formats are the JSON schemas of
 be written exits 2 before any work.
 
 The degree cap defaults to 8 and can be overridden with the environment
-variable SHUFFLE_MAX_DEGREE.
+variable SHUFFLE_MAX_DEGREE.  The cap and the ``-o`` path are the only
+input checked here; the library's own rules refuse a bad ``--t`` or value.
 
 A process loads only what its command runs: :mod:`products` is imported by
 convolve, subordinate and bp, and :mod:`verify` by the two verify commands.
 So the parser knows no suite or letter names: :func:`verify.run_suites`
-refuses an unknown suite, and an omitted ``--letters`` means the suites'
-``DEFAULT_LETTERS``.
+refuses an unknown suite or bad letter names, and an omitted ``--letters``
+means the suites' ``DEFAULT_LETTERS``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import io as sio
 from .cumulants import Distribution, convert, from_cumulants, series, to_cumulants
@@ -104,13 +104,6 @@ def _load_cumulant_map(path: str, override: int | None):
     return kind, letters, _effective_degree(n, override), values
 
 
-def _parse_t(raw: str) -> Fraction:
-    try:
-        return sio.parse_rational(raw)
-    except ValidationError:
-        raise ValidationError(f"--t must be a rational like 1/2, got {raw!r}") from None
-
-
 def cmd_cumulants(args) -> int:
     d = _load_distribution(args.input, args.max_degree)
     values = to_cumulants(d, args.kind)
@@ -155,10 +148,7 @@ def cmd_subordinate(args) -> int:
 def cmd_bp(args) -> int:
     from . import products as pr
     d = _load_distribution(args.input, args.max_degree)
-    t = _parse_t(args.t)
-    if t < 0:
-        raise ValidationError("--t must be >= 0")
-    out = pr.bp_distribution(d, t)
+    out = pr.bp_distribution(d, args.t)
     _emit(sio.distribution_to_json(out), args.output)
     return 0
 
@@ -172,16 +162,12 @@ def cmd_series(args) -> int:
 
 
 def _parse_letter_names(raw: str | None):
-    """The letter names of --letters, or the suites' default when it is
-    not given."""
+    """The names in --letters, or the suites' default when it is not given;
+    :func:`verify.run_suites` checks them."""
     if raw is None:
         from .verify import DEFAULT_LETTERS
         return DEFAULT_LETTERS
-    names = tuple(n.strip() for n in raw.split(",") if n.strip())
-    if not names:
-        raise ValidationError("--letters needs a comma-separated list of names")
-    sio.letters_from_names(names)  # the letter-name rule of the input files
-    return names
+    return tuple(n.strip() for n in raw.split(",") if n.strip())
 
 
 def cmd_verify(args) -> int:

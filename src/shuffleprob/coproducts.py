@@ -118,7 +118,7 @@ def half_unshuffle(w: Word, side: Side, reduced: bool = False) -> TensorSum:
 def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum:
     """Coproduct of a bar word: the chosen half on the first component,
     the full coproduct on the rest, multiplied componentwise."""
-    b = as_barword(b)
+    b = b if type(b) is BarWord else as_barword(b)
     key = (b, side, reduced)
     out = _cache.get(key)
     if out is not None:
@@ -150,7 +150,7 @@ def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
     one interval [i..j].  Every interval on the full side; i >= 2 on the
     left side, with [2..n] dropped under the ``drop-left-singleton`` defect;
     i = 1 on the right side."""
-    b = as_barword(b)
+    b = b if type(b) is BarWord else as_barword(b)
     key = (b, side, "run")
     out = _cache.get(key)
     if out is not None:

@@ -33,13 +33,15 @@ series coefficients), and divides each value by D^|w| once, so every
 result is a ``Fraction``.  The public constructors, :func:`cumulant_functional`
 and :meth:`Distribution.character` build unscaled trees.
 
-Input follows one rule each, and :mod:`shuffleprob.io` reads its files by
-the same rules: a value by ``functionals.parse_rational``, a max_degree by
-:func:`_degree`, and the keys of a moment map, a library cumulant map, a
-cumulant file or the coefficients of a :class:`TruncatedSeries` by
-:func:`_word_map`.  The declared letters of a :class:`Distribution`, of
-:func:`from_cumulants` and of :func:`convert`, when given, follow
-:func:`_letters`, checked before any evaluation.
+Input follows one rule each, and the other layers (the JSON reader, the
+CLI, ``verify.run_suites``) call these rules and do not check again: a
+value by ``functionals.parse_rational``, a max_degree by :func:`_degree`,
+and the keys of a moment map, a library cumulant map, a cumulant file or
+the coefficients of a :class:`TruncatedSeries` by :func:`_word_map`.  The
+declared letters of a :class:`Distribution`, of :func:`from_cumulants` and
+of :func:`convert`, when given, follow :func:`_letters`, checked before any
+evaluation, and every distribution operand, here and in :mod:`products`,
+:func:`_distributions`.
 """
 
 from __future__ import annotations
@@ -214,6 +216,12 @@ def _letters(letters) -> tuple[Letter, ...]:
     return letters
 
 
+def _distributions(what: str, *ds) -> None:
+    """The one rule for a distribution operand: each of ds is a Distribution."""
+    if not all(isinstance(d, Distribution) for d in ds):
+        raise ValidationError(f"{what}, got {' and '.join(type(d).__name__ for d in ds)}")
+
+
 def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
               drop_above: bool = False) -> dict[Word, Fraction]:
     """values read by the rational rule, zeros dropped.  Keys are nonempty
@@ -284,11 +292,13 @@ def cumulant_functional(d: Distribution, kind) -> fn.Functional:
     boolean cumulants, which equals log*(phi).  Free: log<(phi) when
     d.max_degree < 9, and W(-O(-log>(phi))), which equals it, from degree 9
     on, where it is the cheaper of the two."""
+    _distributions("cumulant_functional takes a Distribution", d)
     return _logarithm(_as_kind(kind), d.max_degree)(d.character())
 
 
 def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
     """Cumulants of every word of degree <= max_degree (zeros omitted)."""
+    _distributions("to_cumulants takes a Distribution", d)
     log = _logarithm(_as_kind(kind), d.max_degree)
     D, (moments,) = _scaled((d.moments,))
     return _unscaled(log(fn.character(moments)), D, d.letters, d.max_degree)
@@ -417,6 +427,7 @@ class TruncatedSeries:
 def series(d: Distribution, which: str) -> TruncatedSeries:
     """Generating series of a distribution: "M" collects moments, "R" free
     cumulants, "eta" boolean cumulants, on all words up to max_degree."""
+    _distributions("series takes a Distribution", d)
     table = {"m": None, "r": CumulantKind.FREE, "eta": CumulantKind.BOOLEAN}
     key = str(which).lower()
     if key not in table:

@@ -59,7 +59,8 @@ meaning requires them, and drive evaluation: on a memo miss at a bar word of
 two or more components, a flagged node returns the product of its values on
 the component words, or 0, instead of recursing through the bar coproduct.
 
-There is one leaf node, ``_Table``: explicit bar-word values, 0 elsewhere.
+There is one leaf node, ``_Table``: explicit bar-word values, 0 elsewhere,
+written into its memo, so a kernel's first read of one is a hit.
 A leaf's flag is its definition.  ``character`` is a table of its word
 values and 1 at the empty bar word, flagged ``is_character``;
 ``infinitesimal`` a table of its word values, flagged
@@ -204,22 +205,23 @@ class Functional:
 
 
 class _Table(Functional):
-    """The one leaf: explicit bar-word values, 0 elsewhere.  A character or
-    an infinitesimal character is a table of its word values with its flag
-    set, and the flag gives its values on bar products."""
+    """The one leaf: explicit bar-word values, held in its memo, 0
+    elsewhere.  A character or an infinitesimal character is a table of its
+    word values with its flag set, and the flag gives its values on bar
+    products."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
     def __init__(self, values: Mapping, keys, what: str):
         super().__init__()
-        self.values = {}
+        memo = self._memo
         for k, v in values.items():
             if not isinstance(k, keys):
                 raise DomainError(f"{what}, got {k!r}")
-            self.values[as_barword(k)] = _exact(v)
+            memo[as_barword(k)] = _exact(v)
 
     def _value(self, b):
-        return self.values.get(b, 0)
+        return 0
 
 
 class _Linear(Functional):
@@ -351,7 +353,7 @@ class _Series(Functional):
 def character(moments: Mapping[Word, Fraction]) -> Functional:
     """The character extending a word -> moment map multiplicatively over bars."""
     out = _Table(moments, Word, "moment keys must be words")
-    if out.values.setdefault(EMPTY_BAR, 1) != 1:
+    if out._memo.setdefault(EMPTY_BAR, 1) != 1:
         raise DomainError("the empty word must have moment 1")
     out.is_character = True
     return out
@@ -360,7 +362,7 @@ def character(moments: Mapping[Word, Fraction]) -> Functional:
 def infinitesimal(values: Mapping[Word, Fraction]) -> Functional:
     """The infinitesimal character with the given word values."""
     out = _Table(values, Word, "value keys must be words")
-    if EMPTY_BAR in out.values:
+    if EMPTY_BAR in out._memo:
         raise DomainError("an infinitesimal character vanishes on the empty word")
     out.is_infinitesimal_character = True
     return out

@@ -6,10 +6,10 @@ accepted on input for convenience.  Words are dot-joined letter names, and
 graded lexicographic order, so re-emitting a parsed file reproduces it byte
 for byte.
 
-This module only turns text into words and rationals.  Values, degrees
+This module only turns text into words and letters.  Values, degrees
 and map keys are checked by the library's own rules (``parse_rational`` of
 :mod:`functionals`, re-exported here, and the checks of :mod:`cumulants`),
-so a file and a library call accept the same input.  The writers read
+once, so a file and a library call accept the same input.  The writers read
 each value they are handed by the same rational rule.
 """
 
@@ -90,7 +90,7 @@ def _parse_value_map(obj, field: str, letters) -> dict[Word, Fraction]:
     if not isinstance(raw, dict):
         raise ValidationError(f"'{field}' must be an object mapping words to rationals")
     table = {l.name: l for l in letters}
-    return {parse_word(key, table): parse_rational(val) for key, val in raw.items()}
+    return {parse_word(key, table): val for key, val in raw.items()}
 
 
 def distribution_to_json(d: Distribution) -> dict:

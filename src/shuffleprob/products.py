@@ -16,6 +16,10 @@ int arithmetic, dividing once.  D is the lcm of the moment denominators;
 for :func:`bp_distribution` it is also multiplied by the denominator of t,
 so that t times the scaled left logarithm stays integral.  The results are
 Fractions.
+
+Operands follow the rule of :mod:`cumulants` for a Distribution; a
+functional that is not unital is refused by the logarithm each product
+reads first, or by :func:`monotone_conv` itself.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from itertools import product as iproduct
 
 from . import functionals as fn
 from .coproducts import Side
-from .cumulants import Distribution, _scaled, _unscaled_distribution
+from .cumulants import Distribution, _distributions, _scaled, _unscaled_distribution
 from .errors import DomainError, ValidationError
 from .words import Letter, Word
 
@@ -41,13 +45,11 @@ def _require_unital(*phis):
 
 def free_conv(phi1: fn.Functional, phi2: fn.Functional) -> fn.Functional:
     """Free additive convolution: exp_left of the sum of left logarithms."""
-    _require_unital(phi1, phi2)
     return fn.exp_left(fn.log_left(phi1) + fn.log_left(phi2))
 
 
 def boolean_conv(phi1: fn.Functional, phi2: fn.Functional) -> fn.Functional:
     """Boolean additive convolution: exp_right of the sum of right logarithms."""
-    _require_unital(phi1, phi2)
     return fn.exp_right(fn.log_right(phi1) + fn.log_right(phi2))
 
 
@@ -83,7 +85,6 @@ def subordinate(phi: fn.Functional, psi: fn.Functional, side: Side = Side.LEFT
     Right (phi <| psi): exp_right of the action of minus phi's right
     logarithm on psi's; satisfies  phi (+)> psi = (psi <| phi) * psi.
     """
-    _require_unital(phi, psi)
     if side is Side.LEFT:
         return fn.exp_left(fn.ad_action(fn.log_left(psi), fn.log_left(phi)))
     if side is Side.RIGHT:
@@ -94,12 +95,10 @@ def subordinate(phi: fn.Functional, psi: fn.Functional, side: Side = Side.LEFT
 def bp(phi: fn.Functional) -> fn.Functional:
     """Boolean-to-free bijection on characters: reread the right logarithm
     as a left logarithm (exp_left o log_right)."""
-    _require_unital(phi)
     return fn.exp_left(fn.log_right(phi))
 
 
 def bp_inverse(phi: fn.Functional) -> fn.Functional:
-    _require_unital(phi)
     return fn.exp_right(fn.log_left(phi))
 
 
@@ -114,19 +113,12 @@ def bp_t(phi: fn.Functional, t) -> fn.Functional:
     t = fn.parse_rational(t)
     if t < 0:
         raise DomainError("the bijection semigroup is defined for t >= 0")
-    _require_unital(phi)
     kappa = fn.log_left(phi)
     return fn.exp_left(fn.ad_action(t * kappa, kappa))
 
 
 # ---------------------------------------------------------------------------
 # two-algebra universal products
-
-def _require_distributions(*ds):
-    if not all(isinstance(d, Distribution) for d in ds):
-        raise ValidationError(f"a labeled context embeds two Distributions, got "
-                              f"{' and '.join(type(d).__name__ for d in ds)}")
-
 
 @dataclass(frozen=True)
 class LabeledContext:
@@ -138,7 +130,7 @@ class LabeledContext:
     d2: Distribution
 
     def __post_init__(self):
-        _require_distributions(self.d1, self.d2)
+        _distributions("a labeled context embeds two Distributions", self.d1, self.d2)
         names1 = {l.name for l in self.d1.letters}
         names2 = {l.name for l in self.d2.letters}
         if names1 & names2:
@@ -152,7 +144,7 @@ class LabeledContext:
 
     @classmethod
     def from_distributions(cls, d1: Distribution, d2: Distribution) -> "LabeledContext":
-        _require_distributions(d1, d2)
+        _distributions("a labeled context embeds two Distributions", d1, d2)
         return cls(d1.retag(1), d2.retag(2))
 
     @property
@@ -180,16 +172,19 @@ class LabeledContext:
                     yield Word(combo)
 
 
+def _common_operands(what: str, d1, d2):
+    _distributions(f"{what} takes two Distributions", d1, d2)
+    if d1.letters != d2.letters or d1.max_degree != d2.max_degree:
+        raise ValidationError(f"{what} needs a common letter set and max_degree "
+                              f"({d1.letters}, {d1.max_degree} vs {d2.letters}, {d2.max_degree})")
+
+
 def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Distribution:
     """Distribution-level convolution over a common letter set.
 
     kind is one of "free", "boolean", "monotone-left", "monotone-right".
     """
-    if d1.letters != d2.letters:
-        raise ValidationError("convolution needs a common letter set "
-                              f"({d1.letters} vs {d2.letters})")
-    if d1.max_degree != d2.max_degree:
-        raise ValidationError("convolution needs a common max_degree")
+    _common_operands("convolution", d1, d2)
     ops = {"free": free_conv, "boolean": boolean_conv,
            "monotone-left": monotone_conv, "monotone-right": antimonotone_conv}
     if kind not in ops:
@@ -199,8 +194,7 @@ def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Dis
 
 
 def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> Distribution:
-    if d1.letters != d2.letters or d1.max_degree != d2.max_degree:
-        raise ValidationError("subordination needs a common letter set and max_degree")
+    _common_operands("subordination", d1, d2)
     side_enum = {"left": Side.LEFT, "right": Side.RIGHT}.get(side)
     if side_enum is None:
         raise ValidationError(f"unknown side {side!r}; expected left or right")
@@ -210,6 +204,7 @@ def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> 
 
 
 def bp_distribution(d: Distribution, t=1) -> Distribution:
+    _distributions("bp_distribution takes a Distribution", d)
     # t * kappa stays integral when D also clears the denominator of t
     t = fn.parse_rational(t)
     D, (moments,) = _scaled((d.moments,), t.denominator)

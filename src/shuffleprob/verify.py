@@ -5,6 +5,9 @@ corpus and reports one :class:`CheckResult` per identity, with the first
 counterexample as witness.  Random characters are produced by exponentiating
 random infinitesimal characters, which guarantees well-formedness instead of
 rejection-sampling on moments.  All comparisons are exact.
+
+:func:`run_suites`, the one driver, checks the letters and max_degree by
+the rules of :mod:`io` and :mod:`cumulants` before any suite runs.
 """
 
 from __future__ import annotations
@@ -19,20 +22,17 @@ from . import functionals as fn
 from . import products as pr
 from .axioms import check_axioms
 from .coproducts import Side, unshuffle_bar
-from .cumulants import (CumulantKind, Distribution, bernoulli_symmetric,
+from .cumulants import (CumulantKind, Distribution, _degree, _letters, bernoulli_symmetric,
                         convert, from_cumulants, point_mass, semicircle, series,
                         tabulate, to_cumulants)
 from .errors import DomainError, ValidationError
+from .io import letters_from_names
 from .magnus import bch, bernoulli, group_law_left, group_law_right, magnus, magnus_inverse
 from .partitions import oracle_convert, oracle_moments
 from .reporting import CheckResult, Report
-from .words import Letter, Word, all_barwords, words_up_to
+from .words import Word, all_barwords, words_up_to
 
 DEFAULT_LETTERS = ("a", "b")
-
-
-def _letters(names) -> tuple[Letter, ...]:
-    return tuple(Letter(n) for n in names)
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:
@@ -212,18 +212,13 @@ def _first_over(draws, checks) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each takes (rng, letters, max_degree), as run_suites checked them
 
-def coalgebra_suite(max_degree: int = 6, seed: int = 0,
-                    letters=DEFAULT_LETTERS) -> Report:
-    return check_axioms(_letters(letters), max_degree)
+def coalgebra_suite(rng, ls, D) -> Report:
+    return check_axioms(ls, D)
 
 
-def shuffle_suite(max_degree: int = 6, seed: int = 0,
-                  letters=DEFAULT_LETTERS) -> Report:
-    rng = random.Random(seed)
-    ls = _letters(letters)
-    D = max_degree
+def shuffle_suite(rng, ls, D) -> Report:
     report = Report("shuffle")
 
     infs = [_random_infinitesimal(rng, ls, D) for _ in range(8)]
@@ -358,11 +353,7 @@ def shuffle_suite(max_degree: int = 6, seed: int = 0,
     return report
 
 
-def magnus_suite(max_degree: int = 6, seed: int = 0,
-                 letters=DEFAULT_LETTERS) -> Report:
-    rng = random.Random(seed)
-    ls = _letters(letters)
-    D = max_degree
+def magnus_suite(rng, ls, D) -> Report:
     d5, d4 = min(D, 5), min(D, 4)
     report = Report("magnus")
 
@@ -453,11 +444,7 @@ def magnus_suite(max_degree: int = 6, seed: int = 0,
     return report
 
 
-def cumulants_suite(max_degree: int = 6, seed: int = 0,
-                    letters=DEFAULT_LETTERS) -> Report:
-    rng = random.Random(seed)
-    ls = _letters(letters)
-    D = max_degree
+def cumulants_suite(rng, ls, D) -> Report:
     report = Report("cumulants")
 
     kinds = (CumulantKind.FREE, CumulantKind.BOOLEAN, CumulantKind.MONOTONE)
@@ -556,10 +543,7 @@ def cumulants_suite(max_degree: int = 6, seed: int = 0,
     return report
 
 
-def products_suite(max_degree: int = 5, seed: int = 0,
-                   letters=DEFAULT_LETTERS) -> Report:
-    rng = random.Random(seed)
-    D = max_degree
+def products_suite(rng, ls, D) -> Report:
     report = Report("products")
 
     # Universal products on two single-letter algebras.
@@ -596,7 +580,6 @@ def products_suite(max_degree: int = 5, seed: int = 0,
         [w for w in alt if len(w) >= 2], free, lambda w: -rec(w))))
 
     # Convolution group laws on a common algebra.
-    ls = _letters(letters)
     phis = [_random_character(rng, ls, D) for _ in range(3)]
     E = fn.unit()
     for tag, op in (("free", pr.free_conv), ("boolean", pr.boolean_conv)):
@@ -687,10 +670,7 @@ def products_suite(max_degree: int = 5, seed: int = 0,
     return report
 
 
-def bp_suite(max_degree: int = 6, seed: int = 0, letters=DEFAULT_LETTERS) -> Report:
-    rng = random.Random(seed)
-    ls = _letters(letters)
-    D = max_degree
+def bp_suite(rng, ls, D) -> Report:
     report = Report("bp")
 
     phi = _random_character(rng, ls, D)
@@ -751,16 +731,22 @@ def _suite_func(name: str):
 
 def run_suite(name: str, max_degree: int = 5, seed: int = 0,
               letters=DEFAULT_LETTERS) -> Report:
-    return _suite_func(name)(max_degree=max_degree, seed=seed, letters=letters)
+    _suite_func(name)  # "all" is not one suite
+    [report] = run_suites(name, max_degree, seed, letters)
+    return report
 
 
 def run_suites(names, max_degree: int = 5, seed: int = 0,
                letters=DEFAULT_LETTERS) -> list[Report]:
     """One report per suite name, in order.  A string is one name, and
     "all" anywhere runs the six suites once each, in ``SUITES`` order.  An
-    unknown name raises ValidationError before any suite runs."""
+    unknown name, a max_degree that is not a positive int, and letter
+    names that are malformed, duplicated or none raise ValidationError
+    before any suite runs.  Each suite draws from its own Random(seed)."""
     names = [names] if isinstance(names, str) else list(names)
     if "all" in names:
         names = SUITES
     funcs = [_suite_func(n) for n in names]
-    return [f(max_degree=max_degree, seed=seed, letters=letters) for f in funcs]
+    D = _degree(max_degree)
+    ls = _letters(letters_from_names(letters))
+    return [f(random.Random(seed), ls, D) for f in funcs]

@@ -306,8 +306,9 @@ def test_letter_named_one_exits_two(tmp_path, capsys):
 
 def test_bad_letter_names_exit_two(capsys):
     # the letter-name rule of the input files: a duplicate would enumerate
-    # every word twice, and "1", "a.b" and "a|b" would print as other words
-    for raw in ("a,a", "1,b", "a.b,c", "a|b"):
+    # every word twice, "1", "a.b" and "a|b" would print as other words, and
+    # no name at all would certify every identity over no letters
+    for raw in ("a,a", "1,b", "a.b,c", "a|b", ","):
         for cmd in (["verify", "--suite", "coalgebra"], ["verify-coalgebra"]):
             assert main(cmd + ["--letters", raw, "--max-degree", "2"]) == 2, (cmd, raw)
             assert "error:" in capsys.readouterr().err

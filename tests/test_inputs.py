@@ -14,6 +14,7 @@ import pytest
 
 import shuffleprob as sp
 from shuffleprob import DomainError, Side, ValidationError, Word
+from shuffleprob import cumulants
 from shuffleprob import io as sio
 
 from shuffleprob.words import words_up_to
@@ -106,6 +107,23 @@ def test_distribution_letters_and_series_keys_follow_the_rules():
                   lambda: sp.TruncatedSeries((A,), 2, {Word((B,)): 1})):
         with pytest.raises(ValidationError):
             build()
+
+
+#: Each distribution-level entry point, called with an int for a Distribution.
+OPERAND_CALLS = {
+    "to_cumulants": lambda: sp.to_cumulants(1, "free"),
+    "cumulant_functional": lambda: cumulants.cumulant_functional(1, "free"),
+    "series": lambda: sp.series(1, "M"),
+    "convolve_distributions": lambda: sp.convolve_distributions(1, 2, "free"),
+    "subordinate_distributions": lambda: sp.subordinate_distributions(1, 2, "left"),
+    "bp_distribution": lambda: sp.bp_distribution(1),
+}
+
+
+@pytest.mark.parametrize("name", OPERAND_CALLS)
+def test_distribution_operands_follow_one_rule(name):
+    with pytest.raises(ValidationError, match="Distribution"):
+        OPERAND_CALLS[name]()
 
 
 def test_from_values_stores_exact_values():

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from shuffleprob import functionals as fn
-from shuffleprob import products
+from shuffleprob import products, verify
+from shuffleprob.errors import ValidationError
 from shuffleprob.mutations import DEFECTS, inject_defect
 from shuffleprob.reporting import CheckResult, Report
 from shuffleprob.verify import SUITES, run_suite, run_suites
@@ -44,6 +45,24 @@ def test_run_suites_takes_one_name_or_all_anywhere():
 def test_unknown_suite_rejected():
     with pytest.raises(Exception):
         run_suite("nope", max_degree=3)
+
+
+@pytest.mark.parametrize("given", [
+    {"letters": ()}, {"letters": ("a", "a")}, {"letters": ("a.b",)},
+    {"max_degree": 0}, {"max_degree": -2}, {"max_degree": True},
+], ids=["no-letters", "duplicate-letters", "dotted-letter", "degree-0", "degree-minus-2",
+        "degree-True"])
+def test_bad_letters_and_degrees_refused_before_any_suite_runs(monkeypatch, given):
+    # a certificate over no letters or no degree certifies nothing
+    ran = []
+    for name in SUITES:
+        monkeypatch.setitem(verify._SUITE_FUNCS, name, lambda *a, **k: ran.append(name))
+    kwargs = {"max_degree": 3, **given}
+    with pytest.raises(ValidationError):
+        run_suite("shuffle", **kwargs)
+    with pytest.raises(ValidationError):
+        run_suites("all", **kwargs)
+    assert ran == []
 
 
 def test_reports_deterministic_under_seed():
