@@ -18,8 +18,8 @@ about n^3; log<, exp< and log* read 2^(n-1) to 2^n.  So monotone
 cumulants are -O(-log>), the boolean cumulants converted, at every
 degree.  Free cumulants are log< while max_degree < 9 and W(-O(-log>))
 from 9 on, and free moments exp< below 9 and exp> of the cumulants
-converted to boolean from 9 on: the free routes cross at degree 9
-whatever the letter count.  Boolean both ways and monotone moments (exp*,
+converted to boolean from 9 on (the measurements behind 9 are at
+_FREE_VIA_BOOLEAN_DEGREE).  Boolean both ways and monotone moments (exp*,
 already pruned) use the family's own exponential or logarithm.
 
 The distribution API (:func:`to_cumulants`, :func:`from_cumulants`,
@@ -28,10 +28,14 @@ evaluates on scaled inputs.  Every term of the unshuffle coproduct keeps the
 degree, so the grading automorphism theta_D : w -> D^|w| w commutes with
 every construction of :mod:`functionals` and :mod:`magnus`.  Each entry
 point takes D as the lcm of its input denominators, builds its leaves on
-the integers D^|w| v, evaluates the same tree in int arithmetic (bar the
-series coefficients), and divides each value by D^|w| once, so every
-result is a ``Fraction``.  The public constructors, :func:`cumulant_functional`
-and :meth:`Distribution.character` build unscaled trees.
+the integers D^|w| v, evaluates the same tree in int arithmetic, and
+divides each value by D^|w| once, so every result is a ``Fraction``.  A
+tree that converts out of free or boolean cumulants reads the Magnus map,
+and D also takes the lcm of the denominators of the Magnus coefficients
+below max_degree, so O and every pairing that reads it run on ints too;
+only the final sums of W and exp* meet their coefficients' Fractions.
+The public constructors, :func:`cumulant_functional` and
+:meth:`Distribution.character` build unscaled trees.
 
 Input follows one rule each, and the other layers (the JSON reader, the
 CLI, ``verify.run_suites``) call these rules and do not check again: a
@@ -53,7 +57,7 @@ from typing import Mapping
 
 from . import functionals as fn
 from .errors import ValidationError
-from .magnus import magnus, magnus_inverse
+from .magnus import _coeff_lcm, magnus, magnus_inverse
 from .words import EMPTY_WORD, Letter, Word, word_bars_up_to, words_up_to
 
 
@@ -89,6 +93,18 @@ class Distribution:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "moments", _word_map(moments, letters, max_degree))
+
+    @classmethod
+    def _built(cls, letters, max_degree: int, moments: dict[Word, Fraction]
+               ) -> "Distribution":
+        """A Distribution from letters and a max_degree already checked and
+        the nonzero Fractions that :func:`_unscaled` keyed by words over
+        those letters: the engine's own output, read by no rule again."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "letters", letters)
+        object.__setattr__(d, "max_degree", max_degree)
+        object.__setattr__(d, "moments", moments)
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a Distribution")
@@ -193,7 +209,8 @@ def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
 
 
 def _unscaled_distribution(phi: fn.Functional, D: int, d: Distribution) -> Distribution:
-    return Distribution(d.letters, d.max_degree, _unscaled(phi, D, d.letters, d.max_degree))
+    return Distribution._built(d.letters, d.max_degree,
+                               _unscaled(phi, D, d.letters, d.max_degree))
 
 
 def _degree(n) -> int:
@@ -250,39 +267,54 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
 
 #: The max_degree from which the free transforms go through the boolean
 #: logarithm.  log< and exp< read about 2^(n-1) terms at a word of degree n;
-#: log>, the Magnus maps and exp> about n^3, mostly in Fractions.  Measured
-#: cold, free to_cumulants direct -> through log>: 1 letter 2.8 -> 2.8 ms at
-#: degree 8, 6.0 -> 5.4 ms at 9, 181 -> 16 ms at 14; 2 letters 290 -> 320 ms
-#: at 8, 1447 -> 757 ms at 9; 3 letters 1325 -> 2270 ms at 7.  So the
-#: crossover falls at degree 9 whatever the letter count.
+#: log>, the Magnus maps and exp> about n^3, in ints bar W's final sums.
+#: Measured on dense random input, free to_cumulants direct -> through
+#: log>, best of 3 fresh processes, cold: 1 letter 2.2 -> 2.3 ms at degree
+#: 8, 2.9 -> 2.6 ms at 9, 40 -> 7.7 ms at 14; 2 letters 26 -> 24 ms at 6,
+#: 79 -> 68 ms at 7, 233 -> 162 ms at 8, 861 -> 372 ms at 9; 3 letters 37
+#: -> 64 ms at 5, 199 -> 261 ms at 6, 1132 -> 1197 ms at 7.  So cold, one
+#: letter crosses at 8-9, two letters at 6-7, three at 7 or above.  A
+#: second call, on warm coproducts, takes 7-10x longer through log> at 2
+#: letters degrees 6-9 and 3 letters 5-7 (2 letters degree 8: 11 -> 94 ms),
+#: so a long-running process keeps the direct route up to degree 8.
 _FREE_VIA_BOOLEAN_DEGREE = 9
 
 
 def _logarithm(kind: CumulantKind, max_degree: int):
-    """The map from a moment character to its cumulants of kind, read up to
-    max_degree.  Boolean is log>.  Monotone is -O(-log>), the Magnus map of
-    the sign-twisted boolean cumulants, at every degree: as fast as log* on
-    3 letters at degree 5 and faster on the other measured shapes.  Free is
+    """(source, log): log maps a moment character to its cumulants of kind,
+    read up to max_degree, as the logarithm of family source converted to
+    kind.  Boolean is log>.  Monotone is -O(-log>), the Magnus map of the
+    sign-twisted boolean cumulants, at every degree: as fast as log* on 3
+    letters at degree 5 and faster on the other measured shapes.  Free is
     log< below _FREE_VIA_BOOLEAN_DEGREE and W(-O(-log>)) from there on."""
-    if kind is CumulantKind.BOOLEAN:
-        return fn.log_right
     if kind is CumulantKind.FREE and max_degree < _FREE_VIA_BOOLEAN_DEGREE:
-        return fn.log_left
-    return lambda phi: _convert_functional(fn.log_right(phi), CumulantKind.BOOLEAN, kind)
+        return kind, fn.log_left
+    return CumulantKind.BOOLEAN, lambda phi: _convert_functional(
+        fn.log_right(phi), CumulantKind.BOOLEAN, kind)
 
 
 def _exponential(kind: CumulantKind, max_degree: int):
-    """The map from cumulants of kind to the moment character, read up to
-    max_degree: the family's exponential, except for free from
-    _FREE_VIA_BOOLEAN_DEGREE on, which is exp> of the boolean cumulants."""
-    if kind is CumulantKind.BOOLEAN:
-        return fn.exp_right
-    if kind is CumulantKind.MONOTONE:
-        return fn.exp_star
-    if max_degree < _FREE_VIA_BOOLEAN_DEGREE:
-        return fn.exp_left
-    return lambda alpha: fn.exp_right(
-        _convert_functional(alpha, CumulantKind.FREE, CumulantKind.BOOLEAN))
+    """(target, exp): exp maps cumulants of kind, read up to max_degree, to
+    the moment character, as the exponential of family target after the
+    conversion to it.  That is the family's own exponential, except for
+    free from _FREE_VIA_BOOLEAN_DEGREE on, which is exp> of the boolean
+    cumulants."""
+    if kind is CumulantKind.FREE and max_degree >= _FREE_VIA_BOOLEAN_DEGREE:
+        return CumulantKind.BOOLEAN, lambda alpha: fn.exp_right(
+            _convert_functional(alpha, kind, CumulantKind.BOOLEAN))
+    return kind, {CumulantKind.FREE: fn.exp_left, CumulantKind.BOOLEAN: fn.exp_right,
+                  CumulantKind.MONOTONE: fn.exp_star}[kind]
+
+
+def _magnus_scale(kind_from: CumulantKind, kind_to: CumulantKind, max_degree: int) -> int:
+    """The extra theta scale of a tree that converts kind_from to kind_to
+    up to max_degree.  Every conversion out of free or boolean reads the
+    Magnus map, and takes the lcm of its coefficients' denominators, which
+    makes its values ints (:func:`magnus._coeff_lcm`); every other tree
+    takes 1."""
+    if kind_from is kind_to or kind_from is CumulantKind.MONOTONE:
+        return 1
+    return _coeff_lcm(max_degree)
 
 
 def cumulant_functional(d: Distribution, kind) -> fn.Functional:
@@ -293,14 +325,16 @@ def cumulant_functional(d: Distribution, kind) -> fn.Functional:
     d.max_degree < 9, and W(-O(-log>(phi))), which equals it, from degree 9
     on, where it is the cheaper of the two."""
     _distributions("cumulant_functional takes a Distribution", d)
-    return _logarithm(_as_kind(kind), d.max_degree)(d.character())
+    _, log = _logarithm(_as_kind(kind), d.max_degree)
+    return log(d.character())
 
 
 def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
     """Cumulants of every word of degree <= max_degree (zeros omitted)."""
     _distributions("to_cumulants takes a Distribution", d)
-    log = _logarithm(_as_kind(kind), d.max_degree)
-    D, (moments,) = _scaled((d.moments,))
+    kind = _as_kind(kind)
+    source, log = _logarithm(kind, d.max_degree)
+    D, (moments,) = _scaled((d.moments,), _magnus_scale(source, kind, d.max_degree))
     return _unscaled(log(fn.character(moments)), D, d.letters, d.max_degree)
 
 
@@ -311,9 +345,11 @@ def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
     free from degree 9 on, exp> of the matching boolean cumulants."""
     kind = _as_kind(kind)
     letters = _letters(letters)
-    D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
-    phi = _exponential(kind, max_degree)(fn.infinitesimal(values))
-    return Distribution(letters, max_degree, _unscaled(phi, D, letters, max_degree))
+    values = _word_map(c, letters, max_degree, drop_above=True)
+    target, exp = _exponential(kind, max_degree)
+    D, (values,) = _scaled((values,), _magnus_scale(kind, target, max_degree))
+    phi = exp(fn.infinitesimal(values))
+    return Distribution._built(letters, max_degree, _unscaled(phi, D, letters, max_degree))
 
 
 def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
@@ -327,7 +363,8 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
     """
     kind_from, kind_to = _as_kind(kind_from), _as_kind(kind_to)
     letters = None if letters is None else _letters(letters)
-    D, (values,) = _scaled((_word_map(c, letters, max_degree, drop_above=True),))
+    values = _word_map(c, letters, max_degree, drop_above=True)
+    D, (values,) = _scaled((values,), _magnus_scale(kind_from, kind_to, max_degree))
     if letters is None:
         letters = sorted({l for w in c if len(w) <= max_degree for l in w.letters},
                          key=lambda l: (l.name, l.tag))

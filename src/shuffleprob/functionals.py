@@ -10,13 +10,15 @@ so every value is an exact finite sum.
 A value is an ``int`` or a ``Fraction``.  The leaves store integral values
 as ints, unit terms and the flag short-circuit start from int 0 and 1, an
 integral scalar multiple keeps an int coefficient, and a linear combination
-returns an int when its sum is integral.  So a tree on integral leaves runs
-its pairing loops in int arithmetic; only the series
-coefficients (1/n!, (-1)^i/(i+1), B_m/m!) bring Fractions in.  The
-distribution API in :mod:`cumulants` and :mod:`products` relies on this:
-every construction here commutes with the grading automorphism
-theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
-divides once at the end.
+and a series return an int when their sum is integral.  So a tree on
+integral leaves runs its pairing loops in int arithmetic, bar the series
+coefficients (1/n!, (-1)^i/(i+1), B_m/m!).  The distribution API in
+:mod:`cumulants` and :mod:`products` relies on this: every construction
+here commutes with the grading automorphism theta_D : w -> D^|w| w, so it
+evaluates on inputs scaled to integers and divides once at the end.  A
+tree with a Magnus node is scaled by D times the lcm of its coefficients'
+denominators, which clears them (:mod:`magnus`), so there only the
+coefficients of W and exp* bring Fractions in, each into its own final sum.
 
 One node kind, ``_Pairing``, pairs two functionals across one side of the
 unshuffle coproduct, on top of an optional base functional: X = base +
@@ -344,6 +346,8 @@ class _Series(Functional):
                     v = t(b)
                 if v:
                     total += v if c == 1 else c * v
+        if type(total) is Fraction and total.denominator == 1:
+            return total.numerator
         return total
 
 

@@ -17,7 +17,7 @@ multiplication raises the minimal degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import mutations
 from .errors import DomainError
@@ -50,6 +50,24 @@ def _magnus_coeff(m: int) -> Fraction:
     if m == 2 and mutations.is_active("skip-bernoulli-2"):
         return Fraction(0)
     return bernoulli[m] / factorial(m)
+
+
+def _coeff_lcm(n: int) -> int:
+    """L, the lcm of the denominators of the coefficients O reads below
+    degree n.  A tree of O at a word w carries one coefficient per leaf,
+    and each leaf reads a nonempty subword, so at most |w| of them: on
+    leaves scaled by theta_L every value of O and of its iterates is an
+    int.  It reads _magnus_coeff, so under ``skip-bernoulli-2`` it follows
+    the mutated coefficients.
+
+    W's and exp*'s coefficients are left to their own final sums: their
+    steps multiply by their argument, not by the node, so no pairing loop
+    reads them.  Clearing W's too, by a further n! in the scale, only
+    makes the ints longer.  Median of 5-6 fresh processes, cold, O alone
+    -> O and W: free cumulants of the degree-40 semicircle 156 -> 232 ms,
+    dense univariate free moments at degree 30 84 -> 146 ms, convert
+    boolean -> free at degree 40 114 -> 180 ms."""
+    return lcm(*(_magnus_coeff(m).denominator for m in range(n)))
 
 
 def magnus(kappa: Functional) -> Functional:

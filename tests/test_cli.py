@@ -371,6 +371,20 @@ def test_cli_degree_forty_free_cumulants_match_golden(monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name,command,src,kind", [
+    ("cumulants-monotone-semicircle-40", "cumulants", "in-semicircle-40", "monotone"),
+    ("convert-free-boolean-semicircle-40", "convert", "cumulants-free-semicircle-40", "boolean"),
+])
+def test_cli_degree_forty_magnus_routes_match_golden(name, command, src, kind, monkeypatch,
+                                                     capsys):
+    # both read the Magnus map at degree 40, on leaves scaled by L^|w| with
+    # L the 160-bit lcm of its coefficients' denominators
+    monkeypatch.setenv("SHUFFLE_MAX_DEGREE", "40")
+    assert main([command, str(GOLDEN_CLI / f"{src}.json"), "--kind", kind]) == 0
+    expected = (GOLDEN_CLI / f"{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from shuffleprob.cli import main

@@ -1,8 +1,10 @@
 """The distribution API evaluates its trees on theta_D-scaled leaves
 (w -> D^|w| w, with D the lcm of the input denominators) and divides by
-D^|w| once.  Each entry point must equal ``tabulate`` of the same public
-tree built on unscaled leaves, return Fractions only, and, where the tree
-has no series coefficients, evaluate in int arithmetic."""
+D^|w| once.  A tree with a Magnus node is scaled by D times L, the lcm of
+the denominators of the Magnus coefficients it reads.  Each entry point
+must equal ``tabulate`` of the same public tree built on unscaled leaves,
+return Fractions only, and, where the tree has no series coefficients but
+the Magnus map's, evaluate in int arithmetic."""
 
 import math
 from fractions import Fraction as F
@@ -10,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 import shuffleprob as sp
-from shuffleprob import Distribution, cumulants, functionals as fn, products as pr
+from shuffleprob import Distribution, cumulants, functionals as fn, mutations, products as pr
 from shuffleprob.coproducts import Side
 from shuffleprob.cumulants import CumulantKind, tabulate
 from shuffleprob.words import words_up_to
@@ -74,16 +76,18 @@ def test_cumulant_entry_points_equal_unscaled_trees(raw, shape):
     values = MAPS[shape](0)
     d = distribution(values)
     for kind in CumulantKind:
-        integral = kind is not CumulantKind.MONOTONE  # log* has 1/n coefficients
+        # monotone cumulants are -O(-log>), whose coefficients the scale clears
         check(raw, tabulate(cumulants.cumulant_functional(d, kind), AB, N),
-              lambda: sp.to_cumulants(d, kind), integral)
-        exp = cumulants._exponential(kind, N)
+              lambda: sp.to_cumulants(d, kind), True)
+        _, exp = cumulants._exponential(kind, N)
         check(raw, tabulate(exp(fn.infinitesimal(values)), AB, N),
-              lambda: sp.from_cumulants(values, kind, AB, N), integral)
+              lambda: sp.from_cumulants(values, kind, AB, N),
+              kind is not CumulantKind.MONOTONE)  # exp* has 1/n! coefficients
         for dst in CumulantKind:
+            # O alone to monotone; W's 1/(n+1)! stay in every other conversion
             tree = cumulants._convert_functional(fn.infinitesimal(values), kind, dst)
             check(raw, tabulate(tree, AB, N), lambda: sp.convert(values, kind, dst, N, AB),
-                  kind is dst)
+                  kind is dst or dst is CumulantKind.MONOTONE)
 
 
 @pytest.mark.parametrize("shape", sorted(MAPS))
@@ -137,9 +141,60 @@ def test_univariate_degree_eight_round_trip(raw):
 
 
 def test_univariate_degree_twelve_round_trip(raw):
-    # from degree 9 they go through log> and the Magnus maps, whose
-    # coefficients B_m/m! bring Fractions in
+    # from degree 9 they go through log> and the Magnus maps; the scale clears
+    # O's coefficients B_m/m!, but W's 1/(n+1)! bring Fractions in
     univariate_round_trip(raw, 12, False)
+
+
+def test_magnus_node_of_the_free_route_holds_ints(monkeypatch):
+    # free cumulants at degree 12 are W(-O(-log>)): every value O and its
+    # iterates store is an int, and only the root W keeps Fractions
+    trees = []
+    real = cumulants._unscaled
+
+    def spy(phi, *args):
+        trees.append(phi)
+        return real(phi, *args)
+
+    monkeypatch.setattr(cumulants, "_unscaled", spy)
+    a = AB[:1]
+    d = distribution(prime_by_degree(a, 12), a, 12)
+    trees.clear()
+    sp.to_cumulants(d, "free")
+    (w,) = trees
+    ((_, omega),) = w._terms[0][1].parts  # W's first term is -1 * O(-1 * log>)
+    assert [c for c, _ in omega._terms][:3] == [1, F(-1, 2), F(1, 12)]
+    assert omega._memo
+    for node in (omega, *(t for _, t in omega._terms)):
+        assert all(type(v) is int for v in node._memo.values())
+
+
+def test_magnus_routes_follow_the_mutated_coefficients(raw):
+    # skip-bernoulli-2 sets B_2/2! to 0, so below degree 4 the Magnus
+    # coefficients are 1, -1/2, 0, 0 and L is 2, not 12; each route with an O
+    # node still equals its unscaled tree, in ints where O is its one series
+    values = prime_map(0)
+    d = distribution(values)
+    a = AB[:1]
+    values_9 = prime_by_degree(a, 9)
+    d_9 = distribution(values_9, a, 9)
+    lcm = lambda m: math.lcm(*(v.denominator for v in m.values()))
+    with mutations.inject_defect("skip-bernoulli-2"):
+        check(raw, tabulate(cumulants.cumulant_functional(d, "monotone"), AB, N),
+              lambda: sp.to_cumulants(d, "monotone"), True, lcm(d.moments) * 2)
+        for kind in (CumulantKind.FREE, CumulantKind.BOOLEAN):
+            for dst in CumulantKind:
+                if dst is not kind:
+                    tree = cumulants._convert_functional(fn.infinitesimal(values), kind, dst)
+                    check(raw, tabulate(tree, AB, N),
+                          lambda: sp.convert(values, kind, dst, N, AB),
+                          dst is CumulantKind.MONOTONE, lcm(values) * 2)
+        # the free routes from degree 9 on read O, then W
+        check(raw, tabulate(cumulants.cumulant_functional(d_9, "free"), a, 9),
+              lambda: sp.to_cumulants(d_9, "free"), False)
+        _, exp = cumulants._exponential(CumulantKind.FREE, 9)
+        check(raw, tabulate(exp(fn.infinitesimal(values_9)), a, 9),
+              lambda: sp.from_cumulants(values_9, "free", a, 9), False)
 
 
 @pytest.mark.parametrize("letters,n,make", [(AB[:1], 8, prime_by_degree),
