@@ -8,9 +8,9 @@ so the two halves add up to the full coproduct on every nonempty word and
 both vanish on the empty word.  On a bar word the maps extend
 multiplicatively, the chosen half acting on the first component only.
 
-One enumeration builds every term on a word: it fixes a term by the first
-run letters[i:j] of the complement.  The letters before i are picked, and so
-is letters[j]; the letters after j split by their own full coproduct, read
+One enumeration builds every term on a word w: it fixes a term by the first
+run w[i:j] of the complement.  The letters before i are picked, and so
+is w[j]; the letters after j split by their own full coproduct, read
 from the memo.  The side fixes i: any i on the full side, i >= 1 on the
 left, i = 0 on the right.  Apart from the free product's closed form among
 the references in :mod:`verify`, it is the only code that enumerates
@@ -43,7 +43,7 @@ import enum
 from . import mutations
 from .errors import DomainError
 from .tensors import TensorSum
-from .words import BarWord, EMPTY_BAR, Word, as_barword
+from .words import BarWord, EMPTY_BAR, EMPTY_WORD, Word, as_barword
 
 
 class Side(enum.Enum):
@@ -66,12 +66,12 @@ def clear_caches():
     _cache.clear()
 
 
-def _by_first_run(letters: tuple, side: Side, single_run: bool) -> TensorSum:
-    """The terms of one side on the word with these letters, by the first
-    run letters[i:j] of the complement (see the module docstring), or only
-    those whose right leg is that run.  The empty run i = j = n is the term
-    that picks every letter."""
-    n = len(letters)
+def _by_first_run(w: Word, side: Side, single_run: bool) -> TensorSum:
+    """The terms of one side on the word w, by the first run w[i:j] of the
+    complement (see the module docstring), or only those whose right leg is
+    that run.  The empty run i = j = n is the term that picks every
+    letter."""
+    n = len(w)
     stop = n if single_run else n + 1
     if side is Side.FULL:
         starts = range(stop)
@@ -85,15 +85,15 @@ def _by_first_run(letters: tuple, side: Side, single_run: bool) -> TensorSum:
         for j in range(i + 1, n + 1) or (n,):  # i = n: only the empty run
             if drop_singleton and i == 1 and j == n:  # the term of S = {1}
                 continue
-            run = Word(letters[i:j])
+            run = Word(w[i:j])
             if single_run or j == n:
-                pair = (BarWord((Word(letters[:i] + letters[j:]),)), BarWord((run,)))
+                pair = (BarWord((Word(w[:i] + w[j:]),)), BarWord((run,)))
                 data[pair] = data.get(pair, 0) + 1
                 continue
-            head = letters[:i] + letters[j:j + 1]
-            rest = unshuffle_bar(Word(letters[j + 1:])).terms
+            head = w[:i] + w[j:j + 1]
+            rest = unshuffle_bar(Word(w[j + 1:])).terms
             for (x, y), c in rest.items():
-                picked = head + x.words[0].letters if x.words else head
+                picked = head + x.words[0] if x.words else head
                 pair = (BarWord((Word(picked),)), BarWord((run,) + y.words))
                 data[pair] = data.get(pair, 0) + c
     return TensorSum._raw(data)
@@ -139,7 +139,7 @@ def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum
         for w in words[1:]:
             out = out.bar_mul(unshuffle_bar(w))
     else:
-        out = _by_first_run(words[0].letters if words else (), side, False)
+        out = _by_first_run(words[0] if words else EMPTY_WORD, side, False)
     _cache[key] = out
     return out
 
@@ -157,5 +157,5 @@ def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
         return out
     if len(b.words) != 1:
         raise DomainError("single-run terms are taken on one-word bar words")
-    out = _cache[key] = _by_first_run(b.words[0].letters, side, True)
+    out = _cache[key] = _by_first_run(b.words[0], side, True)
     return out

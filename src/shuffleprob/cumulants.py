@@ -141,7 +141,7 @@ class Distribution:
     def retag(self, tag: int) -> "Distribution":
         """Same distribution with every letter re-tagged (free-product setup)."""
         table = {l: Letter(l.name, tag) for l in self.letters}
-        remap = lambda w: Word(table[l] for l in w.letters)
+        remap = lambda w: Word(table[l] for l in w)
         return Distribution(tuple(table[l] for l in self.letters), self.max_degree,
                             {remap(w): v for w, v in self.moments.items()})
 
@@ -253,7 +253,7 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
             raise ValidationError(f"map keys must be words, got {w!r}")
         if not w:
             raise ValidationError("only a moment map has a value at the empty word")
-        if allowed is not None and not allowed.issuperset(w.letters):
+        if allowed is not None and not allowed.issuperset(w):
             raise ValidationError(f"key {w!r} uses undeclared letters")
         if len(w) > n:
             if drop_above:
@@ -366,7 +366,7 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
     values = _word_map(c, letters, max_degree, drop_above=True)
     D, (values,) = _scaled((values,), _magnus_scale(kind_from, kind_to, max_degree))
     if letters is None:
-        letters = sorted({l for w in c if len(w) <= max_degree for l in w.letters},
+        letters = sorted({l for w in c if len(w) <= max_degree for l in w},
                          key=lambda l: (l.name, l.tag))
         if not letters:
             raise ValidationError("cannot infer letters from a cumulant map with no key "

@@ -76,11 +76,10 @@ def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
     for w in sorted(values, key=Word.sort_key):
         v = parse_rational(values[w])
         if v:
-            letters = w.letters
-            for l in letters:
+            for l in w:
                 if l not in names:
                     names[l] = str(l)
-            key = ".".join([names[l] for l in letters]) if letters else "1"
+            key = ".".join([names[l] for l in w]) if w else "1"
             out[key] = rational_str(v)
     return out
 

@@ -107,8 +107,10 @@ def bp_t(phi: fn.Functional, t) -> fn.Functional:
 
     With k the left logarithm of phi, t >= 0 maps phi to exp_left(k^{tk});
     t = 0 is the identity, t = 1 is bp, and the family is an additive
-    semigroup in t.  For t > 0 it agrees with the boolean 1/t-th power of
-    the free t-th power.
+    semigroup in t.  It is the Belinschi-Nica map
+    B_t(phi) = (phi^{free 1+t})^{boolean 1/(1+t)}: the boolean 1/(1+t)-th
+    power of the free (1+t)-th power of phi.  For t > 0 it also agrees with
+    the boolean 1/t-th power of the free t-th power of bp(phi), not of phi.
     """
     t = fn.parse_rational(t)
     if t < 0:

@@ -104,10 +104,9 @@ def _ad_closed_form(g1, g2, letters, max_degree) -> fn.Functional:
     E = fn.exp_left(g1)
     values = {}
     for w in words_up_to(letters, max_degree):
-        a = w.letters
-        values[w] = g2(w) if len(a) == 1 else sum(
-            c * g2(Word(a[:1] + (x.words[0].letters if x else ()) + a[-1:])) * E(y)
-            for (x, y), c in unshuffle_bar(Word(a[1:-1])))
+        values[w] = g2(w) if len(w) == 1 else sum(
+            c * g2(Word(w[:1] + (x.words[0] if x else ()) + w[-1:])) * E(y)
+            for (x, y), c in unshuffle_bar(Word(w[1:-1])))
     return fn.infinitesimal(values)
 
 
@@ -136,7 +135,7 @@ def _group_law_left_defining(g1, g2) -> fn.Functional:
 def _check_alternating(w: Word):
     if not w:
         raise DomainError("closed forms are stated for nonempty alternating words")
-    tags = [l.tag for l in w.letters]
+    tags = [l.tag for l in w]
     if any(t not in (1, 2) for t in tags):
         raise DomainError(f"word {w!r} uses letters outside the context")
     if any(a == b for a, b in zip(tags, tags[1:])):
@@ -150,9 +149,9 @@ def _closed_grouped(tag: int, ctx, node, w: Word) -> Fraction:
     """The letters of algebra tag multiply inside one moment; the other
     algebra's letters factor out one by one."""
     _check_alternating(w)
-    own = w.subword([i + 1 for i, l in enumerate(w.letters) if l.tag == tag])
+    own = w.subword([i + 1 for i, l in enumerate(w) if l.tag == tag])
     out = ctx.dist_for_tag(tag).moment(own) if own else Fraction(1)
-    for l in w.letters:
+    for l in w:
         if l.tag != tag:
             out *= ctx.dist_for_tag(l.tag).moment(Word((l,)))
     return out
@@ -166,7 +165,7 @@ def _closed_boolean(ctx, node, w: Word) -> Fraction:
     """Every letter factors out on its own moment."""
     _check_alternating(w)
     out = Fraction(1)
-    for l in w.letters:
+    for l in w:
         out *= ctx.dist_for_tag(l.tag).moment(Word((l,)))
     return out
 
@@ -178,7 +177,7 @@ def _closed_free(ctx, node, w: Word) -> Fraction:
     _check_alternating(w)
     n = len(w)
     if n == 1:
-        return ctx.dist_for_tag(w.letters[0].tag).moment(w)
+        return ctx.dist_for_tag(w[0].tag).moment(w)
     total = Fraction(0)
     for mask in range(1, 1 << n, 2):
         if mask == (1 << n) - 1:
@@ -191,7 +190,7 @@ def _closed_free(ctx, node, w: Word) -> Fraction:
         outer = Fraction(1)
         for i in range(n):
             if not mask >> i & 1:
-                l = w.letters[i]
+                l = w[i]
                 outer *= ctx.dist_for_tag(l.tag).moment(Word((l,)))
         total += sign * inner * outer
     return -total

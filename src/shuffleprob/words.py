@@ -6,13 +6,14 @@ of the double tensor algebra built on top of it.  The empty word and the
 empty bar word are the respective units and both print as ``"1"``.
 
 Every value here is immutable and hashable; they are used as dictionary keys
-throughout the package.  A word's hash is computed once at construction.  A
-bar word is canonical: constructing one returns the one live object for its
-sequence of words, so bar words compare and hash by identity, in C, and every
-memo or coproduct lookup keyed by one is an identity hit.  A bar product
-caches its one-word components in ``parts`` for the character nodes, and
-:func:`word_bars_up_to` keeps the one-word bar words of the recent word
-sweeps, so a warm sweep or bar product builds no bar word.
+throughout the package.  A word is the tuple of its letters, so it hashes and
+compares as that tuple, in C.  A bar word is canonical: constructing one
+returns the one live object for its sequence of words, so bar words compare
+and hash by identity, in C, and every memo or coproduct lookup keyed by one is
+an identity hit.  A bar product caches its one-word components in ``parts``
+for the character nodes, and :func:`word_bars_up_to` keeps the one-word bar
+words of the recent word sweeps, so a warm sweep or bar product builds no bar
+word.
 """
 
 from __future__ import annotations
@@ -41,33 +42,25 @@ class Letter(NamedTuple):
         return self.name if self.tag == 0 else f"{self.name}#{self.tag}"
 
 
-class Word:
-    """An ordered sequence of letters; degree = number of letters."""
+class Word(tuple):
+    """An ordered sequence of letters; degree = number of letters.
 
-    __slots__ = ("letters", "_hash")
+    A word is the tuple of its letters: it hashes, compares and measures
+    its length as that tuple does, in C, and compares equal to it."""
 
-    def __init__(self, letters: Iterable[Letter] = ()):
-        self.letters = tuple(letters)
-        self._hash = hash(self.letters)
+    __slots__ = ()
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The letters as a plain tuple."""
+        return tuple(self)
 
     @property
     def degree(self) -> int:
-        return len(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __bool__(self):
-        return bool(self.letters)
+        return len(self)
 
     def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word(self + other)
 
     def subword(self, positions: Iterable[int]) -> "Word":
         """The letters at the given 1-based positions, in natural order.
@@ -76,25 +69,25 @@ class Word:
         1..degree raise :class:`DomainError`.
         """
         pos = sorted(set(positions))
-        n = len(self.letters)
+        n = len(self)
         if pos and (pos[0] < 1 or pos[-1] > n):
             raise DomainError(f"subset {pos} out of range for a word of degree {n}")
-        return Word(self.letters[p - 1] for p in pos)
+        return Word(self[p - 1] for p in pos)
 
     def sort_key(self):
         # a Letter is the tuple (name, tag), so this is graded lexicographic
         # order by name, then tag
-        return (len(self.letters), self.letters)
+        return (len(self), self)
 
     def __repr__(self):
-        if not self.letters:
+        if not self:
             return "1"
-        return ".".join(str(l) for l in self.letters)
+        return ".".join(str(l) for l in self)
 
 
 EMPTY_WORD = Word()
 
-# the canonical bar words, keyed by their tuple of letter tuples
+# the canonical bar words, keyed by their tuple of words
 _live_bars: "weakref.WeakValueDictionary[tuple, BarWord]" = weakref.WeakValueDictionary()
 _create_lock = threading.Lock()
 
@@ -103,15 +96,17 @@ class BarWord:
     """An ordered sequence of nonempty words, written ``w1|w2|...|wm``.
 
     Empty component words are silently dropped at construction, which
-    realises the identification of ``w1|1|w2`` with ``w1|w2``.
+    realises the identification of ``w1|1|w2`` with ``w1|w2``; any other
+    component that is not a :class:`Word` raises ``TypeError``.
 
     Bar words are canonical: ``BarWord(words)`` returns the one live object
     for its sequence of words, so equal bar words are the same object and
     equality and hashing are object identity.  The table of live bar words
-    is weak, so it keeps none alive by itself and dropping the last
-    reference (the caches included) frees the entry.  A bar word is created
-    under a module lock, checked again inside it, so two threads never make
-    twins, which would compare unequal; finding a live one takes no lock.
+    is keyed by each one's own ``words`` tuple, and it is weak, so it keeps
+    none alive by itself and dropping the last reference (the caches
+    included) frees the entry.  A bar word is created under a module lock,
+    checked again inside it, so two threads never make twins, which would
+    compare unequal; finding a live one takes no lock.
     Copies and unpickled bar words go through the constructor, so they are
     the canonical object too.
 
@@ -124,18 +119,19 @@ class BarWord:
     __slots__ = ("words", "degree", "parts", "__weakref__")
 
     def __new__(cls, words: Iterable[Word] = ()):
-        words = tuple(w for w in words if w.letters)
-        key = tuple(w.letters for w in words)
-        self = _live_bars.get(key)
+        words = tuple(filter(None, words))
+        if not all(map(isinstance, words, itertools.repeat(Word))):
+            raise TypeError(f"bar word components must be words, got {words!r}")
+        self = _live_bars.get(words)
         if self is None:
             with _create_lock:
-                self = _live_bars.get(key)
+                self = _live_bars.get(words)
                 if self is None:
                     self = object.__new__(cls)
                     self.words = words
-                    self.degree = sum(map(len, key))
+                    self.degree = sum(map(len, words))
                     self.parts = None
-                    _live_bars[key] = self
+                    _live_bars[words] = self
         return self
 
     def __reduce__(self):
@@ -178,9 +174,7 @@ def as_barword(x) -> BarWord:
 
 def words_of_degree(letters: Iterable[Letter], degree: int) -> Iterator[Word]:
     """All words of the exact degree over the given letters, in product order."""
-    letters = tuple(letters)
-    for combo in itertools.product(letters, repeat=degree):
-        yield Word(combo)
+    return map(Word, itertools.product(tuple(letters), repeat=degree))
 
 
 def words_up_to(letters: Iterable[Letter], max_degree: int,

@@ -102,8 +102,11 @@ def test_degrees_follow_one_rule_and_survive_the_io_round_trip():
 
 
 def test_distribution_letters_and_series_keys_follow_the_rules():
+    # a plain tuple equals the Word of its letters, but is no Word key
     for build in (lambda: sp.Distribution(("a",), 2, {}),
+                  lambda: sp.Distribution((A,), 2, {(A, A): 1}),
                   lambda: sp.TruncatedSeries((A,), 2, {"a.a": 1}),
+                  lambda: sp.TruncatedSeries((A,), 2, {(A,): 1}),
                   lambda: sp.TruncatedSeries((A,), 2, {Word((B,)): 1})):
         with pytest.raises(ValidationError):
             build()

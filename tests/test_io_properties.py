@@ -1,7 +1,7 @@
 """Property tests of the JSON boundary: a cumulant file survives parse ->
-write -> parse byte for byte, the writer keys and orders words over tagged
-letters as their reprs in graded lexicographic order, and the rational rule
-reads a "p"/"p/q" literal as Fraction does."""
+write -> parse byte for byte, with every parsed key a Word, the writer keys
+and orders words over tagged letters as their reprs in graded lexicographic
+order, and the rational rule reads a "p"/"p/q" literal as Fraction does."""
 
 import io
 import json
@@ -63,7 +63,9 @@ def test_cumulant_file_survives_parse_write_parse(drawn, kind):
               "values": raw}
     first = _text(sio.cumulant_map_to_json(*sio.parse_cumulant_map(source)))
     again = sio.parse_cumulant_map(json.loads(first))
+    # a word equals the tuple of its letters, so == alone would pass tuple keys
     assert again[3] == {w: v for w, v in values.items() if v}
+    assert all(type(w) is Word for w in again[3])
     assert _text(sio.cumulant_map_to_json(*again)) == first
 
 

@@ -2,7 +2,7 @@
 route of :func:`to_cumulants`, :func:`from_cumulants` and :func:`convert`,
 scaled by theta_D or, with a Magnus node, by theta_{D L}, equals
 ``tabulate`` of the same tree built on unscaled leaves, and returns
-Fractions only."""
+Fractions only, keyed by Words."""
 
 from fractions import Fraction as F
 
@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import shuffleprob as sp  # noqa: E402
-from shuffleprob import Distribution, Letter, cumulants, functionals as fn  # noqa: E402
+from shuffleprob import Distribution, Letter, Word, cumulants, functionals as fn  # noqa: E402
 from shuffleprob.cumulants import CumulantKind, tabulate  # noqa: E402
 from shuffleprob.words import words_up_to  # noqa: E402
 
@@ -39,8 +39,11 @@ def cumulant_maps(draw):
 
 
 def same(got, tree, letters, n):
-    assert got == tabulate(tree, letters, n)
+    want = tabulate(tree, letters, n)
+    assert got == want
     assert all(type(v) is F for v in got.values())
+    # a word equals the tuple of its letters, so == alone would pass tuple keys
+    assert all(type(w) is Word for w in got) and all(type(w) is Word for w in want)
 
 
 @SETTINGS

@@ -23,6 +23,32 @@ def test_letter_identity():
     assert str(Letter("a", 1)) == "a#1"
 
 
+# A word is the tuple of its letters.
+
+@pytest.mark.parametrize("letters", [(), (A,), (A, B, C, A), (Letter("a", 1), Letter("a", 2))])
+def test_a_word_hashes_and_compares_as_the_tuple_of_its_letters(letters):
+    w = Word(letters)
+    # no Python-level hash or equality: both are tuple's own, in C
+    assert Word.__hash__ is tuple.__hash__ and Word.__eq__ is tuple.__eq__
+    assert not {"__init__", "__hash__", "__eq__", "__len__", "__bool__"} & set(vars(Word))
+    # the hash a word always had, so dict and set orders are unchanged
+    assert hash(w) == hash(tuple(letters))
+    assert w == tuple(letters) and w.letters == tuple(letters)
+    assert type(w.letters) is tuple
+    assert len(w) == w.degree == len(letters) and bool(w) == bool(letters)
+    assert type(w.concat(w)) is Word and w.concat(w) == letters + letters
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda w: pickle.loads(pickle.dumps(w)),
+                                    lambda w: pickle.loads(pickle.dumps(w, 0))])
+def test_copies_of_a_word_are_words(copier):
+    for w in (EMPTY_WORD, Word((A,)), Word((A, B, Letter("c", 3)))):
+        got = copier(w)
+        assert type(got) is Word and got == w
+        assert all(type(l) is Letter for l in got)
+
+
 def test_subword_examples():
     w = Word((A, B, C))
     assert w.subword({1, 3}) == Word((A, C))
@@ -161,6 +187,29 @@ def test_threads_constructing_the_same_bar_words_share_the_objects():
                 assert all(x is y for x, y in zip(got, results[0]))
     finally:
         sys.setswitchinterval(previous)
+
+
+@pytest.mark.parametrize("bad", [(A,), "ab", A])
+def test_bar_word_components_must_be_words(bad):
+    # a component equal to a word but not a Word would make the canonical bar
+    # word of that word hold it, and break every later lookup's repr and keys
+    with pytest.raises(TypeError):
+        BarWord((bad,))
+    with pytest.raises(TypeError):
+        BarWord((Word((A,)), bad))
+    b = BarWord((Word((A,)),))
+    assert type(b.words[0]) is Word and repr(b) == "a"
+    assert b is BarWord.from_word(Word((A,)))
+
+
+def test_the_table_is_keyed_by_each_bar_words_own_words():
+    keep = list(all_barwords((A, B), 3))
+    unshuffle_bar(BarWord((Word((A, B)), Word((C,)))))
+    items = list(words_module._live_bars.items())
+    assert len(items) >= len(keep)
+    for k, b in items:
+        assert k is b.words
+        assert all(type(w) is Word and w for w in k)
 
 
 def test_dropped_bar_words_leave_the_table():
