@@ -8,28 +8,30 @@ one at a bar word of degree d only ever touches evaluations at degree <= d,
 so every value is an exact finite sum.
 
 A value is an ``int`` or a ``Fraction``.  The leaves store integral values
-as ints, unit terms and the flag short-circuit start from int 0 and 1, an
-integral scalar multiple keeps an int coefficient, and a linear combination
-and a series return an int when their sum is integral.  So a tree on
-integral leaves runs its pairing loops in int arithmetic, bar the series
-coefficients (1/n!, (-1)^i/(i+1), B_m/m!).  The distribution API in
-:mod:`cumulants` and :mod:`products` relies on this: every construction
-here commutes with the grading automorphism theta_D : w -> D^|w| w, so it
-evaluates on inputs scaled to integers and divides once at the end.  A
-tree with a Magnus node is scaled by D times the lcm of its coefficients'
-denominators, which clears them (:mod:`magnus`), so there only the
-coefficients of W and exp* bring Fractions in, each into its own final sum.
+as ints, the values at the empty bar word and the flag short-circuit start
+from int 0 and 1, an integral scalar multiple keeps an int coefficient, and
+a linear combination and a series return an int when their sum is
+integral.  So a tree on integral leaves runs its pairing loops in int
+arithmetic, bar the series coefficients (1/n!, (-1)^i/(i+1), B_m/m!).
+The distribution API in :mod:`cumulants` and :mod:`products` relies on
+this: every construction here commutes with the grading automorphism
+theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
+divides once at the end.  A tree with a Magnus node is scaled by D times
+the lcm of its coefficients' denominators, which clears them
+(:mod:`magnus`), so there only the coefficients of W and exp* bring
+Fractions in, each into its own final sum.
 
 One node kind, ``_Pairing``, pairs two functionals across one side of the
 unshuffle coproduct, on top of an optional base functional: X = base +
 sum c f(x) g(y) over the terms c x (x) y.  The convolution product and the
 two half-shuffle products have no base.  The convolution inverse and the
-two half-shuffle exponentials have the base e and pair the node against
+two half-shuffle exponentials have none either, and pair the node against
 itself: the left leg of the inverse (X = e + X * (e - f)) and of the right
 exponential (X = e + X > a), the right leg of the left exponential
-(X = e + a < X).  Division by a unital phi is a pairing of the same kind
-with the base z: phi^{-1} > z solves X = z + (e - phi) > X, and
-z < phi^{-1} solves X = z + X < (e - phi).  The right division gives
+(X = e + a < X).  The e there only fixes the value 1 at the empty bar word,
+which each of them is built with.  Division by a unital phi is a pairing of
+the same kind with the base z: phi^{-1} > z solves X = z + (e - phi) > X,
+and z < phi^{-1} solves X = z + X < (e - phi).  The right division gives
 ``log_right`` (z = phi - e) and ``adjoint`` (z = mu < phi, by the mixed
 axiom), hence ``ad_action``, the conjugation by E<(g1); the left division
 gives ``log_left`` (z = phi - e) and the conjugate in
@@ -45,13 +47,13 @@ back.  So ``exp_right``, the powers of ``exp_star``, every ``prelie`` of
 infinitesimal characters, and ``log_right`` and ``adjoint`` where flagged,
 read O(n^2) terms at a word of degree n.
 
-One node kind, ``_Series``, sums the series: a unit term at the empty bar
-word, and elsewhere c_0 T_0 + c_1 T_1 + ... up to the degree of the
-argument, where each term is one step after the last and vanishes below
-its index.  exp* and log* are series of convolution powers (the step is a
-convolution product, a ``_Pairing``); the Magnus map and its inverse in
-:mod:`magnus` are series of pre-Lie iterates.  The step sees the node
-itself, through a weak proxy, which the Magnus map needs: its iterates
+One node kind, ``_Series``, sums the series: its value at the empty bar
+word (1 for exp*, else 0), and elsewhere c_0 T_0 + c_1 T_1 + ... up to
+the degree of the argument, where each term is one step after the last and
+vanishes below its index.  exp* and log* are series of convolution powers
+(the step is a convolution product, a ``_Pairing``); the Magnus map and its
+inverse in :mod:`magnus` are series of pre-Lie iterates.  The step sees the
+node itself, through a weak proxy, which the Magnus map needs: its iterates
 multiply by the node.
 
 Two structural flags travel with each node: ``is_character`` (unital and
@@ -77,6 +79,16 @@ flags, and a leaf's through its flag.  The flag tests compare every flagged
 constructor with a flag-cleared twin, and each pruned pairing with the same
 constructor on unflagged copies of its operands, so what the flags promise
 is still checked.
+
+The value at the empty bar word has one home, the node's own memo: a leaf
+holds it with its other values, and every derived node that fixes it
+without pairing (a series, the inverse, the half exponentials, and a linear
+combination, which sums its parts' values there) writes it in when it is
+built.  The unit e is 1 at the empty bar word and 0 elsewhere, so a linear
+combination drops it from its parts: e - phi and phi - e read only phi
+past the empty bar word.  So no tree that the package builds reads e, and
+e's memo holds its one entry only, unless e itself is paired, as the unit
+axioms in :mod:`verify` do.
 
 The evaluation kernels (the loops of ``_Pairing``, ``_Linear`` and
 ``_Series``, and a character's product over the components of a bar word)
@@ -227,6 +239,12 @@ class _Table(Functional):
 
 
 class _Linear(Functional):
+    """A linear combination sum c * f over its parts.  Its value at the
+    empty bar word, sum c * f(1), is written into its memo when it is
+    built, as an int when integral, and the unit e, 0 everywhere else, is
+    then dropped from the parts.  The flag is still read over every part,
+    e included, so alpha + e is not flagged infinitesimal."""
+
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[tuple[Value, Functional]]):
@@ -234,6 +252,8 @@ class _Linear(Functional):
         self.parts = tuple(parts)
         self.is_infinitesimal_character = all(
             f.is_infinitesimal_character for _, f in self.parts)
+        self._memo[EMPTY_BAR] = self._value(EMPTY_BAR)
+        self.parts = tuple(p for p in self.parts if p[1] is not e)
 
     def _value(self, b):
         total = 0
@@ -257,9 +277,11 @@ class _Pairing(Functional):
     Either operand may be None, which stands for the node itself; this
     realises the fixed points X = e + a < X, X = e + X > a,
     X = e + X * (e - f), and the divisions X = z + (e - phi) > X and
-    X = z + X < (e - phi).  The other operand vanishes on the empty bar
-    word, and it is evaluated first, so the one term whose self leg keeps
-    the degree of b is dropped before it recurses.  The node does not store
+    X = z + X < (e - phi).  The fixed points take no base: e is 0 off the
+    empty bar word, and their constructors write the 1 there into the
+    memo.  The other operand vanishes on the empty bar word, and it is
+    evaluated first, so the one term whose self leg keeps the degree of b
+    is dropped before it recurses.  The node does not store
     itself, which would make it a reference cycle that outlives its use.
 
     The runs leg is g, or the node itself when g is None.  When it is
@@ -314,24 +336,24 @@ class _Pairing(Functional):
 
 
 class _Series(Functional):
-    """A series: unit_term at the empty bar word, and at b the sum over
-    i < deg b of coeff(i) * T_i(b), where T_0 = first, T_{i+1} =
-    step(node, T_i), and T_i vanishes below degree i + 1.  Terms and
+    """A series: unit_term at the empty bar word, written into the memo
+    when the node is built, and at b the sum over i < deg b of
+    coeff(i) * T_i(b), where T_0 = first, T_{i+1} = step(node, T_i), and
+    T_i vanishes below degree i + 1.  Terms and
     coefficients are built once, on demand; a zero coefficient (an odd
     Bernoulli number) skips its term unevaluated.  The step gets the node
     as a weak proxy, so a term that refers back to it (a Magnus iterate)
     makes no reference cycle."""
 
-    __slots__ = ("step", "coeff", "unit_term", "_terms", "__weakref__")
+    __slots__ = ("step", "coeff", "_terms", "__weakref__")
 
     def __init__(self, first, step, coeff, unit_term):
         super().__init__()
-        self.step, self.coeff, self.unit_term = step, coeff, unit_term
+        self.step, self.coeff = step, coeff
         self._terms = [(coeff(0), first)]
+        self._memo[EMPTY_BAR] = unit_term
 
     def _value(self, b):
-        if not b.words:
-            return self.unit_term
         d = b.degree
         terms = self._terms
         if len(terms) < d:
@@ -427,7 +449,8 @@ def neumann_inverse(f: Functional) -> Functional:
     The Neumann series sum_k (e - f)^{*k}, realised as X = e + X * (e - f)."""
     if f(EMPTY_BAR) != 1:
         raise DomainError("only functionals with value 1 on the empty bar word are invertible")
-    out = _Pairing(None, e - f, Side.FULL, e)
+    out = _Pairing(None, e - f, Side.FULL)
+    out._memo[EMPTY_BAR] = 1
     out.is_character = f.is_character
     return out
 
@@ -459,7 +482,8 @@ def _half_exp(alpha: Functional, f, g, side: Side) -> Functional:
     if alpha(EMPTY_BAR) != 0:
         raise DomainError("half-shuffle exponentials need an operand vanishing "
                           "on the empty bar word")
-    out = _Pairing(f, g, side, e)
+    out = _Pairing(f, g, side)
+    out._memo[EMPTY_BAR] = 1
     out.is_character = alpha.is_infinitesimal_character
     return out
 

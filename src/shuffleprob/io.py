@@ -10,7 +10,9 @@ This module only turns text into words and letters.  Values, degrees
 and map keys are checked by the library's own rules (``parse_rational`` of
 :mod:`functionals`, re-exported here, and the checks of :mod:`cumulants`),
 once, so a file and a library call accept the same input.  The writers read
-each value they are handed by the same rational rule.
+each value they are handed by the same rational rule, and each letter by the
+readers' letter-name rule; the format has no algebra tags, so a tagged letter
+raises :class:`ValidationError` rather than make a file no reader takes back.
 """
 
 from __future__ import annotations
@@ -44,17 +46,31 @@ def parse_word(s: str, letters: Mapping[str, Letter]) -> Word:
         raise ValidationError(f"word {s!r} uses undeclared letter {exc.args[0]!r}") from None
 
 
+def _check_name(name) -> str:
+    """name, if a file may hold it as a letter's name: a nonempty string
+    free of '.', '|', '#' and blanks, and not "1"."""
+    if not isinstance(name, str) or not name or any(c in name for c in ".|# \t"):
+        raise ValidationError(f"bad letter name {name!r}")
+    if name == "1":
+        raise ValidationError("the letter name '1' is reserved for the empty word")
+    return name
+
+
+def _letter_name(l: Letter) -> str:
+    """The name that stands for l in a file.  The format has no algebra
+    tags, so a tagged letter, which no reader would take back, raises
+    :class:`ValidationError`, as does a name the readers refuse."""
+    if l.tag != 0:
+        raise ValidationError(f"letter {l} carries algebra tag {l.tag}, "
+                              f"which the JSON format cannot hold")
+    return _check_name(l.name)
+
+
 def letters_from_names(names) -> tuple[Letter, ...]:
     """The letters with these names.  A name is a nonempty string free of
     '.', '|', '#' and blanks, it is not "1", and no two names are alike;
     anything else raises :class:`ValidationError`."""
-    letters = []
-    for name in names:
-        if not isinstance(name, str) or not name or any(c in name for c in ".|# \t"):
-            raise ValidationError(f"bad letter name {name!r}")
-        if name == "1":
-            raise ValidationError("the letter name '1' is reserved for the empty word")
-        letters.append(Letter(name))
+    letters = [Letter(_check_name(name)) for name in names]
     if len(set(letters)) != len(letters):
         raise ValidationError("duplicate letter names")
     return tuple(letters)
@@ -70,7 +86,7 @@ def _parse_letters(obj) -> tuple[Letter, ...]:
 def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
     """values by the rational rule, zeros dropped, in graded lexicographic
     order; a float or any other non-rational raises ValidationError.  A key
-    is the word's repr, joined from its letters' strings, each made once."""
+    is the word's repr, joined from its letters' names, each checked once."""
     out = {}
     names: dict[Letter, str] = {}
     for w in sorted(values, key=Word.sort_key):
@@ -78,7 +94,7 @@ def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
         if v:
             for l in w:
                 if l not in names:
-                    names[l] = str(l)
+                    names[l] = _letter_name(l)
             key = ".".join([names[l] for l in w]) if w else "1"
             out[key] = rational_str(v)
     return out
@@ -93,7 +109,7 @@ def _parse_value_map(obj, field: str, letters) -> dict[Word, Fraction]:
 
 
 def distribution_to_json(d: Distribution) -> dict:
-    return {"letters": [l.name for l in d.letters],
+    return {"letters": [_letter_name(l) for l in d.letters],
             "max_degree": d.max_degree,
             "moments": _sorted_value_map(d.moments)}
 
@@ -108,7 +124,7 @@ def parse_distribution(obj) -> Distribution:
 def cumulant_map_to_json(kind: str, letters, max_degree: int,
                          values: Mapping[Word, Fraction]) -> dict:
     return {"kind": kind,
-            "letters": [l.name for l in letters],
+            "letters": [_letter_name(l) for l in letters],
             "max_degree": max_degree,
             "values": _sorted_value_map(values)}
 
@@ -127,7 +143,7 @@ def parse_cumulant_map(obj):
 
 def series_to_json(name: str, s: TruncatedSeries) -> dict:
     return {"series": name,
-            "letters": [l.name for l in s.letters],
+            "letters": [_letter_name(l) for l in s.letters],
             "max_degree": s.max_degree,
             "coefficients": _sorted_value_map(s.coefficients)}
 

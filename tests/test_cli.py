@@ -422,3 +422,46 @@ def test_convolve_loads_products_but_not_verify():
     loaded = loaded_modules([["convolve", d1, d2, "--kind", "free"]])
     assert "shuffleprob.products" in loaded
     assert "shuffleprob.verify" not in loaded
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("cumulants", ["a"], "distribution file must be a JSON object"),
+    ("moments", "free", "cumulant file must be a JSON object"),
+    ("moments", {"letters": ["a"], "max_degree": 2}, "bad or missing 'kind': None"),
+    ("moments", {"kind": "gaussian", "letters": ["a"], "max_degree": 2},
+     "bad or missing 'kind': 'gaussian'"),
+    ("cumulants", {"letters": [], "max_degree": 2},
+     "'letters' must be a nonempty list of names"),
+    ("cumulants", {"letters": "a", "max_degree": 2},
+     "'letters' must be a nonempty list of names"),
+    ("cumulants", {"letters": ["a"], "max_degree": 2, "moments": ["a"]},
+     "'moments' must be an object mapping words to rationals"),
+    ("moments", {"kind": "free", "letters": ["a"], "max_degree": 2, "values": "a"},
+     "'values' must be an object mapping words to rationals"),
+], ids=["distribution not an object", "cumulants not an object", "missing kind",
+        "unknown kind", "empty letters", "letters not a list", "moments not an object",
+        "values not an object"])
+def test_malformed_input_files_exit_two(tmp_path, capsys, command, payload, message):
+    argv = [command, write(tmp_path, "in.json", payload)]
+    assert main(argv + (["--kind", "free"] if command == "cumulants" else [])) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw,message", [
+    ("abc", "SHUFFLE_MAX_DEGREE must be an integer, got 'abc'"),
+    ("0", "SHUFFLE_MAX_DEGREE must be >= 1"),
+])
+def test_bad_degree_cap_exits_two(tmp_path, monkeypatch, capsys, raw, message):
+    monkeypatch.setenv("SHUFFLE_MAX_DEGREE", raw)
+    assert main(["cumulants", write(tmp_path, "sem.json", SEMICIRCLE), "--kind", "free"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_report_and_json_match_golden(tmp_path, capsys):
+    # the report of CI's -O step, and the -o JSON it writes beside it
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "all", "--max-degree", "4", "--seed", "0",
+                 "-o", str(out)]) == 0
+    golden = GOLDEN_CLI.parent
+    assert capsys.readouterr().out == (golden / "verify-all-degree-4-seed-0.txt").read_text()
+    assert out.read_bytes() == (golden / "verify-all-degree-4-seed-0.json").read_bytes()

@@ -10,7 +10,7 @@ from shuffleprob import DomainError, EMPTY_BAR, BarWord, Word, functionals
 from shuffleprob.verify import _ad_closed_form, _ad_composed
 from shuffleprob.words import all_barwords, words_up_to
 
-from conftest import AB, random_fraction, random_inf
+from conftest import AB, random_fraction, random_inf, run_python
 
 A, B = AB
 
@@ -419,3 +419,122 @@ def test_memo_reads_in_the_kernels_change_no_value(name):
         for b in bars_:
             if len(b.words) > 1:
                 assert b.parts == tuple(BarWord((u,)) for u in b.words), b
+
+
+def _random_distribution(seed, max_degree=5):
+    rng = random.Random(seed)
+    return sp.Distribution(AB, max_degree, {u: random_fraction(rng)
+                                            for u in words_up_to(AB, max_degree)})
+
+
+#: Every constructor whose defining equation names the unit e; e fixes only
+#: the value at the empty bar word, so none of their trees holds it.
+UNIT_FREE_TREES = {
+    "exp_left": lambda: sp.exp_left(random_inf(40)),
+    "exp_right": lambda: sp.exp_right(random_inf(41)),
+    "neumann_inverse": lambda: sp.neumann_inverse(_random_character(42)),
+    "log_left": lambda: sp.log_left(_random_character(43)),
+    "log_right": lambda: sp.log_right(_random_character(44)),
+    "log_star": lambda: sp.log_star(_random_character(45)),
+    "adjoint": lambda: sp.adjoint(_random_character(46), random_inf(47)),
+    "ad_action": lambda: sp.ad_action(random_inf(48), random_inf(49)),
+    "bp_t": lambda: sp.bp_t(_random_character(50), F(1, 2)),
+    "subordinate left": lambda: sp.subordinate(
+        _random_character(51), _random_character(52), sp.Side.LEFT),
+    "subordinate right": lambda: sp.subordinate(
+        _random_character(53), _random_character(54), sp.Side.RIGHT),
+    "group_law_left": lambda: sp.group_law_left(random_inf(55), random_inf(56)),
+    **{f"cumulant_functional {kind}": (lambda kind=kind: sp.cumulants.cumulant_functional(
+        _random_distribution(57), kind)) for kind in ("free", "boolean", "monotone")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_FREE_TREES))
+def test_no_tree_reads_the_unit(name):
+    # The series grow their terms as they are read, so the tree is walked
+    # after it has been evaluated to degree 5.
+    tree = UNIT_FREE_TREES[name]()
+    for b in (*all_barwords(AB, 4), *sp.words.word_bars_up_to(AB, 5)):
+        tree(b)
+    assert all(node is not sp.e for node in _nodes_below(tree))
+
+
+_UNIT_MEMO_SCRIPT = """
+import gc, random
+from fractions import Fraction
+from shuffleprob import (EMPTY_BAR, Distribution, Letter, convert, coproducts,
+                         from_cumulants, functionals, products, to_cumulants, words)
+
+def live_bars_after_clearing():
+    coproducts.clear_caches()
+    words.all_barwords.cache_clear()
+    words.word_bars_up_to.cache_clear()
+    gc.collect()
+    return len(words._live_bars)
+
+rng = random.Random(3)
+letters, n = (Letter("a"), Letter("b")), 4
+def values():
+    return {u: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for u in words.words_up_to(letters, n)}
+d1, d2 = Distribution(letters, n, values()), Distribution(letters, n, values())
+kinds = ("free", "boolean", "monotone")
+before = live_bars_after_clearing()
+for kind in kinds:
+    to_cumulants(d1, kind)
+    from_cumulants(values(), kind, letters, n)
+    for target in kinds:
+        if target != kind:
+            convert(values(), kind, target, n, letters)
+for kind in ("free", "boolean", "monotone-left", "monotone-right"):
+    products.convolve_distributions(d1, d2, kind)
+for side in ("left", "right"):
+    products.subordinate_distributions(d1, d2, side)
+for t in (1, Fraction(1, 2), 2):
+    products.bp_distribution(d1, t)
+print(functionals.e._memo == {EMPTY_BAR: 1}, before, live_bars_after_clearing())
+"""
+
+
+def test_distribution_api_leaves_no_bar_word_in_the_unit():
+    # In a fresh process: the verify suites pair e itself, so an earlier
+    # test in the same run may have filled its memo.
+    proc = run_python("-c", _UNIT_MEMO_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    unit_memo_empty, before, after = proc.stdout.split()
+    assert unit_memo_empty == "True"
+    assert after == before
+
+
+#: Each refusal of a functional constructor: (call, message).
+REFUSALS = {
+    "infinitesimal with a value at the empty word": (
+        lambda: sp.infinitesimal({Word(): 1}),
+        "an infinitesimal character vanishes on the empty word"),
+    "exp_star of a unital operand": (
+        lambda: sp.exp_star(_random_character(60)),
+        "exp* needs an operand vanishing on the empty bar word"),
+    "log_star of a non-unital operand": (
+        lambda: sp.log_star(random_inf(61)),
+        "log* needs an operand with value 1 on the empty bar word"),
+    "log_right of a non-unital operand": (
+        lambda: sp.log_right(random_inf(62)),
+        "half-shuffle logarithms need a unital operand"),
+    "hs_power on the full side": (
+        lambda: sp.hs_power(_random_character(63), 2, sp.Side.FULL),
+        "half-shuffle powers are left- or right-sided"),
+    "adjoint by a non-unital phi": (
+        lambda: sp.adjoint(random_inf(64), random_inf(65)),
+        "the adjoint action is indexed by unital functionals"),
+    "adjoint of a mu nonzero at the empty word": (
+        lambda: sp.adjoint(_random_character(66), _random_character(67)),
+        "the adjoint action moves functionals vanishing at the unit"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_constructors_refuse_operands_outside_their_domain(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

@@ -203,17 +203,46 @@ def test_word_sort_key_is_graded_lexicographic_by_name_then_tag():
 
 
 def test_writer_keys_and_values_are_the_words_repr_and_lowest_terms():
-    x1, x2, y, x = sp.Letter("x", 1), sp.Letter("x", 2), sp.Letter("y"), sp.Letter("x")
-    values = {Word((y, x1)): F(-6, 4), Word((x2,)): 3, Word((x1,)): F(0),
-              Word((x, x2, x1)): F(10, 5),
-              Word((x1, x1)): F(-1, 3), Word((x,)): F(7, 1)}
+    z, w, y, x = (sp.Letter(n) for n in "zwyx")
+    values = {Word((y, z)): F(-6, 4), Word((w,)): 3, Word((z,)): F(0),
+              Word((x, w, z)): F(10, 5),
+              Word((z, z)): F(-1, 3), Word((x,)): F(7, 1)}
     text = io.StringIO()
-    sio.dump_json(sio.cumulant_map_to_json("free", (x1, x2, y, x), 3, values), text)
+    sio.dump_json(sio.cumulant_map_to_json("free", (z, w, y, x), 3, values), text)
     assert text.getvalue() == (
-        '{\n  "kind": "free",\n  "letters": [\n    "x",\n    "x",\n    "y",\n    "x"\n  ],\n'
-        '  "max_degree": 3,\n  "values": {\n    "x": "7",\n    "x#2": "3",\n'
-        '    "x#1.x#1": "-1/3",\n    "y.x#1": "-3/2",\n    "x.x#2.x#1": "2"\n  }\n}\n')
+        '{\n  "kind": "free",\n  "letters": [\n    "z",\n    "w",\n    "y",\n    "x"\n  ],\n'
+        '  "max_degree": 3,\n  "values": {\n    "w": "3",\n    "x": "7",\n'
+        '    "y.z": "-3/2",\n    "z.z": "-1/3",\n    "x.w.z": "2"\n  }\n}\n')
     # the same as the repr of each word, with rational_str of each value
-    old = {repr(w): sio.rational_str(v) for w, v in
+    old = {repr(u): sio.rational_str(v) for u, v in
            sorted(values.items(), key=lambda kv: _old_sort_key(kv[0])) if v}
-    assert sio.cumulant_map_to_json("free", (x1,), 3, values)["values"] == old
+    assert sio.cumulant_map_to_json("free", (z,), 3, values)["values"] == old
+
+
+#: Each writer on the semicircle retagged into algebra 1, as a
+#: LabeledContext holds it, or on one of its maps.
+TAGGED = sp.semicircle(4).retag(1)
+TAGGED_WRITERS = {
+    "distribution_to_json": lambda: sio.distribution_to_json(TAGGED),
+    "cumulant_map_to_json": lambda: sio.cumulant_map_to_json(
+        "free", TAGGED.letters, 4, sp.to_cumulants(TAGGED, "free")),
+    "cumulant_map_to_json, a tagged key only": lambda: sio.cumulant_map_to_json(
+        "free", (A,), 4, {Word(TAGGED.letters): 1}),
+    "series_to_json": lambda: sio.series_to_json("M", sp.series(TAGGED, "M")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAGGED_WRITERS))
+def test_writers_refuse_tagged_letters(name):
+    # The format has no tags, and '#' is not allowed in a name: the file
+    # written would be refused by the reader ("undeclared letter 'a#1'").
+    with pytest.raises(ValidationError, match=r"letter a#1 carries algebra tag 1"):
+        TAGGED_WRITERS[name]()
+
+
+@pytest.mark.parametrize("name", ["a.b", "a b", "1", ""])
+def test_writers_refuse_names_the_readers_refuse(name):
+    # the library takes any Letter; a file takes only the names it can read back
+    d = sp.Distribution((sp.Letter(name),), 2, {})
+    with pytest.raises(ValidationError, match="letter name"):
+        sio.distribution_to_json(d)

@@ -112,3 +112,13 @@ def test_magnus_rejects_non_infinitesimal():
         magnus_inverse(table)
     with pytest.raises(DomainError):
         bch(table, table)
+
+
+@pytest.mark.parametrize("g1,g2", [
+    (lambda: sp.character({}), lambda: random_inf(70)),
+    (lambda: random_inf(71), lambda: sp.from_values({Word((A,)): 1})),
+], ids=["a character", "an unflagged form"])
+def test_group_law_left_refuses_operands_that_are_not_infinitesimal(g1, g2):
+    with pytest.raises(DomainError) as info:
+        group_law_left(g1(), g2())
+    assert str(info.value) == "the shuffle group laws act on infinitesimal characters"

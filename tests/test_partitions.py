@@ -111,3 +111,16 @@ def test_oracle_convert_examples_and_domain():
                           ("monotone", "free"), ("free", "free")):
         with pytest.raises(DomainError):
             oracle_convert(pair, *pair_of_kinds, Word((A, A)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SetPartition(3, [[1, 2]]), "blocks ((1, 2),) do not partition [3]"),
+    (lambda: SetPartition(2, [[1, 2], [2]]), "blocks ((1, 2), (2,)) do not partition [2]"),
+    (lambda: SetPartition(2, [[0, 1, 2]]), "blocks ((0, 1, 2),) do not partition [2]"),
+    (lambda: oracle_moments({Word((A,)): F(1)}, "gaussian", Word((A, A))),
+     "unknown cumulant kind 'gaussian'"),
+], ids=["a missing point", "a repeated point", "a point outside [n]", "unknown kind"])
+def test_oracle_refuses_what_it_does_not_define(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message

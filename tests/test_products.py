@@ -193,3 +193,39 @@ def test_alternating_word_validation():
         _closed_monotone(ctx, None, Word((x, x)))
     with pytest.raises(DomainError):
         _closed_boolean(ctx, None, Word((A,)))
+
+
+def _two_algebras(n1=4, n2=4):
+    return sp.semicircle(n1, "a").retag(1), sp.semicircle(n2, "b").retag(2)
+
+
+#: Each refusal of the products layer: (call, error type, message).
+PRODUCT_REFUSALS = {
+    "monotone_conv of a non-unital operand": (
+        lambda: sp.monotone_conv(sp.character({}), random_inf(80)), DomainError,
+        "convolutions act on unital (character-type) functionals"),
+    "factorize on the full side": (
+        lambda: sp.factorize(random_inf(81), random_inf(82), Side.FULL), DomainError,
+        "factorize is left- or right-sided"),
+    "subordinate on the full side": (
+        lambda: sp.subordinate(sp.character({}), sp.character({}), Side.FULL), DomainError,
+        "subordination is left- or right-sided"),
+    "LabeledContext with unequal max_degree": (
+        lambda: LabeledContext(*_two_algebras(4, 6)), ValidationError,
+        "both distributions must share max_degree"),
+    "LabeledContext with untagged letters": (
+        lambda: LabeledContext(sp.semicircle(4, "a"), sp.semicircle(4, "b")), ValidationError,
+        "context distributions must carry algebra tags 1 and 2; "
+        "use LabeledContext.from_distributions"),
+    "subordinate_distributions with an unknown side": (
+        lambda: sp.subordinate_distributions(sp.semicircle(4), sp.semicircle(4), "up"),
+        ValidationError, "unknown side 'up'; expected left or right"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_REFUSALS))
+def test_products_refuse_operands_outside_their_domain(name):
+    call, error, message = PRODUCT_REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -228,3 +228,11 @@ def test_dropped_bar_words_leave_the_table():
     clear_caches()
     gc.collect()
     assert mine() == []
+
+
+@pytest.mark.parametrize("value,name", [
+    ("ab", "str"), ((A, B), "tuple"), (A, "Letter"), (None, "NoneType")])
+def test_as_barword_refuses_what_is_not_a_word(value, name):
+    with pytest.raises(TypeError) as info:
+        as_barword(value)
+    assert str(info.value) == f"expected Word or BarWord, got {name}"
