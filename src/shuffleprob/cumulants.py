@@ -20,22 +20,27 @@ degree.  Free cumulants are log< while max_degree < 9 and W(-O(-log>))
 from 9 on, and free moments exp< below 9 and exp> of the cumulants
 converted to boolean from 9 on (the measurements behind 9 are at
 _FREE_VIA_BOOLEAN_DEGREE).  Boolean both ways and monotone moments (exp*,
-already pruned) use the family's own exponential or logarithm.
+already pruned) use the family's own exponential or logarithm.  One route
+table, :func:`_route`, gives each route's tree and the extra theta scale it
+needs, and is the only reader of the threshold, of the conversions through
+monotone and of the Magnus scale.
 
 The distribution API (:func:`to_cumulants`, :func:`from_cumulants`,
 :func:`convert`, and the distribution-level products of :mod:`products`)
-evaluates on scaled inputs.  Every term of the unshuffle coproduct keeps the
-degree, so the grading automorphism theta_D : w -> D^|w| w commutes with
-every construction of :mod:`functionals` and :mod:`magnus`.  Each entry
-point takes D as the lcm of its input denominators, builds its leaves on
-the integers D^|w| v, evaluates the same tree in int arithmetic, and
-divides each value by D^|w| once, so every result is a ``Fraction``.  A
-tree that converts out of free or boolean cumulants reads the Magnus map,
-and D also takes the lcm of the denominators of the Magnus coefficients
-below max_degree, so O and every pairing that reads it run on ints too;
-only the final sums of W and exp* meet their coefficients' Fractions.
-The public constructors, :func:`cumulant_functional` and
-:meth:`Distribution.character` build unscaled trees.
+evaluates through one evaluator, :func:`_evaluate`, on scaled inputs.
+Every term of the unshuffle coproduct keeps the degree, so the grading
+automorphism theta_D : w -> D^|w| w commutes with every construction of
+:mod:`functionals` and :mod:`magnus`.  :func:`_evaluate`, the only place
+that computes D, takes it as the lcm of the input denominators times the
+route's extra scale, builds the leaves on the integers D^|w| v, evaluates
+the tree in int arithmetic, and divides each value by D^|w| once, so every
+result is a ``Fraction``.  A route that converts out of free or boolean
+cumulants reads the Magnus map; its extra scale, the lcm of the Magnus
+coefficients' denominators below max_degree, makes O and every pairing
+that reads it run on ints, and only the final sums of W and exp* meet
+their coefficients' Fractions.  The public constructors,
+:func:`cumulant_functional` and :meth:`Distribution.character` build
+unscaled trees.
 
 Input follows one rule each, and the other layers (the JSON reader, the
 CLI, ``verify.run_suites``) call these rules and do not check again: a
@@ -183,13 +188,16 @@ def tabulate(phi: fn.Functional, letters, max_degree: int) -> dict[Word, Fractio
     return _unscaled(phi, 1, letters, max_degree)
 
 
-def _scaled(maps, extra: int = 1):
-    """theta_D on word maps with Fraction values: (D, the maps with each
-    value v at w replaced by the int D^|w| v), where D is the lcm of their
-    denominators times extra.  Every key must be a nonempty word."""
+def _evaluate(tree, leaf, maps, letters, max_degree: int, extra: int = 1
+              ) -> dict[Word, Fraction]:
+    """tree(leaf(m), ...) over the maps, by theta_D: D is the lcm of their
+    denominators times extra, each leaf is built on the ints D^|w| v, and
+    :func:`_unscaled` divides each value by D^|w| once.  Every key of the
+    maps must be a nonempty word."""
     D = math.lcm(*(v.denominator for m in maps for v in m.values())) * extra
-    return D, [{w: v.numerator * (D // v.denominator) * D ** (len(w) - 1)
-                for w, v in m.items()} for m in maps]
+    leaves = [leaf({w: v.numerator * (D // v.denominator) * D ** (len(w) - 1)
+                    for w, v in m.items()}) for m in maps]
+    return _unscaled(tree(*leaves), D, letters, max_degree)
 
 
 def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
@@ -206,11 +214,6 @@ def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
         if v:
             out[b.words[0]] = Fraction(v, scale[b.degree])
     return out
-
-
-def _unscaled_distribution(phi: fn.Functional, D: int, d: Distribution) -> Distribution:
-    return Distribution._built(d.letters, d.max_degree,
-                               _unscaled(phi, D, d.letters, d.max_degree))
 
 
 def _degree(n) -> int:
@@ -279,42 +282,50 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
 #: so a long-running process keeps the direct route up to degree 8.
 _FREE_VIA_BOOLEAN_DEGREE = 9
 
-
-def _logarithm(kind: CumulantKind, max_degree: int):
-    """(source, log): log maps a moment character to its cumulants of kind,
-    read up to max_degree, as the logarithm of family source converted to
-    kind.  Boolean is log>.  Monotone is -O(-log>), the Magnus map of the
-    sign-twisted boolean cumulants, at every degree: as fast as log* on 3
-    letters at degree 5 and faster on the other measured shapes.  Free is
-    log< below _FREE_VIA_BOOLEAN_DEGREE and W(-O(-log>)) from there on."""
-    if kind is CumulantKind.FREE and max_degree < _FREE_VIA_BOOLEAN_DEGREE:
-        return kind, fn.log_left
-    return CumulantKind.BOOLEAN, lambda phi: _convert_functional(
-        fn.log_right(phi), CumulantKind.BOOLEAN, kind)
+#: The moment character: the end of a route that is not a cumulant family.
+_MOMENTS = "moments"
 
 
-def _exponential(kind: CumulantKind, max_degree: int):
-    """(target, exp): exp maps cumulants of kind, read up to max_degree, to
-    the moment character, as the exponential of family target after the
-    conversion to it.  That is the family's own exponential, except for
-    free from _FREE_VIA_BOOLEAN_DEGREE on, which is exp> of the boolean
-    cumulants."""
-    if kind is CumulantKind.FREE and max_degree >= _FREE_VIA_BOOLEAN_DEGREE:
-        return CumulantKind.BOOLEAN, lambda alpha: fn.exp_right(
-            _convert_functional(alpha, kind, CumulantKind.BOOLEAN))
-    return kind, {CumulantKind.FREE: fn.exp_left, CumulantKind.BOOLEAN: fn.exp_right,
-                  CumulantKind.MONOTONE: fn.exp_star}[kind]
+def _sign_twisted(f):
+    """a -> -f(-a)."""
+    return lambda alpha: -1 * f(-1 * alpha)
 
 
-def _magnus_scale(kind_from: CumulantKind, kind_to: CumulantKind, max_degree: int) -> int:
-    """The extra theta scale of a tree that converts kind_from to kind_to
-    up to max_degree.  Every conversion out of free or boolean reads the
-    Magnus map, and takes the lcm of its coefficients' denominators, which
-    makes its values ints (:func:`magnus._coeff_lcm`); every other tree
-    takes 1."""
-    if kind_from is kind_to or kind_from is CumulantKind.MONOTONE:
-        return 1
-    return _coeff_lcm(max_degree)
+def _identity(alpha):
+    return alpha
+
+
+#: Each family's (to monotone, from monotone) maps at the Lie level.
+_VIA_MONOTONE = {
+    CumulantKind.FREE: (magnus, magnus_inverse),
+    CumulantKind.BOOLEAN: (_sign_twisted(magnus), _sign_twisted(magnus_inverse)),
+    CumulantKind.MONOTONE: (_identity, _identity),
+}
+
+
+def _route(kind_from, kind_to, max_degree: int):
+    """(tree, extra): tree maps a functional of kind_from to the one of
+    kind_to that it determines up to max_degree, and extra is the theta
+    scale the tree needs beyond its input's denominators.  Either side is a
+    CumulantKind or _MOMENTS.  A conversion goes through monotone, and one
+    out of free or boolean reads O, so it takes :func:`magnus._coeff_lcm`."""
+    free, boolean = CumulantKind.FREE, CumulantKind.BOOLEAN
+    if kind_from is _MOMENTS:
+        if kind_to is free and max_degree < _FREE_VIA_BOOLEAN_DEGREE:
+            return fn.log_left, 1
+        convert, extra = _route(boolean, kind_to, max_degree)
+        return (lambda phi: convert(fn.log_right(phi))), extra
+    if kind_to is _MOMENTS:
+        if kind_from is free and max_degree >= _FREE_VIA_BOOLEAN_DEGREE:
+            convert, extra = _route(free, boolean, max_degree)
+            return (lambda alpha: fn.exp_right(convert(alpha))), extra
+        return {free: fn.exp_left, boolean: fn.exp_right,
+                CumulantKind.MONOTONE: fn.exp_star}[kind_from], 1
+    if kind_from is kind_to:
+        return _identity, 1
+    to_monotone, from_monotone = _VIA_MONOTONE[kind_from][0], _VIA_MONOTONE[kind_to][1]
+    extra = 1 if kind_from is CumulantKind.MONOTONE else _coeff_lcm(max_degree)
+    return (lambda alpha: from_monotone(to_monotone(alpha))), extra
 
 
 def cumulant_functional(d: Distribution, kind) -> fn.Functional:
@@ -325,17 +336,14 @@ def cumulant_functional(d: Distribution, kind) -> fn.Functional:
     d.max_degree < 9, and W(-O(-log>(phi))), which equals it, from degree 9
     on, where it is the cheaper of the two."""
     _distributions("cumulant_functional takes a Distribution", d)
-    _, log = _logarithm(_as_kind(kind), d.max_degree)
-    return log(d.character())
+    return _route(_MOMENTS, _as_kind(kind), d.max_degree)[0](d.character())
 
 
 def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
     """Cumulants of every word of degree <= max_degree (zeros omitted)."""
     _distributions("to_cumulants takes a Distribution", d)
-    kind = _as_kind(kind)
-    source, log = _logarithm(kind, d.max_degree)
-    D, (moments,) = _scaled((d.moments,), _magnus_scale(source, kind, d.max_degree))
-    return _unscaled(log(fn.character(moments)), D, d.letters, d.max_degree)
+    tree, extra = _route(_MOMENTS, _as_kind(kind), d.max_degree)
+    return _evaluate(tree, fn.character, (d.moments,), d.letters, d.max_degree, extra)
 
 
 def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
@@ -346,10 +354,9 @@ def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
     kind = _as_kind(kind)
     letters = _letters(letters)
     values = _word_map(c, letters, max_degree, drop_above=True)
-    target, exp = _exponential(kind, max_degree)
-    D, (values,) = _scaled((values,), _magnus_scale(kind, target, max_degree))
-    phi = exp(fn.infinitesimal(values))
-    return Distribution._built(letters, max_degree, _unscaled(phi, D, letters, max_degree))
+    tree, extra = _route(kind, _MOMENTS, max_degree)
+    return Distribution._built(letters, max_degree, _evaluate(
+        tree, fn.infinitesimal, (values,), letters, max_degree, extra))
 
 
 def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
@@ -364,38 +371,14 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
     kind_from, kind_to = _as_kind(kind_from), _as_kind(kind_to)
     letters = None if letters is None else _letters(letters)
     values = _word_map(c, letters, max_degree, drop_above=True)
-    D, (values,) = _scaled((values,), _magnus_scale(kind_from, kind_to, max_degree))
     if letters is None:
-        letters = sorted({l for w in c if len(w) <= max_degree for l in w},
-                         key=lambda l: (l.name, l.tag))
+        letters = tuple(sorted({l for w in c if len(w) <= max_degree for l in w},
+                               key=lambda l: (l.name, l.tag)))
         if not letters:
             raise ValidationError("cannot infer letters from a cumulant map with no key "
                                   "up to max_degree; pass letters explicitly")
-    out = _convert_functional(fn.infinitesimal(values), kind_from, kind_to)
-    return _unscaled(out, D, tuple(letters), max_degree)
-
-
-def _sign_twisted(f):
-    """a -> -f(-a)."""
-    return lambda alpha: -1 * f(-1 * alpha)
-
-
-#: Each family's (to monotone, from monotone) maps at the Lie level.
-_VIA_MONOTONE = {
-    CumulantKind.FREE: (magnus, magnus_inverse),
-    CumulantKind.BOOLEAN: (_sign_twisted(magnus), _sign_twisted(magnus_inverse)),
-}
-
-
-def _convert_functional(alpha: fn.Functional, kind_from: CumulantKind,
-                        kind_to: CumulantKind) -> fn.Functional:
-    if kind_from is kind_to:
-        return alpha
-    if kind_from is not CumulantKind.MONOTONE:
-        alpha = _VIA_MONOTONE[kind_from][0](alpha)
-    if kind_to is not CumulantKind.MONOTONE:
-        alpha = _VIA_MONOTONE[kind_to][1](alpha)
-    return alpha
+    tree, extra = _route(kind_from, kind_to, max_degree)
+    return _evaluate(tree, fn.infinitesimal, (values,), letters, max_degree, extra)
 
 
 class TruncatedSeries:

@@ -13,6 +13,7 @@ once, so a file and a library call accept the same input.  The writers read
 each value they are handed by the same rational rule, and each letter by the
 readers' letter-name rule; the format has no algebra tags, so a tagged letter
 raises :class:`ValidationError` rather than make a file no reader takes back.
+A reader refuses a field outside its format, and a missing map field.
 """
 
 from __future__ import annotations
@@ -100,8 +101,18 @@ def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
     return out
 
 
+def _check_fields(obj, what: str, fields: tuple[str, ...]) -> None:
+    """Refuse any top-level field of a file outside its format's fields."""
+    unknown = sorted(set(obj) - set(fields))
+    if unknown:
+        raise ValidationError(f"{what} file has unknown field(s) "
+                              f"{', '.join(map(repr, unknown))}; expected {', '.join(fields)}")
+
+
 def _parse_value_map(obj, field: str, letters) -> dict[Word, Fraction]:
-    raw = obj.get(field, {})
+    if field not in obj:
+        raise ValidationError(f"missing '{field}'")
+    raw = obj[field]
     if not isinstance(raw, dict):
         raise ValidationError(f"'{field}' must be an object mapping words to rationals")
     table = {l.name: l for l in letters}
@@ -117,6 +128,7 @@ def distribution_to_json(d: Distribution) -> dict:
 def parse_distribution(obj) -> Distribution:
     if not isinstance(obj, dict):
         raise ValidationError("distribution file must be a JSON object")
+    _check_fields(obj, "distribution", ("letters", "max_degree", "moments"))
     letters = _parse_letters(obj)
     return Distribution(letters, obj.get("max_degree"), _parse_value_map(obj, "moments", letters))
 
@@ -133,6 +145,7 @@ def parse_cumulant_map(obj):
     """Returns (kind, letters, max_degree, values)."""
     if not isinstance(obj, dict):
         raise ValidationError("cumulant file must be a JSON object")
+    _check_fields(obj, "cumulant", ("kind", "letters", "max_degree", "values"))
     kind = obj.get("kind")
     if kind not in ("free", "boolean", "monotone"):
         raise ValidationError(f"bad or missing 'kind': {kind!r}")

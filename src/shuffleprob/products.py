@@ -10,12 +10,14 @@ characters that extend each factor by zero on the other's letters; a
 alternating words, like every reference form, live in :mod:`verify`.
 
 The distribution-level entry points (:func:`convolve_distributions`,
-:func:`subordinate_distributions`, :func:`bp_distribution`) evaluate like
-those of :mod:`cumulants`: on moments scaled by theta_D : w -> D^|w| w, in
-int arithmetic, dividing once.  D is the lcm of the moment denominators;
-for :func:`bp_distribution` it is also multiplied by the denominator of t,
-so that t times the scaled left logarithm stays integral.  The results are
-Fractions.
+:func:`subordinate_distributions`, :func:`bp_distribution`) hand their
+tree and moment maps to :func:`cumulants._evaluate`, the one evaluator of
+the distribution API and the one place that computes D: it scales the
+moments by theta_D : w -> D^|w| w, evaluates in int arithmetic and divides
+once, so the results are Fractions.  :func:`bp_distribution` passes the
+denominator of t as the extra scale, so that t times the scaled left
+logarithm stays integral.  No product reads :func:`cumulants._route`, the
+home of the free threshold and the Magnus scale.
 
 Operands follow the rule of :mod:`cumulants` for a Distribution; a
 functional that is not unital is refused by the logarithm each product
@@ -29,7 +31,7 @@ from itertools import product as iproduct
 
 from . import functionals as fn
 from .coproducts import Side
-from .cumulants import Distribution, _distributions, _scaled, _unscaled_distribution
+from .cumulants import Distribution, _distributions, _evaluate
 from .errors import DomainError, ValidationError
 from .words import Letter, Word
 
@@ -191,8 +193,8 @@ def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Dis
            "monotone-left": monotone_conv, "monotone-right": antimonotone_conv}
     if kind not in ops:
         raise ValidationError(f"unknown convolution kind {kind!r}; expected one of {sorted(ops)}")
-    D, (m1, m2) = _scaled((d1.moments, d2.moments))
-    return _unscaled_distribution(ops[kind](fn.character(m1), fn.character(m2)), D, d1)
+    return Distribution._built(d1.letters, d1.max_degree, _evaluate(
+        ops[kind], fn.character, (d1.moments, d2.moments), d1.letters, d1.max_degree))
 
 
 def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> Distribution:
@@ -200,14 +202,15 @@ def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> 
     side_enum = {"left": Side.LEFT, "right": Side.RIGHT}.get(side)
     if side_enum is None:
         raise ValidationError(f"unknown side {side!r}; expected left or right")
-    D, (m1, m2) = _scaled((d1.moments, d2.moments))
-    return _unscaled_distribution(subordinate(fn.character(m1), fn.character(m2), side_enum),
-                                  D, d1)
+    return Distribution._built(d1.letters, d1.max_degree, _evaluate(
+        lambda phi, psi: subordinate(phi, psi, side_enum), fn.character,
+        (d1.moments, d2.moments), d1.letters, d1.max_degree))
 
 
 def bp_distribution(d: Distribution, t=1) -> Distribution:
     _distributions("bp_distribution takes a Distribution", d)
     # t * kappa stays integral when D also clears the denominator of t
     t = fn.parse_rational(t)
-    D, (moments,) = _scaled((d.moments,), t.denominator)
-    return _unscaled_distribution(bp_t(fn.character(moments), t), D, d)
+    return Distribution._built(d.letters, d.max_degree, _evaluate(
+        lambda phi: bp_t(phi, t), fn.character, (d.moments,), d.letters, d.max_degree,
+        extra=t.denominator))

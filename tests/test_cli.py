@@ -447,6 +447,49 @@ def test_malformed_input_files_exit_two(tmp_path, capsys, command, payload, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+CUMULANT_FILE = {"kind": "free", "letters": ["a"], "max_degree": 2, "values": {"a.a": "1"}}
+DISTRIBUTION_FIELDS = "expected letters, max_degree, moments"
+CUMULANT_FIELDS = "expected kind, letters, max_degree, values"
+
+
+def test_misspelt_map_field_exits_two(tmp_path, capsys):
+    # read as all zeros, this file used to print "values": {} and exit 0
+    payload = {"letters": ["a"], "max_degree": 4, "moment": {"a.a": "1"}}
+    assert main(["cumulants", write(tmp_path, "in.json", payload), "--kind", "free"]) == 2
+    assert capsys.readouterr() == ("", "error: distribution file has unknown field(s) "
+                                   f"'moment'; {DISTRIBUTION_FIELDS}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cumulants", "{c}", "--kind", "free"], ["convolve", "{c}", "{d}", "--kind", "free"],
+    ["subordinate", "{d}", "{c}", "--side", "left"], ["bp", "{c}"],
+    ["series", "{c}", "--kind", "M"]], ids=lambda argv: argv[0])
+def test_cumulant_file_given_to_a_distribution_command_exits_two(tmp_path, capsys, argv):
+    paths = {"{c}": write(tmp_path, "c.json", CUMULANT_FILE),
+             "{d}": write(tmp_path, "d.json", SEMICIRCLE)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: distribution file has unknown field(s) "
+                                   f"'kind', 'values'; {DISTRIBUTION_FIELDS}\n")
+
+
+@pytest.mark.parametrize("argv", [["moments"], ["convert", "--kind", "boolean"]],
+                         ids=lambda argv: argv[0])
+def test_distribution_file_given_to_a_cumulant_command_exits_two(tmp_path, capsys, argv):
+    assert main(argv[:1] + [write(tmp_path, "d.json", SEMICIRCLE)] + argv[1:]) == 2
+    assert capsys.readouterr() == ("", "error: cumulant file has unknown field(s) "
+                                   f"'moments'; {CUMULANT_FIELDS}\n")
+
+
+@pytest.mark.parametrize("command,payload,field", [
+    ("cumulants", {k: v for k, v in SEMICIRCLE.items() if k != "moments"}, "moments"),
+    ("moments", {k: v for k, v in CUMULANT_FILE.items() if k != "values"}, "values"),
+], ids=["moments", "values"])
+def test_missing_map_field_exits_two(tmp_path, capsys, command, payload, field):
+    argv = [command, write(tmp_path, "in.json", payload)]
+    assert main(argv + (["--kind", "free"] if command == "cumulants" else [])) == 2
+    assert capsys.readouterr() == ("", f"error: missing '{field}'\n")
+
+
 @pytest.mark.parametrize("raw,message", [
     ("abc", "SHUFFLE_MAX_DEGREE must be an integer, got 'abc'"),
     ("0", "SHUFFLE_MAX_DEGREE must be >= 1"),

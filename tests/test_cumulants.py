@@ -307,6 +307,6 @@ def test_declared_letters_follow_one_rule(letters, monkeypatch):
     # from_cumulants refuses the letters before it evaluates anything
     def no_evaluation(*args):
         raise AssertionError("evaluated before the letters were checked")
-    monkeypatch.setattr(cumulants, "_exponential", no_evaluation)
+    monkeypatch.setattr(cumulants, "_route", no_evaluation)
     with pytest.raises(ValidationError):
         sp.from_cumulants({uw(A, 2): F(1)}, "free", letters, 4)

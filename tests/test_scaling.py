@@ -79,13 +79,13 @@ def test_cumulant_entry_points_equal_unscaled_trees(raw, shape):
         # monotone cumulants are -O(-log>), whose coefficients the scale clears
         check(raw, tabulate(cumulants.cumulant_functional(d, kind), AB, N),
               lambda: sp.to_cumulants(d, kind), True)
-        _, exp = cumulants._exponential(kind, N)
+        exp, _ = cumulants._route(kind, cumulants._MOMENTS, N)
         check(raw, tabulate(exp(fn.infinitesimal(values)), AB, N),
               lambda: sp.from_cumulants(values, kind, AB, N),
               kind is not CumulantKind.MONOTONE)  # exp* has 1/n! coefficients
         for dst in CumulantKind:
             # O alone to monotone; W's 1/(n+1)! stay in every other conversion
-            tree = cumulants._convert_functional(fn.infinitesimal(values), kind, dst)
+            tree = cumulants._route(kind, dst, N)[0](fn.infinitesimal(values))
             check(raw, tabulate(tree, AB, N), lambda: sp.convert(values, kind, dst, N, AB),
                   kind is dst or dst is CumulantKind.MONOTONE)
 
@@ -185,14 +185,14 @@ def test_magnus_routes_follow_the_mutated_coefficients(raw):
         for kind in (CumulantKind.FREE, CumulantKind.BOOLEAN):
             for dst in CumulantKind:
                 if dst is not kind:
-                    tree = cumulants._convert_functional(fn.infinitesimal(values), kind, dst)
+                    tree = cumulants._route(kind, dst, N)[0](fn.infinitesimal(values))
                     check(raw, tabulate(tree, AB, N),
                           lambda: sp.convert(values, kind, dst, N, AB),
                           dst is CumulantKind.MONOTONE, lcm(values) * 2)
         # the free routes from degree 9 on read O, then W
         check(raw, tabulate(cumulants.cumulant_functional(d_9, "free"), a, 9),
               lambda: sp.to_cumulants(d_9, "free"), False)
-        _, exp = cumulants._exponential(CumulantKind.FREE, 9)
+        exp, _ = cumulants._route(CumulantKind.FREE, cumulants._MOMENTS, 9)
         check(raw, tabulate(exp(fn.infinitesimal(values_9)), a, 9),
               lambda: sp.from_cumulants(values_9, "free", a, 9), False)
 
