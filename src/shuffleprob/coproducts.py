@@ -12,9 +12,10 @@ One enumeration builds every term on a word w: it fixes a term by the first
 run w[i:j] of the complement.  The letters before i are picked, and so
 is w[j]; the letters after j split by their own full coproduct, read
 from the memo.  The side fixes i: any i on the full side, i >= 1 on the
-left, i = 0 on the right.  Apart from the free product's closed form among
-the references in :mod:`verify`, it is the only code that enumerates
-position subsets.
+left, i = 0 on the right.  It is the only enumeration of position subsets
+in the engine; the two others are references that checks compare it with:
+the free product's closed form in :mod:`verify`, and the expansion of a
+half-coproduct on a bar product in :mod:`axioms`.
 
 :func:`single_run_terms` gives the terms of one side on a one-word bar word
 whose right leg is one nonempty word: the subsets whose complement is one

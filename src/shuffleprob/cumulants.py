@@ -205,12 +205,9 @@ def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
     """phi(w) / D^|w| on every nonempty word of degree <= max_degree, zeros
     omitted: the values of the tree built on leaves scaled by theta_D."""
     out = {}
-    get = phi._memo.get
     scale = [D ** k for k in range(max_degree + 1)]
     for b in word_bars_up_to(tuple(letters), max_degree):
-        v = get(b)
-        if v is None:
-            v = phi(b)
+        v = phi(b)
         if v:
             out[b.words[0]] = Fraction(v, scale[b.degree])
     return out

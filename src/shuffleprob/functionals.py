@@ -90,17 +90,18 @@ past the empty bar word.  So no tree that the package builds reads e, and
 e's memo holds its one entry only, unless e itself is paired, as the unit
 axioms in :mod:`verify` do.
 
-The evaluation kernels (the loops of ``_Pairing``, ``_Linear`` and
-``_Series``, and a character's product over the components of a bar word)
-read an operand's memo dict directly and call the operand only on a miss,
-which evaluates and fills that memo.  A hit is the object the call would
-return, so values and the order of every sum are the same either way; in a
-warm tree nearly every read is a hit, and it skips the call.  A character
-reads its components from the bar word's ``parts`` slot, filled with their
-canonical one-word bar words on its first bar-product miss, so a second
-character node, or a second tree, builds none of them again.  A running
-kernel holds its operands' bound ``get`` methods, so a node's ``_memo`` dict
-is filled in place and never rebound.
+Every value is read one way: a subscript of the node's memo, a
+:class:`_Memo`, whose ``__missing__`` evaluates the node at a missed bar
+word and stores the value.  A call is the bar-word coercion and that
+subscript; the evaluation kernels (the loops of ``_Pairing``, ``_Linear``
+and ``_Series``, and a character's product over the components of a bar
+word) subscript their operands' memos.  So a hit is a dict read in C, and
+every miss goes through ``_Memo.__missing__``, the one place that
+dispatches on the flags.  A character reads its components from the bar
+word's ``parts`` slot, filled with their canonical one-word bar words on
+its first bar-product miss, so a second character node, or a second tree,
+builds none of them again.  A memo holds its node through a weak
+reference, so a tree is freed by reference counting alone.
 
 Expression trees are immutable and freely shareable.  The memo dicts are
 keyed by canonical bar words, whose table in :mod:`.words` is locked, but
@@ -165,39 +166,49 @@ def _exact(v) -> Value:
     return v.numerator if v.denominator == 1 else v
 
 
+class _Memo(dict):
+    """A node's memo, keyed by canonical bar words.  A missed read
+    evaluates the node there and stores the value: on a bar product a
+    character multiplies its values on the words and an infinitesimal
+    character reads 0; every other miss is the node's own ``_value``.  It
+    holds its node weakly, so the two make no reference cycle."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: "Functional"):
+        self.node = weakref.ref(node)
+
+    def __missing__(self, b: BarWord) -> Value:
+        node = self.node()
+        if len(b.words) > 1 and node.is_character:
+            parts = b.parts
+            if parts is None:
+                parts = b.parts = tuple(BarWord((w,)) for w in b.words)
+            v = 1
+            for part in parts:
+                v *= self[part]
+                if not v:
+                    break
+        elif len(b.words) > 1 and node.is_infinitesimal_character:
+            v = 0
+        else:
+            v = node._value(b)
+        self[b] = v
+        return v
+
+
 class Functional:
-    __slots__ = ("_memo", "is_character", "is_infinitesimal_character")
+    __slots__ = ("_memo", "is_character", "is_infinitesimal_character", "__weakref__")
 
     def __init__(self):
-        self._memo: dict[BarWord, Value] = {}
+        self._memo = _Memo(self)
         self.is_character = False
         self.is_infinitesimal_character = False
 
     def __call__(self, element) -> Value:
         if type(element) is not BarWord:
             element = as_barword(element)
-        memo = self._memo
-        v = memo.get(element)
-        if v is None:
-            words = element.words
-            if len(words) < 2:
-                v = self._value(element)
-            elif self.is_character:
-                parts = element.parts
-                if parts is None:
-                    parts = element.parts = tuple(BarWord((w,)) for w in words)
-                v = 1
-                for part in parts:
-                    u = memo.get(part)
-                    v *= self(part) if u is None else u
-                    if not v:
-                        break
-            elif self.is_infinitesimal_character:
-                v = 0
-            else:
-                v = self._value(element)
-            memo[element] = v
-        return v
+        return self._memo[element]
 
     def _value(self, b: BarWord) -> Value:
         raise NotImplementedError
@@ -258,9 +269,7 @@ class _Linear(Functional):
     def _value(self, b):
         total = 0
         for c, f in self.parts:
-            v = f._memo.get(b)
-            if v is None:
-                v = f(b)
+            v = f._memo[b]
             if v:
                 total += c * v
         if type(total) is Fraction and total.denominator == 1:
@@ -280,9 +289,10 @@ class _Pairing(Functional):
     X = z + X < (e - phi).  The fixed points take no base: e is 0 off the
     empty bar word, and their constructors write the 1 there into the
     memo.  The other operand vanishes on the empty bar word, and it is
-    evaluated first, so the one term whose self leg keeps the degree of b
-    is dropped before it recurses.  The node does not store
-    itself, which would make it a reference cycle that outlives its use.
+    read first, so the one term whose self leg keeps the degree of b is
+    dropped before it recurses.  The node does not store itself, which
+    would make it a reference cycle that outlives its use; its loops
+    subscript the memos of its legs and of the base, its own included.
 
     The runs leg is g, or the node itself when g is None.  When it is
     flagged ``is_infinitesimal_character`` and b is one word, only the terms
@@ -296,39 +306,26 @@ class _Pairing(Functional):
         self.f, self.g, self.side, self.base = f, g, side, base
 
     def _value(self, b):
-        f, g = self.f, self.g
-        runs = self if g is None else g
+        runs = self if self.g is None else self.g
         if runs.is_infinitesimal_character and len(b.words) == 1:
             terms = single_run_terms(b, self.side).terms.items()
         else:
             terms = unshuffle_bar(b, self.side).terms.items()
-        total = 0 if self.base is None else self.base(b)
-        if f is None:  # self on the left: the known right leg goes first
-            f = self
-            fget, gget = f._memo.get, g._memo.get
+        total = 0 if self.base is None else self.base._memo[b]
+        fmemo, gmemo = (self if self.f is None else self.f)._memo, runs._memo
+        if self.f is None:  # self on the left: the known right leg goes first
             for (x, y), c in terms:
-                right = gget(y)
-                if right is None:
-                    right = g(y)
+                right = gmemo[y]
                 if right:
-                    left = fget(x)
-                    if left is None:
-                        left = f(x)
+                    left = fmemo[x]
                     if left:
                         v = left * right
                         total += v if c == 1 else c * v
             return total
-        if g is None:
-            g = self
-        fget, gget = f._memo.get, g._memo.get
         for (x, y), c in terms:
-            left = fget(x)
-            if left is None:
-                left = f(x)
+            left = fmemo[x]
             if left:
-                right = gget(y)
-                if right is None:
-                    right = g(y)
+                right = gmemo[y]
                 if right:
                     v = left * right
                     total += v if c == 1 else c * v
@@ -341,11 +338,12 @@ class _Series(Functional):
     coeff(i) * T_i(b), where T_0 = first, T_{i+1} = step(node, T_i), and
     T_i vanishes below degree i + 1.  Terms and
     coefficients are built once, on demand; a zero coefficient (an odd
-    Bernoulli number) skips its term unevaluated.  The step gets the node
-    as a weak proxy, so a term that refers back to it (a Magnus iterate)
-    makes no reference cycle."""
+    Bernoulli number) skips its term unevaluated, and each other term is
+    read by a subscript of its memo.  The step gets the node as a weak
+    proxy, so a term that refers back to it (a Magnus iterate) makes no
+    reference cycle."""
 
-    __slots__ = ("step", "coeff", "_terms", "__weakref__")
+    __slots__ = ("step", "coeff", "_terms")
 
     def __init__(self, first, step, coeff, unit_term):
         super().__init__()
@@ -363,9 +361,7 @@ class _Series(Functional):
         total = 0
         for c, t in terms[:d]:
             if c:
-                v = t._memo.get(b)
-                if v is None:
-                    v = t(b)
+                v = t._memo[b]
                 if v:
                     total += v if c == 1 else c * v
         if type(total) is Fraction and total.denominator == 1:

@@ -3,9 +3,11 @@ from contextlib import nullcontext
 
 import pytest
 
-from shuffleprob import BarWord, Letter, Side, Word, half_unshuffle, unshuffle_bar
+from shuffleprob import (BarWord, Letter, Side, Word, coproducts, half_unshuffle,
+                         unshuffle_bar)
 from shuffleprob.axioms import check_axioms
 from shuffleprob.mutations import inject_defect
+from shuffleprob.tensors import TensorSum
 from shuffleprob.words import words_up_to
 
 
@@ -31,6 +33,31 @@ def test_corrupted_left_half_is_caught_at_low_degree():
         element = r.witness["element"]
         degree = len([t for t in element.replace("|", ".").split(".") if t != "1"])
         assert degree <= 2
+
+
+def test_product_compat_checks_catch_a_wrong_word_coproduct(monkeypatch):
+    # Doubling one coefficient of every degree-2 word coproduct changes the
+    # bar products built from them; both compat checks compare those with an
+    # expansion of their own, so both must notice.
+    by_first_run = coproducts._by_first_run
+
+    def doubled(w, side, single_run):
+        out = by_first_run(w, side, single_run)
+        if len(w) != 2:
+            return out
+        terms = dict(out.terms)
+        first = next(iter(terms))
+        terms[first] *= 2
+        return TensorSum._raw(terms)
+
+    coproducts.clear_caches()
+    monkeypatch.setattr(coproducts, "_by_first_run", doubled)
+    try:
+        report = check_axioms((Letter("a"), Letter("b")), 3)
+    finally:
+        coproducts.clear_caches()
+    names = {r.name for r in report.failures}
+    assert {"product-compat-left", "product-compat-right"} <= names
 
 
 def test_checker_recovers_after_mutation():

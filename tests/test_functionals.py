@@ -1,3 +1,4 @@
+import ast
 import gc
 import random
 import weakref
@@ -10,7 +11,7 @@ from shuffleprob import DomainError, EMPTY_BAR, BarWord, Word, functionals
 from shuffleprob.verify import _ad_closed_form, _ad_composed
 from shuffleprob.words import all_barwords, words_up_to
 
-from conftest import AB, random_fraction, random_inf, run_python
+from conftest import AB, ROOT, random_fraction, random_inf, run_python
 
 A, B = AB
 
@@ -387,7 +388,7 @@ def _nodes_below(root):
         else:
             below = ()
         for f in below:
-            if f is not None and type(f) is not weakref.ProxyType and id(f) not in found:
+            if f is not None and type(f) not in weakref.ProxyTypes and id(f) not in found:
                 found[id(f)] = f
                 stack.append(f)
     return list(found.values())
@@ -395,8 +396,10 @@ def _nodes_below(root):
 
 @pytest.mark.parametrize("name", sorted(MEMO_KERNELS))
 def test_memo_reads_in_the_kernels_change_no_value(name):
-    # Every read of the warm tree below its root is a memo hit; the cold
-    # tree is read from its highest degree down, so its first reads miss.
+    # Every subscript read of the warm tree below its root is a memo hit,
+    # which returns the stored value; the cold tree is read from its highest
+    # degree down, so its first reads miss and evaluate through the memo's
+    # __missing__.
     # The parts slots are cleared first: the warm tree's characters build
     # each bar product's parts, and the cold tree's read them cached.
     bars_ = all_barwords(AB, 5)
@@ -457,6 +460,41 @@ def test_no_tree_reads_the_unit(name):
     for b in (*all_barwords(AB, 4), *sp.words.word_bars_up_to(AB, 5)):
         tree(b)
     assert all(node is not sp.e for node in _nodes_below(tree))
+
+
+#: The trees that must free themselves by reference counting alone.
+FREED_TREES = {**UNIT_FREE_TREES,
+               "magnus": lambda: sp.magnus(random_inf(58)),
+               "magnus_inverse": lambda: sp.magnus_inverse(random_inf(59))}
+
+
+@pytest.mark.parametrize("name", sorted(FREED_TREES))
+def test_a_tree_is_freed_without_the_cycle_collector(name):
+    # A memo holds its node weakly, so no node and memo make a cycle that
+    # keeps a read tree, and its values, alive until the collector runs.
+    gc.collect()
+    gc.disable()
+    try:
+        tree = FREED_TREES[name]()
+        for b in all_barwords(AB, 4):
+            tree(b)
+        refs = [weakref.ref(node) for node in (tree, *_nodes_below(tree))]
+        del tree
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_only_functionals_reads_a_memo():
+    # Every value is read by one subscript of a node's memo, whose
+    # __missing__ evaluates a miss; a .get would skip it.
+    for path in sorted((ROOT / "src" / "shuffleprob").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_memo":
+                assert path.name == "functionals.py", (path.name, node.lineno)
+            if (isinstance(node, ast.Attribute) and node.attr == "get"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "_memo"):
+                raise AssertionError(f"{path.name}:{node.lineno} reads a memo by .get")
 
 
 _UNIT_MEMO_SCRIPT = """
