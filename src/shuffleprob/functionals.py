@@ -180,7 +180,9 @@ class _Memo(dict):
 
     def __missing__(self, b: BarWord) -> Value:
         node = self.node()
-        if len(b.words) > 1 and node.is_character:
+        if len(b.words) < 2:
+            v = node._value(b)
+        elif node.is_character:
             parts = b.parts
             if parts is None:
                 parts = b.parts = tuple(BarWord((w,)) for w in b.words)
@@ -189,7 +191,7 @@ class _Memo(dict):
                 v *= self[part]
                 if not v:
                     break
-        elif len(b.words) > 1 and node.is_infinitesimal_character:
+        elif node.is_infinitesimal_character:
             v = 0
         else:
             v = node._value(b)
