@@ -9,21 +9,24 @@ families are the three logarithms of its moment character:
     monotone <- convolution logarithm,
 
 and the inverse transforms are the corresponding exponentials.  Conversions
-between families go through the Magnus map and pre-Lie exponential directly
-at the infinitesimal-character level, never through moments.
+between families go through the Magnus map and pre-Lie exponential at the
+infinitesimal-character level, but free and boolean below degree 9 convert
+through the moment character: log>(exp<) one way and log<(exp>) the other.
 
 The transforms take the cheaper route to the same values.  log> is a
 pruned pairing, about n terms at a word of degree n, and a conversion
-about n^3; log<, exp< and log* read 2^(n-1) to 2^n.  So monotone
-cumulants are -O(-log>), the boolean cumulants converted, at every
-degree.  Free cumulants are log< while max_degree < 9 and W(-O(-log>))
-from 9 on, and free moments exp< below 9 and exp> of the cumulants
-converted to boolean from 9 on (the measurements behind 9 are at
-_FREE_VIA_BOOLEAN_DEGREE).  Boolean both ways and monotone moments (exp*,
-already pruned) use the family's own exponential or logarithm.  One route
-table, :func:`_route`, gives each route's tree and the extra theta scale it
-needs, and is the only reader of the threshold, of the conversions through
-monotone and of the Magnus scale.
+through monotone about n^3; log<, exp< and log* read 2^(n-1) to 2^n.  So
+monotone cumulants are -O(-log>), the boolean cumulants converted, at
+every degree.  Free cumulants are log< while max_degree < 9 and
+W(-O(-log>)) from 9 on, and free moments exp< below 9 and exp> of the
+cumulants converted to boolean from 9 on (the measurements behind 9 are
+at _FREE_VIA_BOOLEAN_DEGREE).  The conversion between free and boolean
+follows the same threshold: through moments below 9, through monotone
+from 9 on, where the free routes read it.  Boolean both ways and monotone
+moments (exp*, already pruned) use the family's own exponential or
+logarithm.  One route table, :func:`_route`, gives each route's tree and
+the extra theta scale it needs, and is the only reader of the threshold,
+of the conversions through monotone and of the Magnus scale.
 
 The distribution API (:func:`to_cumulants`, :func:`from_cumulants`,
 :func:`convert`, and the distribution-level products of :mod:`products`)
@@ -35,10 +38,10 @@ that computes D, takes it as the lcm of the input denominators times the
 route's extra scale, builds the leaves on the integers D^|w| v, evaluates
 the tree in int arithmetic, and divides each value by D^|w| once, so every
 result is a ``Fraction``.  A route that converts out of free or boolean
-cumulants reads the Magnus map; its extra scale, the lcm of the Magnus
-coefficients' denominators below max_degree, makes O and every pairing
-that reads it run on ints, and only the final sums of W and exp* meet
-their coefficients' Fractions.  The public constructors,
+cumulants through monotone reads the Magnus map; its extra scale, the lcm
+of the Magnus coefficients' denominators below max_degree, makes O and
+every pairing that reads it run on ints, and only the final sums of W and
+exp* meet their coefficients' Fractions.  The public constructors,
 :func:`cumulant_functional` and :meth:`Distribution.character` build
 unscaled trees.
 
@@ -277,6 +280,19 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
 #: second call, on warm coproducts, takes 7-10x longer through log> at 2
 #: letters degrees 6-9 and 3 letters 5-7 (2 letters degree 8: 11 -> 94 ms),
 #: so a long-running process keeps the direct route up to degree 8.
+#:
+#: Below it, convert between free and boolean also goes through the moment
+#: character, log>(exp<) and log<(exp>), in place of -W(-O) and W(-O(-)).
+#: Dense random input, Magnus -> moments, best of 3, free -> boolean (the
+#: other way within 1.5x): warm, 2 letters 8.4 -> 1.1 ms at degree 6, 22 ->
+#: 3.0 ms at 7, 62 -> 16 ms at 8, 3 letters 18 -> 3.9 ms at 5; cold, fresh
+#: processes, 1 letter 1.5 -> 2.1 ms at 8, 2 letters 55 -> 60 ms at 7, 132
+#: -> 192 ms at 8, 3 letters 869 -> 951 ms at 7: the same warm-over-cold
+#: trade.  From 9 on the conversion stays on the Magnus maps, which the free
+#: transforms read there.  The other four conversions stay on them at every
+#: degree: through moments, one to monotone still reads O after an
+#: exponential and one from monotone adds exp*, and warm at 2 letters
+#: degrees 6-7 and 3 letters degree 5 they took 0.8-2.2x the Magnus time.
 _FREE_VIA_BOOLEAN_DEGREE = 9
 
 #: The moment character: the end of a route that is not a cumulant family.
@@ -304,8 +320,10 @@ def _route(kind_from, kind_to, max_degree: int):
     """(tree, extra): tree maps a functional of kind_from to the one of
     kind_to that it determines up to max_degree, and extra is the theta
     scale the tree needs beyond its input's denominators.  Either side is a
-    CumulantKind or _MOMENTS.  A conversion goes through monotone, and one
-    out of free or boolean reads O, so it takes :func:`magnus._coeff_lcm`."""
+    CumulantKind or _MOMENTS.  Free and boolean convert into each other
+    through the moment routes below _FREE_VIA_BOOLEAN_DEGREE.  Every other
+    conversion goes through monotone, and one out of free or boolean reads
+    O, so it takes :func:`magnus._coeff_lcm`."""
     free, boolean = CumulantKind.FREE, CumulantKind.BOOLEAN
     if kind_from is _MOMENTS:
         if kind_to is free and max_degree < _FREE_VIA_BOOLEAN_DEGREE:
@@ -320,6 +338,10 @@ def _route(kind_from, kind_to, max_degree: int):
                 CumulantKind.MONOTONE: fn.exp_star}[kind_from], 1
     if kind_from is kind_to:
         return _identity, 1
+    if {kind_from, kind_to} == {free, boolean} and max_degree < _FREE_VIA_BOOLEAN_DEGREE:
+        exp = _route(kind_from, _MOMENTS, max_degree)[0]
+        log = _route(_MOMENTS, kind_to, max_degree)[0]
+        return (lambda alpha: log(exp(alpha))), 1
     to_monotone, from_monotone = _VIA_MONOTONE[kind_from][0], _VIA_MONOTONE[kind_to][1]
     extra = 1 if kind_from is CumulantKind.MONOTONE else _coeff_lcm(max_degree)
     return (lambda alpha: from_monotone(to_monotone(alpha))), extra
@@ -361,9 +383,11 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
     """Convert a cumulant map between families at the Lie level.
 
     Monotone and free trade places under the Magnus map and its inverse;
-    boolean reaches either by conjugating with a sign twist.  When ``letters``
-    is omitted it is inferred from the keys of c of degree <= max_degree; the
-    keys above it are dropped.
+    boolean reaches either by conjugating with a sign twist.  Below degree 9
+    free and boolean trade places through their moment character instead,
+    as log>(exp<) and log<(exp>).  When ``letters`` is omitted it is
+    inferred from the keys of c of degree <= max_degree; the keys above it
+    are dropped.
     """
     kind_from, kind_to = _as_kind(kind_from), _as_kind(kind_to)
     letters = None if letters is None else _letters(letters)

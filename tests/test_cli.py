@@ -385,6 +385,23 @@ def test_cli_degree_forty_magnus_routes_match_golden(name, command, src, kind, m
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("name,src,n,kind", [
+    ("convert-free-boolean-8", "in-cumulants-9", 8, "boolean"),
+    ("convert-free-boolean-9", "in-cumulants-9", 9, "boolean"),
+    ("convert-boolean-free-8", "convert-free-boolean-8", None, "free"),
+    ("convert-boolean-free-9", "convert-free-boolean-9", None, "free"),
+])
+def test_cli_conversions_across_the_free_threshold_match_golden(name, src, n, kind,
+                                                               monkeypatch, capsys):
+    # two letters: free and boolean convert through moments at degree 8 and
+    # through the Magnus maps at 9; the goldens predate the moment route
+    monkeypatch.setenv("SHUFFLE_MAX_DEGREE", "9")
+    argv = ["convert", str(GOLDEN_CLI / f"{src}.json"), "--kind", kind]
+    assert main(argv + ([] if n is None else ["--max-degree", str(n)])) == 0
+    expected = (GOLDEN_CLI / f"{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 from shuffleprob.cli import main

@@ -260,9 +260,12 @@ def test_convert_matches_the_partition_oracle():
 def test_partition_oracle_catches_a_wrong_magnus_coefficient():
     c = random_cumulant_map(57)
     with inject_defect("skip-bernoulli-2"):
-        got = sp.convert(c, "free", "boolean", 6, AB)
-    assert any(got.get(w, 0) != sp.oracle_convert(c, "free", "boolean", w)
-               for w in words_up_to(AB, 6))
+        # below degree 9 free and boolean convert through moments, and monotone
+        # to boolean reads W alone; free to monotone reads O, whose boolean
+        # cumulants by the oracle then miss those of c
+        h = sp.convert(c, "free", "monotone", 6, AB)
+    assert any(sp.oracle_convert(h, "monotone", "boolean", w)
+               != sp.oracle_convert(c, "free", "boolean", w) for w in words_up_to(AB, 6))
 
 
 def _catalan(k):

@@ -15,6 +15,7 @@ import shuffleprob as sp
 from shuffleprob import Distribution, cumulants, functionals as fn, mutations, products as pr
 from shuffleprob.coproducts import Side
 from shuffleprob.cumulants import CumulantKind, tabulate
+from shuffleprob.magnus import _coeff_lcm
 from shuffleprob.words import words_up_to
 
 from conftest import AB
@@ -84,10 +85,12 @@ def test_cumulant_entry_points_equal_unscaled_trees(raw, shape):
               lambda: sp.from_cumulants(values, kind, AB, N),
               kind is not CumulantKind.MONOTONE)  # exp* has 1/n! coefficients
         for dst in CumulantKind:
-            # O alone to monotone; W's 1/(n+1)! stay in every other conversion
+            # O alone to monotone, and below degree 9 free and boolean convert
+            # through moments; W's 1/(n+1)! stay in the conversions out of
+            # monotone
             tree = cumulants._route(kind, dst, N)[0](fn.infinitesimal(values))
             check(raw, tabulate(tree, AB, N), lambda: sp.convert(values, kind, dst, N, AB),
-                  kind is dst or dst is CumulantKind.MONOTONE)
+                  kind is dst or kind is not CumulantKind.MONOTONE)
 
 
 @pytest.mark.parametrize("shape", sorted(MAPS))
@@ -179,17 +182,24 @@ def test_magnus_routes_follow_the_mutated_coefficients(raw):
     values_9 = prime_by_degree(a, 9)
     d_9 = distribution(values_9, a, 9)
     lcm = lambda m: math.lcm(*(v.denominator for v in m.values()))
+    free, boolean = CumulantKind.FREE, CumulantKind.BOOLEAN
     with mutations.inject_defect("skip-bernoulli-2"):
         check(raw, tabulate(cumulants.cumulant_functional(d, "monotone"), AB, N),
               lambda: sp.to_cumulants(d, "monotone"), True, lcm(d.moments) * 2)
-        for kind in (CumulantKind.FREE, CumulantKind.BOOLEAN):
-            for dst in CumulantKind:
-                if dst is not kind:
-                    tree = cumulants._route(kind, dst, N)[0](fn.infinitesimal(values))
-                    check(raw, tabulate(tree, AB, N),
-                          lambda: sp.convert(values, kind, dst, N, AB),
-                          dst is CumulantKind.MONOTONE, lcm(values) * 2)
-        # the free routes from degree 9 on read O, then W
+        for kind, dst in ((free, boolean), (boolean, free)):
+            tree = cumulants._route(kind, CumulantKind.MONOTONE, N)[0](fn.infinitesimal(values))
+            check(raw, tabulate(tree, AB, N),
+                  lambda: sp.convert(values, kind, CumulantKind.MONOTONE, N, AB),
+                  True, lcm(values) * 2)
+            # below degree 9 free and boolean convert through moments, with no L
+            tree = cumulants._route(kind, dst, N)[0](fn.infinitesimal(values))
+            check(raw, tabulate(tree, AB, N), lambda: sp.convert(values, kind, dst, N, AB),
+                  True, lcm(values))
+            # from degree 9 on they read O, then W, scaled by L
+            tree = cumulants._route(kind, dst, 9)[0](fn.infinitesimal(values_9))
+            check(raw, tabulate(tree, a, 9), lambda: sp.convert(values_9, kind, dst, 9, a),
+                  False, lcm(values_9) * _coeff_lcm(9))
+        # so do the free routes from degree 9 on
         check(raw, tabulate(cumulants.cumulant_functional(d_9, "free"), a, 9),
               lambda: sp.to_cumulants(d_9, "free"), False)
         exp, _ = cumulants._route(CumulantKind.FREE, cumulants._MOMENTS, 9)

@@ -4,7 +4,8 @@ by theta_D or, with a Magnus node, by theta_{D L}, and every
 distribution-level product, equals ``tabulate`` of the same tree built on
 unscaled leaves, and returns Fractions only, keyed by Words.  On one letter
 at degrees 8 to 11, both sides of the free threshold, the routes also equal
-the defining logarithms and exponentials."""
+the defining logarithms and exponentials, and each conversion its Magnus
+composition through monotone."""
 
 from fractions import Fraction as F
 
@@ -105,6 +106,10 @@ def test_routes_across_the_free_threshold(drawn):
             got = sp.convert(c, kind, dst, n, letters)
             same(got, cumulants._route(kind, dst, n)[0](alpha), letters, n)
             same(got, DEFINING[dst][0](exp(alpha)), letters, n)
+            # below 9, free and boolean convert through moments, which is
+            # the line above; the Magnus composition reads O and W
+            via = cumulants._VIA_MONOTONE
+            same(got, via[dst][1](via[kind][0](alpha)), letters, n)
 
 
 @SETTINGS
