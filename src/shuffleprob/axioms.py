@@ -19,19 +19,19 @@ from __future__ import annotations
 
 import itertools
 
-from .coproducts import Side, unshuffle_bar
+from .coproducts import Side, _terms, unshuffle_bar
 from .errors import DomainError
 from .reporting import CheckResult, Report
 from .tensors import TensorSum
 from .words import BarWord, Word, all_barwords
 
 
-def _triple(ts: TensorSum, right: bool, side: Side, reduced: bool) -> dict:
-    """Apply a coproduct to the left or the right leg of each term: the
-    three-fold tensor sum of c * c2 * (that leg split in place)."""
+def _triple(terms: tuple, right: bool, side: Side, mode: str) -> dict:
+    """Apply a coproduct to the left or the right leg of each of the flat
+    terms: the three-fold tensor sum of c * c2 * (that leg split in place)."""
     out: dict = {}
-    for (x, y), c in ts:
-        for (u, v), c2 in unshuffle_bar(y if right else x, side, reduced):
+    for x, y, c in terms:
+        for u, v, c2 in _terms(y if right else x, side, mode):
             key = (x, u, v) if right else (u, v, y)
             newc = out.get(key, 0) + c * c2
             if newc:
@@ -116,24 +116,24 @@ def check_axioms(letters, max_degree: int) -> Report:
 
     find("coproduct-splits-into-halves", split)
 
-    def coassociative(name, reduced, lhs, rhs, notes):
+    def coassociative(name, mode, lhs, rhs, notes):
         """(inner (x) id) o outer against (id (x) inner) o outer, with lhs and
-        rhs each an (outer, inner) pair of sides."""
+        rhs each an (outer, inner) pair of sides, on the terms of mode."""
         def check(b):
-            split_left = _triple(unshuffle_bar(b, lhs[0], reduced), False, lhs[1], reduced)
-            split_right = _triple(unshuffle_bar(b, rhs[0], reduced), True, rhs[1], reduced)
+            split_left = _triple(_terms(b, lhs[0], mode), False, lhs[1], mode)
+            split_right = _triple(_terms(b, rhs[0], mode), True, rhs[1], mode)
             return (b, *notes) if split_left != split_right else None
         find(name, check)
 
     L, R, F = Side.LEFT, Side.RIGHT, Side.FULL
-    coassociative("coassociativity", False, (F, F), (F, F),
+    coassociative("coassociativity", "all", (F, F), (F, F),
                   ("(D (x) id) o D", "(id (x) D) o D"))
     # Reduced-half axioms: left-left, mixed, right-right.
-    coassociative("half-unshuffle-coassoc-left", True, (L, L), (L, F),
+    coassociative("half-unshuffle-coassoc-left", "reduced", (L, L), (L, F),
                   ("(Dl (x) id) o Dl", "(id (x) Dbar) o Dl"))
-    coassociative("half-unshuffle-coassoc-mixed", True, (L, R), (R, L),
+    coassociative("half-unshuffle-coassoc-mixed", "reduced", (L, R), (R, L),
                   ("(Dr (x) id) o Dl", "(id (x) Dl) o Dr"))
-    coassociative("half-unshuffle-coassoc-right", True, (R, F), (R, R),
+    coassociative("half-unshuffle-coassoc-right", "reduced", (R, F), (R, R),
                   ("(Dbar (x) id) o Dr", "(id (x) Dr) o Dr"))
 
     # Module compatibilities on the bar products of bounded total degree.

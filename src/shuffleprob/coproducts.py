@@ -24,17 +24,24 @@ left and n on the right.  They are all that a pairing against an
 infinitesimal character on the right leg can see.  The same enumeration
 gives them, with the letters after the run picked whole.
 
-Everything is memoized in one dict, keyed by (bar word, side, reduced), or
-by (bar word, side, "run") for the single-run terms; the same small words
+Everything is memoized in one dict, keyed by (bar word, side, mode), with
+mode "all", "reduced" or "run" (the single-run terms); the same small words
 recur constantly inside the fixed-point recursions of the functional
-layer.  The enumeration builds the entries of the empty and the
+layer.  An entry is a flat tuple of (x, y, c) triples, the terms c x (x) y
+with no pair twice and no zero c, which the pairing loops of
+:mod:`.functionals` iterate as they are.  :func:`_terms` is the one
+function that reads and fills the memo; every lookup goes through it.  The
+enumeration builds the entries of the empty and the
 one-component bar words, and caches the full coproducts of the suffixes it
 reads; a bar word of two or more components multiplies cached entries, and
 is cached too, because the evaluation loops look it up again far more often
-than it is built.  Bar words are canonical (see
-:mod:`.words`), so a memo key's bar word matches by identity, and the legs
-built here are the same objects that key the functional memos.  The memo is
-a plain dict: confine it to one thread or guard it externally.
+than it is built.  Bar words are canonical (see :mod:`.words`), so a memo
+key's bar word matches by identity, and the legs built here are the same
+objects that key the functional memos; the enumeration and the bar
+product find each leg from its tuple of letter tuples (``BarWord._of``),
+and only a leg not yet live goes through the constructor.  The public functions return a fresh
+:class:`TensorSum` of an entry's terms, which the caller may change.  The
+memo is a plain dict: confine it to one thread or guard it externally.
 """
 
 from __future__ import annotations
@@ -67,11 +74,65 @@ def clear_caches():
     _cache.clear()
 
 
-def _by_first_run(w: Word, side: Side, single_run: bool) -> TensorSum:
+def _terms(b: BarWord, side: Side, mode: str) -> tuple:
+    """The terms of one side on the canonical bar word b, as flat (x, y, c)
+    triples.  mode "all" gives every term of the side, "reduced" subtracts
+    the deconcatenation-trivial ones, and "run" gives the single-run terms
+    of a one-word bar word.  The one get, build and store on the memo."""
+    key = (b, side, mode)
+    out = _cache.get(key)
+    if out is not None:
+        return out
+    words = b.words
+    if mode == "run":
+        if len(words) != 1:
+            raise DomainError("single-run terms are taken on one-word bar words")
+        out = _by_first_run(words[0], side, True)
+    elif mode == "reduced":
+        if not words:
+            raise DomainError("reduced coproducts are undefined on the empty bar word")
+        data = {(x, y): c for x, y, c in _terms(b, side, "all")}
+        trivial = {Side.LEFT: ((b, EMPTY_BAR),), Side.RIGHT: ((EMPTY_BAR, b),),
+                   Side.FULL: ((b, EMPTY_BAR), (EMPTY_BAR, b))}[side]
+        for pair in trivial:
+            c = data.get(pair, 0) - 1
+            if c:
+                data[pair] = c
+            else:
+                del data[pair]
+        out = _flat(data)
+    elif len(words) > 1:
+        # the bar product of TensorSum.bar_mul, with the legs found from their
+        # words; every coefficient of a side is positive, so none cancels
+        of = BarWord._of
+        out = _terms(of(words[:1]), side, "all")
+        for w in words[1:]:
+            later, data = _terms(of((w,)), Side.FULL, "all"), {}
+            for x, y, c in out:
+                for x2, y2, c2 in later:
+                    pair = (of(x.words + x2.words), of(y.words + y2.words))
+                    data[pair] = data.get(pair, 0) + c * c2
+            out = _flat(data)
+    else:
+        out = _by_first_run(words[0] if words else EMPTY_WORD, side, False)
+    _cache[key] = out
+    return out
+
+
+def _flat(data: dict) -> tuple:
+    return tuple([(x, y, c) for (x, y), c in data.items()])
+
+
+def _sum(terms: tuple) -> TensorSum:
+    """A fresh TensorSum of flat terms."""
+    return TensorSum._raw({(x, y): c for x, y, c in terms})
+
+
+def _by_first_run(w: Word, side: Side, single_run: bool) -> tuple:
     """The terms of one side on the word w, by the first run w[i:j] of the
     complement (see the module docstring), or only those whose right leg is
     that run.  The empty run i = j = n is the term that picks every
-    letter."""
+    letter.  The legs are found from their letter tuples."""
     n = len(w)
     stop = n if single_run else n + 1
     if side is Side.FULL:
@@ -81,23 +142,22 @@ def _by_first_run(w: Word, side: Side, single_run: bool) -> TensorSum:
     else:
         starts = range(min(n, 1))  # i = 0, none on the empty word
     drop_singleton = side is Side.LEFT and mutations.is_active("drop-left-singleton")
+    of = BarWord._of
     data: dict = {}
     for i in starts:
         for j in range(i + 1, n + 1) or (n,):  # i = n: only the empty run
             if drop_singleton and i == 1 and j == n:  # the term of S = {1}
                 continue
-            run = Word(w[i:j])
+            run = w[i:j]
             if single_run or j == n:
-                pair = (BarWord((Word(w[:i] + w[j:]),)), BarWord((run,)))
+                pair = (of((w[:i] + w[j:],)), of((run,)))
                 data[pair] = data.get(pair, 0) + 1
                 continue
             head = w[:i] + w[j:j + 1]
-            rest = unshuffle_bar(Word(w[j + 1:])).terms
-            for (x, y), c in rest.items():
-                picked = head + x.words[0] if x.words else head
-                pair = (BarWord((Word(picked),)), BarWord((run,) + y.words))
+            for x, y, c in _terms(of((w[j + 1:],)), Side.FULL, "all"):
+                pair = (of((head + x.words[0],) if x.words else (head,)), of((run,) + y.words))
                 data[pair] = data.get(pair, 0) + c
-    return TensorSum._raw(data)
+    return _flat(data)
 
 
 def unshuffle(w: Word) -> TensorSum:
@@ -120,29 +180,7 @@ def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum
     """Coproduct of a bar word: the chosen half on the first component,
     the full coproduct on the rest, multiplied componentwise."""
     b = b if type(b) is BarWord else as_barword(b)
-    key = (b, side, reduced)
-    out = _cache.get(key)
-    if out is not None:
-        return out
-    words = b.words
-    if reduced:
-        if not words:
-            raise DomainError("reduced coproducts are undefined on the empty bar word")
-        out = unshuffle_bar(b, side)
-        if side is Side.LEFT:
-            out = out - TensorSum._raw({(b, EMPTY_BAR): 1})
-        elif side is Side.RIGHT:
-            out = out - TensorSum._raw({(EMPTY_BAR, b): 1})
-        else:
-            out = out - TensorSum._raw({(b, EMPTY_BAR): 1, (EMPTY_BAR, b): 1})
-    elif len(words) > 1:
-        out = unshuffle_bar(words[0], side)
-        for w in words[1:]:
-            out = out.bar_mul(unshuffle_bar(w))
-    else:
-        out = _by_first_run(words[0] if words else EMPTY_WORD, side, False)
-    _cache[key] = out
-    return out
+    return _sum(_terms(b, side, "reduced" if reduced else "all"))
 
 
 def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
@@ -152,11 +190,4 @@ def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
     left side, with [2..n] dropped under the ``drop-left-singleton`` defect;
     i = 1 on the right side."""
     b = b if type(b) is BarWord else as_barword(b)
-    key = (b, side, "run")
-    out = _cache.get(key)
-    if out is not None:
-        return out
-    if len(b.words) != 1:
-        raise DomainError("single-run terms are taken on one-word bar words")
-    out = _cache[key] = _by_first_run(b.words[0], side, True)
-    return out
+    return _sum(_terms(b, side, "run"))

@@ -272,14 +272,17 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
 #: logarithm.  log< and exp< read about 2^(n-1) terms at a word of degree n;
 #: log>, the Magnus maps and exp> about n^3, in ints bar W's final sums.
 #: Measured on dense random input, free to_cumulants direct -> through
-#: log>, best of 3 fresh processes, cold: 1 letter 2.2 -> 2.3 ms at degree
-#: 8, 2.9 -> 2.6 ms at 9, 40 -> 7.7 ms at 14; 2 letters 26 -> 24 ms at 6,
-#: 79 -> 68 ms at 7, 233 -> 162 ms at 8, 861 -> 372 ms at 9; 3 letters 37
-#: -> 64 ms at 5, 199 -> 261 ms at 6, 1132 -> 1197 ms at 7.  So cold, one
-#: letter crosses at 8-9, two letters at 6-7, three at 7 or above.  A
-#: second call, on warm coproducts, takes 7-10x longer through log> at 2
-#: letters degrees 6-9 and 3 letters 5-7 (2 letters degree 8: 11 -> 94 ms),
-#: so a long-running process keeps the direct route up to degree 8.
+#: log>, best of 3 fresh processes, cold, with the coproduct legs found
+#: from their letter tuples: 1 letter 3.6 -> 4.1 ms at degree 8, 4.1 ->
+#: 4.4 ms at 9, 4.9 -> 4.6 ms at 10, 16 -> 6.5 ms at 14; 2 letters 9.7 ->
+#: 15 ms at 6, 25 -> 34 ms at 7, 76 -> 84 ms at 8, 248 -> 216 ms at 9;
+#: 3 letters 17 -> 31 ms at 5, 65 -> 115 ms at 6, 376 -> 477 ms at 7.  So
+#: cold, one letter crosses at 9-10, two letters at 8-9, three above 7;
+#: while each leg went through the constructor, they crossed at 8-9, 6-7
+#: and 7 or above.  A second call, on warm coproducts, takes 7-10x longer
+#: through log> at 2 letters degrees 6-9 and 3 letters 5-7 (2 letters
+#: degree 8: 11 -> 94 ms), so a long-running process keeps the direct
+#: route up to degree 8.  Below 9 it is now the cheaper route cold too.
 #:
 #: Below it, convert between free and boolean also goes through the moment
 #: character, log>(exp<) and log<(exp>), in place of -W(-O) and W(-O(-)).

@@ -41,9 +41,10 @@ right leg y is the bar word of the runs left over, so an infinitesimal
 character there reads 0 unless y is one word: when the right operand (or
 the node, in its place) is flagged ``is_infinitesimal_character``, a
 pairing at a one-word bar word reads only the terms whose complement is
-one interval, at most n(n+1)/2 of them instead of 2^n
-(``coproducts.single_run_terms``).  Clearing the flag brings the full terms
-back.  So ``exp_right``, the powers of ``exp_star``, every ``prelie`` of
+one interval, at most n(n+1)/2 of them instead of 2^n (the terms of
+``coproducts.single_run_terms``, read as the memo's flat (x, y, c)
+triples).  Clearing the flag brings the full terms back.  So
+``exp_right``, the powers of ``exp_star``, every ``prelie`` of
 infinitesimal characters, and ``log_right`` and ``adjoint`` where flagged,
 read O(n^2) terms at a word of degree n.
 
@@ -119,7 +120,7 @@ from math import factorial
 from typing import Iterable, Mapping
 
 from . import mutations
-from .coproducts import Side, single_run_terms, unshuffle_bar
+from .coproducts import Side, _terms
 from .errors import DomainError, ValidationError
 from .words import BarWord, EMPTY_BAR, Word, all_barwords, as_barword
 
@@ -299,7 +300,8 @@ class _Pairing(Functional):
     The runs leg is g, or the node itself when g is None.  When it is
     flagged ``is_infinitesimal_character`` and b is one word, only the terms
     whose y is one word can be nonzero, and the node reads just those
-    (``coproducts.single_run_terms``)."""
+    (``coproducts.single_run_terms``).  The loops iterate the coproduct
+    memo's flat (x, y, c) triples."""
 
     __slots__ = ("f", "g", "side", "base")
 
@@ -310,13 +312,13 @@ class _Pairing(Functional):
     def _value(self, b):
         runs = self if self.g is None else self.g
         if runs.is_infinitesimal_character and len(b.words) == 1:
-            terms = single_run_terms(b, self.side).terms.items()
+            terms = _terms(b, self.side, "run")
         else:
-            terms = unshuffle_bar(b, self.side).terms.items()
+            terms = _terms(b, self.side, "all")
         total = 0 if self.base is None else self.base._memo[b]
         fmemo, gmemo = (self if self.f is None else self.f)._memo, runs._memo
         if self.f is None:  # self on the left: the known right leg goes first
-            for (x, y), c in terms:
+            for x, y, c in terms:
                 right = gmemo[y]
                 if right:
                     left = fmemo[x]
@@ -324,7 +326,7 @@ class _Pairing(Functional):
                         v = left * right
                         total += v if c == 1 else c * v
             return total
-        for (x, y), c in terms:
+        for x, y, c in terms:
             left = fmemo[x]
             if left:
                 right = gmemo[y]

@@ -87,10 +87,11 @@ def _parse_letters(obj) -> tuple[Letter, ...]:
 def _sorted_value_map(values: Mapping[Word, Fraction]) -> dict[str, str]:
     """values by the rational rule, zeros dropped, in graded lexicographic
     order; a float or any other non-rational raises ValidationError.  A key
-    is the word's repr, joined from its letters' names, each checked once."""
+    is the word's repr, joined from its letters' names, each checked once.
+    The order is Word.sort_key's: lexicographic, then stably by length."""
     out = {}
     names: dict[Letter, str] = {}
-    for w in sorted(values, key=Word.sort_key):
+    for w in sorted(sorted(values), key=len):
         v = parse_rational(values[w])
         if v:
             for l in w:
@@ -162,8 +163,7 @@ def series_to_json(name: str, s: TruncatedSeries) -> dict:
 
 
 def dump_json(obj, stream):
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps(obj, indent=2) + "\n")
 
 
 def load_json_file(path: str):

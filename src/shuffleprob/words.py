@@ -134,12 +134,22 @@ class BarWord:
                     _live_bars[words] = self
         return self
 
+    @classmethod
+    def _of(cls, key: tuple) -> "BarWord":
+        """The bar word of key, a tuple of letter tuples: the live one,
+        found without the lock, or on a miss the constructor's, of the
+        words of key.  No live key holds an empty tuple, so one that does
+        misses, and the constructor drops it."""
+        self = _live_bars.get(key)
+        return cls(map(Word, key)) if self is None else self
+
     def __reduce__(self):
         return (BarWord, (self.words,))
 
     @classmethod
     def from_word(cls, w: Word) -> "BarWord":
-        return cls((w,))
+        # anything but a Word goes to the constructor, which refuses it
+        return cls._of((w,)) if type(w) is Word else cls((w,))
 
     @property
     def bar_length(self) -> int:

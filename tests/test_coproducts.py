@@ -1,11 +1,15 @@
+import ast
+import gc
 import itertools
 from contextlib import nullcontext
 
 import pytest
 
+from conftest import ROOT
 from shuffleprob import (BarWord, DomainError, EMPTY_BAR, Letter, Side,
-                         TensorSum, Word, half_unshuffle, unshuffle, unshuffle_bar)
-from shuffleprob.coproducts import single_run_terms
+                         TensorSum, Word, half_unshuffle, unshuffle, unshuffle_bar,
+                         words)
+from shuffleprob.coproducts import _terms, clear_caches, single_run_terms
 from shuffleprob.mutations import inject_defect
 from shuffleprob.words import all_barwords, words_up_to
 
@@ -132,3 +136,127 @@ def test_single_run_term_counts():
                       Side.RIGHT: n}
     with pytest.raises(DomainError):
         single_run_terms(bw((A,), (B,)))
+
+
+def _subset_terms(w: Word, side: Side, drop_singleton: bool) -> TensorSum:
+    """One side on the word w, summed over position subsets S: w_S (x) the
+    runs of the rest; the defect drops the left side's S = {1}."""
+    n, out = len(w), {}
+    for mask in range(1 << n):
+        first = bool(mask & 1)
+        if (side is Side.LEFT and (not first or drop_singleton and mask == 1)
+                or side is Side.RIGHT and (first or mask == (1 << n) - 1)):
+            continue
+        picked = Word(w[i] for i in range(n) if mask >> i & 1)
+        runs = [Word(w[i] for i in run) for kept, run in
+                itertools.groupby(range(n), key=lambda i: mask >> i & 1) if not kept]
+        key = (BarWord((picked,)), BarWord(runs))
+        out[key] = out.get(key, 0) + 1
+    return TensorSum(out)
+
+
+def _expected(b: BarWord, side: Side, mode: str, drop_singleton: bool) -> TensorSum:
+    """The terms of mode, from the subset sums on b's words, multiplied."""
+    out = TensorSum.unit()
+    for k, w in enumerate(b.words):
+        out = out.bar_mul(_subset_terms(w, side if k == 0 else Side.FULL, drop_singleton))
+    if mode == "reduced":
+        trivial = {Side.LEFT: {(b, EMPTY_BAR): 1}, Side.RIGHT: {(EMPTY_BAR, b): 1},
+                   Side.FULL: {(b, EMPTY_BAR): 1, (EMPTY_BAR, b): 1}}[side]
+        out = out - TensorSum(trivial)
+    elif mode == "run":
+        out = TensorSum({(x, y): c for (x, y), c in out if len(y.words) == 1})
+    return out
+
+
+_PUBLIC = {"all": lambda b, side: unshuffle_bar(b, side),
+           "reduced": lambda b, side: unshuffle_bar(b, side, True),
+           "run": single_run_terms}
+
+
+@pytest.mark.parametrize("defect", [None, "drop-left-singleton"])
+def test_flat_terms_equal_the_subset_sums_and_the_public_maps(defect):
+    # The memo's flat (x, y, c) triples: no pair twice, no zero, canonical
+    # legs, equal to the sums over position subsets; every public map
+    # returns a fresh TensorSum of them.
+    bars = [BarWord((w,)) for letters, degree in (((A, B), 6), ((A, B, C), 4))
+            for w in words_up_to(letters, degree)]
+    bars += [b for b in all_barwords((A, B), 5) if len(b.words) > 1]
+    with inject_defect(defect) if defect else nullcontext():
+        for b in bars:
+            for side, mode in itertools.product(Side, ("all", "reduced", "run")):
+                if mode == "run" and len(b.words) != 1:
+                    continue
+                flat = _terms(b, side, mode)
+                assert type(flat) is tuple and _terms(b, side, mode) is flat
+                pairs = [(x, y) for x, y, _ in flat]
+                assert len(set(pairs)) == len(pairs) and all(c for _, _, c in flat)
+                assert all(BarWord(x.words) is x and BarWord(y.words) is y
+                           for x, y in pairs)
+                expect = _expected(b, side, mode, defect is not None)
+                assert TensorSum({(x, y): c for x, y, c in flat}) == expect, (b, side, mode)
+                got = _PUBLIC[mode](b, side)
+                assert got == expect and got is not _PUBLIC[mode](b, side)
+                got.terms.clear()
+                assert _PUBLIC[mode](b, side) == expect
+
+
+def test_a_bar_word_found_from_slices_is_the_constructors():
+    for w in words_up_to((A, B, C), 4):
+        for i in range(len(w) + 1):
+            key = (w[:i], w[i:])
+            assert type(key[0]) is tuple
+            assert BarWord._of(key) is BarWord((Word(key[0]), Word(key[1])))
+            assert BarWord._of((w[:i] + w[i:],)) is BarWord.from_word(w)
+
+
+class _CountingLock:
+    def __init__(self, lock):
+        self.lock, self.entered = lock, 0
+
+    def __enter__(self):
+        self.entered += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_a_miss_in_of_goes_through_the_locked_constructor(monkeypatch):
+    x, y = Letter("x", 3000), Letter("y", 3000)  # letters no other test uses
+    lock = _CountingLock(words._create_lock)
+    monkeypatch.setattr(words, "_create_lock", lock)
+    key = ((x, y), (y,))
+    b = BarWord._of(key)
+    assert lock.entered == 1
+    assert b.words == key and all(type(w) is Word for w in b.words)
+    assert words._live_bars[key] is b and BarWord._of(key) is b and lock.entered == 1
+    unshuffle_bar(b)
+    del b
+    clear_caches()
+    gc.collect()
+    assert words._live_bars.get(key) is None
+    entered = lock.entered
+    again = BarWord._of(key)
+    assert lock.entered == entered + 1 and again is BarWord(map(Word, key))
+    assert words._live_bars[key] is again
+
+
+def test_only_terms_gets_builds_and_stores_the_coproduct_memo():
+    # One entry point reads and fills the memo, so every coproduct lookup
+    # goes through it; clear_caches only empties it.
+    uses = {}
+    for path in sorted((ROOT / "src" / "shuffleprob").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "_cache"
+                    or isinstance(node, ast.Attribute) and node.attr == "_cache"):
+                owner = [name for name, f in scopes
+                         if f.lineno <= node.lineno <= f.end_lineno]
+                uses.setdefault((path.name, owner[-1] if owner else None), []).append(node)
+    assert set(uses) == {("coproducts.py", None), ("coproducts.py", "clear_caches"),
+                         ("coproducts.py", "_terms")}
+    assert len(uses[("coproducts.py", None)]) == 1  # _cache: dict = {}
+    assert len(uses[("coproducts.py", "_terms")]) == 2  # one get, one store

@@ -198,6 +198,8 @@ def test_bar_word_components_must_be_words(bad):
     with pytest.raises(TypeError):
         BarWord((Word((A,)), bad))
     b = BarWord((Word((A,)),))
+    with pytest.raises(TypeError):  # even while the bar word of (A,) is live
+        BarWord.from_word(bad)
     assert type(b.words[0]) is Word and repr(b) == "a"
     assert b is BarWord.from_word(Word((A,)))
 
