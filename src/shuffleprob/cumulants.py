@@ -242,14 +242,47 @@ def _distributions(what: str, *ds) -> None:
         raise ValidationError(f"{what}, got {' and '.join(type(d).__name__ for d in ds)}")
 
 
+class _WordMap(dict):
+    """A map that :func:`_word_map` has read, with ``read`` = (letters,
+    max_degree) of that reading.  Storing into it (a subscript,
+    ``update``, ``setdefault``, ``|=``) clears ``read``, so a changed map
+    is read by the rule again."""
+
+    __slots__ = ("read",)
+
+    def __setitem__(self, w, v):
+        self.read = None
+        dict.__setitem__(self, w, v)
+
+    def update(self, *args, **kwargs):
+        self.read = None
+        dict.update(self, *args, **kwargs)
+
+    def setdefault(self, w, v=None):
+        self.read = None
+        return dict.setdefault(self, w, v)
+
+    def __ior__(self, other):
+        self.read = None
+        return dict.__ior__(self, other)
+
+
 def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
               drop_above: bool = False) -> dict[Word, Fraction]:
     """values read by the rational rule, zeros dropped.  Keys are nonempty
     words over letters (any letters when None; a moment map takes its empty
     word, of value 1, out first).  A key above max_degree raises, or is
-    dropped when drop_above, as in a library cumulant map."""
+    dropped when drop_above, as in a library cumulant map.  A map this has
+    returned, unchanged since, comes back as it is when its letters lie in
+    letters and its max_degree is at most max_degree, so a parsed cumulant
+    file that goes on to :func:`from_cumulants` or :func:`convert` is read
+    once."""
     n = _degree(max_degree)
     allowed = None if letters is None else set(letters)
+    if type(values) is _WordMap and values.read is not None:
+        had, m = values.read
+        if m <= n and (allowed is None or had is not None and allowed.issuperset(had)):
+            return values
     clean = {}
     for w, v in values.items():
         if not isinstance(w, Word):
@@ -265,6 +298,8 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
         v = fn.parse_rational(v)
         if v:
             clean[w] = v
+    clean = _WordMap(clean)
+    clean.read = (None if letters is None else tuple(letters), n)
     return clean
 
 

@@ -7,14 +7,22 @@ coproducts of the argument, and memoized per node.  All series-type operators
 one at a bar word of degree d only ever touches evaluations at degree <= d,
 so every value is an exact finite sum.
 
-A value is an ``int`` or a ``Fraction``.  The leaves store integral values
-as ints, the values at the empty bar word and the flag short-circuit start
-from int 0 and 1, an integral scalar multiple keeps an int coefficient, and
-a linear combination and a series return an int when their sum is
-integral.  So a tree on integral leaves runs its pairing loops in int
-arithmetic, bar the series coefficients (1/n!, (-1)^i/(i+1), B_m/m!).
+A value is an ``int`` when it is integral, else a reduced ``Fraction``.
+The leaves store integral values as ints, the values at the empty bar word
+and the flag short-circuit start from int 0 and 1, and an integral scalar
+multiple keeps an int coefficient.  Each evaluation kernel (the two loops
+of a pairing, a linear combination, a series, and a character's product
+over the components of a bar word) sums in ints while its values are
+ints.  From the first Fraction on (a value, the base or a coefficient) it
+carries the rest of the sum as one int numerator over a running common
+denominator, the lcm of the denominators met, and builds one Fraction at
+the end, through the public constructor, or an int when the sum is
+integral.  A series, whose coefficients are Fractions (1/n!,
+(-1)^i/(i+1), B_m/m!), runs that accumulator from its first term.  So a
+tree on integral leaves runs its pairing loops in int arithmetic, and a
+tree on Fraction leaves builds one Fraction per value, not one per term.
 The distribution API in :mod:`cumulants` and :mod:`products` relies on
-this: every construction here commutes with the grading automorphism
+the first: every construction here commutes with the grading automorphism
 theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
 divides once at the end.  A tree with a Magnus node is scaled by D times
 the lcm of its coefficients' denominators, which clears them
@@ -35,16 +43,17 @@ and z < phi^{-1} solves X = z + X < (e - phi).  The right division gives
 ``log_right`` (z = phi - e) and ``adjoint`` (z = mu < phi, by the mixed
 axiom), hence ``ad_action``, the conjugation by E<(g1); the left division
 gives ``log_left`` (z = phi - e) and the conjugate in
-``magnus.group_law_left``.  The defining products these replace are
-references in :mod:`verify`, which checks the engine against them.  The
-right leg y is the bar word of the runs left over, so an infinitesimal
-character there reads 0 unless y is one word: when the right operand (or
-the node, in its place) is flagged ``is_infinitesimal_character``, a
-pairing at a one-word bar word reads only the terms whose complement is
-one interval, at most n(n+1)/2 of them instead of 2^n (the terms of
-``coproducts.single_run_terms``, read as the memo's flat (x, y, c)
-triples).  Clearing the flag brings the full terms back.  So
-``exp_right``, the powers of ``exp_star``, every ``prelie`` of
+``magnus.group_law_left``.  phi - e is phi past the empty bar word, so the
+two logarithms take phi itself as the base and write their 0 there.  The
+defining products these replace are references in :mod:`verify`, which
+checks the engine against them.  The right leg y is the bar word of the
+runs left over, so an infinitesimal character there reads 0 unless y is
+one word: when the right operand (or the node, in its place) is flagged
+``is_infinitesimal_character``, a pairing at a one-word bar word reads
+only the terms whose complement is one interval, at most n(n+1)/2 of them
+instead of 2^n (the terms of ``coproducts.single_run_terms``, read as the
+memo's flat (x, y, c) triples).  Clearing the flag brings the full terms
+back.  So ``exp_right``, the powers of ``exp_star``, every ``prelie`` of
 infinitesimal characters, and ``log_right`` and ``adjoint`` where flagged,
 read O(n^2) terms at a word of degree n.
 
@@ -116,7 +125,8 @@ from __future__ import annotations
 import re
 import weakref
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import factorial, gcd
 from typing import Iterable, Mapping
 
 from . import mutations
@@ -145,9 +155,7 @@ def parse_rational(x) -> Fraction:
     :class:`ValidationError`."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str):  # before the ABC test below, which is slow
         m = _RATIONAL.fullmatch(x)
         if m is None:
             raise ValidationError(f"bad rational literal {x!r}: expected 'p' or 'p/q'")
@@ -156,6 +164,8 @@ def parse_rational(x) -> Fraction:
             return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational literal {x!r}: {exc}") from None
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
     raise ValidationError(f"expected an int, Fraction or 'p/q' string, got {type(x).__name__}")
 
 
@@ -165,6 +175,29 @@ def _exact(v) -> Value:
         return v
     v = parse_rational(v)
     return v.numerator if v.denominator == 1 else v
+
+
+def _ratio(num: int, den: int) -> Value:
+    """num / den for den > 0: an int when integral, else the reduced
+    Fraction, built by the public constructor."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _sum(pairs) -> Value:
+    """The sum of c * v over pairs of values, carried as one int numerator
+    over the lcm of the denominators seen so far."""
+    num, den = 0, 1
+    for c, v in pairs:
+        if v:
+            cn, cd = c.as_integer_ratio()
+            vn, vd = v.as_integer_ratio()
+            q = cd * vd
+            if den % q:
+                m = q // gcd(den, q)
+                num *= m
+                den *= m
+            num += cn * vn * (den // q)
+    return _ratio(num, den)
 
 
 class _Memo(dict):
@@ -187,11 +220,18 @@ class _Memo(dict):
             parts = b.parts
             if parts is None:
                 parts = b.parts = tuple(BarWord((w,)) for w in b.words)
-            v = 1
+            num = den = 1
             for part in parts:
-                v *= self[part]
-                if not v:
+                v = self[part]
+                if type(v) is int:
+                    num *= v
+                else:
+                    n, d = v.as_integer_ratio()
+                    num *= n
+                    den *= d
+                if not num:
                     break
+            v = _ratio(num, den)
         elif node.is_infinitesimal_character:
             v = 0
         else:
@@ -255,9 +295,11 @@ class _Table(Functional):
 class _Linear(Functional):
     """A linear combination sum c * f over its parts.  Its value at the
     empty bar word, sum c * f(1), is written into its memo when it is
-    built, as an int when integral, and the unit e, 0 everywhere else, is
-    then dropped from the parts.  The flag is still read over every part,
-    e included, so alpha + e is not flagged infinitesimal."""
+    built, and the unit e, 0 everywhere else, is then dropped from the
+    parts.  The flag is still read over every part, e included, so
+    alpha + e is not flagged infinitesimal.  The sum is an int sum until a
+    coefficient or a value is a Fraction; then it is taken again over
+    every part as one numerator over a common denominator."""
 
     __slots__ = ("parts",)
 
@@ -274,9 +316,9 @@ class _Linear(Functional):
         for c, f in self.parts:
             v = f._memo[b]
             if v:
+                if type(c) is not int or type(v) is not int:
+                    return _sum((c, f._memo[b]) for c, f in self.parts)
                 total += c * v
-        if type(total) is Fraction and total.denominator == 1:
-            return total.numerator
         return total
 
 
@@ -291,9 +333,10 @@ class _Pairing(Functional):
     X = e + X * (e - f), and the divisions X = z + (e - phi) > X and
     X = z + X < (e - phi).  The fixed points take no base: e is 0 off the
     empty bar word, and their constructors write the 1 there into the
-    memo.  The other operand vanishes on the empty bar word, and it is
-    read first, so the one term whose self leg keeps the degree of b is
-    dropped before it recurses.  The node does not store itself, which
+    memo; the logarithms take phi as z = phi - e and write 0 there.  The
+    other operand vanishes on the empty bar word, and it is read first, so
+    the one term whose self leg keeps the degree of b is dropped before it
+    recurses.  The node does not store itself, which
     would make it a reference cycle that outlives its use; its loops
     subscript the memos of its legs and of the base, its own included.
 
@@ -301,7 +344,9 @@ class _Pairing(Functional):
     flagged ``is_infinitesimal_character`` and b is one word, only the terms
     whose y is one word can be nonzero, and the node reads just those
     (``coproducts.single_run_terms``).  The loops iterate the coproduct
-    memo's flat (x, y, c) triples."""
+    memo's flat (x, y, c) triples.  Each loop adds in ints while the base
+    and the products are ints; at the first Fraction it goes on, from that
+    term, with one int numerator over the lcm of the denominators met."""
 
     __slots__ = ("f", "g", "side", "base")
 
@@ -317,23 +362,64 @@ class _Pairing(Functional):
             terms = _terms(b, self.side, "all")
         total = 0 if self.base is None else self.base._memo[b]
         fmemo, gmemo = (self if self.f is None else self.f)._memo, runs._memo
+        terms = iter(terms)
         if self.f is None:  # self on the left: the known right leg goes first
+            if type(total) is int:
+                for x, y, c in terms:
+                    right = gmemo[y]
+                    if right:
+                        left = fmemo[x]
+                        if left:
+                            v = left * right
+                            if type(v) is not int:
+                                terms = chain(((x, y, c),), terms)
+                                break
+                            total += v if c == 1 else c * v
+                else:
+                    return total
+            num, den = total.as_integer_ratio()
             for x, y, c in terms:
                 right = gmemo[y]
                 if right:
                     left = fmemo[x]
                     if left:
+                        ln, ld = left.as_integer_ratio()
+                        rn, rd = right.as_integer_ratio()
+                        q = ld * rd
+                        if den % q:
+                            m = q // gcd(den, q)
+                            num *= m
+                            den *= m
+                        num += c * ln * rn * (den // q)
+            return _ratio(num, den)
+        if type(total) is int:
+            for x, y, c in terms:
+                left = fmemo[x]
+                if left:
+                    right = gmemo[y]
+                    if right:
                         v = left * right
+                        if type(v) is not int:
+                            terms = chain(((x, y, c),), terms)
+                            break
                         total += v if c == 1 else c * v
-            return total
+            else:
+                return total
+        num, den = total.as_integer_ratio()
         for x, y, c in terms:
             left = fmemo[x]
             if left:
                 right = gmemo[y]
                 if right:
-                    v = left * right
-                    total += v if c == 1 else c * v
-        return total
+                    ln, ld = left.as_integer_ratio()
+                    rn, rd = right.as_integer_ratio()
+                    q = ld * rd
+                    if den % q:
+                        m = q // gcd(den, q)
+                        num *= m
+                        den *= m
+                    num += c * ln * rn * (den // q)
+        return _ratio(num, den)
 
 
 class _Series(Functional):
@@ -343,9 +429,10 @@ class _Series(Functional):
     T_i vanishes below degree i + 1.  Terms and
     coefficients are built once, on demand; a zero coefficient (an odd
     Bernoulli number) skips its term unevaluated, and each other term is
-    read by a subscript of its memo.  The step gets the node as a weak
-    proxy, so a term that refers back to it (a Magnus iterate) makes no
-    reference cycle."""
+    read by a subscript of its memo.  The coefficients are Fractions, so
+    the sum is one int numerator over a common denominator from its first
+    term.  The step gets the node as a weak proxy, so a term that refers
+    back to it (a Magnus iterate) makes no reference cycle."""
 
     __slots__ = ("step", "coeff", "_terms")
 
@@ -362,15 +449,7 @@ class _Series(Functional):
             me, step, coeff = weakref.proxy(self), self.step, self.coeff
             while len(terms) < d:
                 terms.append((coeff(len(terms)), step(me, terms[-1][1])))
-        total = 0
-        for c, t in terms[:d]:
-            if c:
-                v = t._memo[b]
-                if v:
-                    total += v if c == 1 else c * v
-        if type(total) is Fraction and total.denominator == 1:
-            return total.numerator
-        return total
+        return _sum((c, t._memo[b]) for c, t in terms[:d] if c)
 
 
 # ---------------------------------------------------------------------------
@@ -510,20 +589,25 @@ def _divide_left(z: Functional, phi: Functional) -> Functional:
 
 def log_left(phi: Functional) -> Functional:
     """Left half-shuffle logarithm (phi - e) < phi^{-1}, the compositional
-    inverse of exp_left; computed as the division X = (phi - e) + X < (e - phi)."""
+    inverse of exp_left; computed as the division X = (phi - e) + X < (e - phi).
+    phi - e is phi past the empty bar word, so phi itself is the base, and
+    the 0 there is written into the memo."""
     if phi(EMPTY_BAR) != 1:
         raise DomainError("half-shuffle logarithms need a unital operand")
-    out = _divide_left(phi - e, phi)
+    out = _divide_left(phi, phi)
+    out._memo[EMPTY_BAR] = 0
     out.is_infinitesimal_character = phi.is_character
     return out
 
 
 def log_right(phi: Functional) -> Functional:
     """Right half-shuffle logarithm phi^{-1} > (phi - e), computed as the
-    division X = (phi - e) + (e - phi) > X."""
+    division X = (phi - e) + (e - phi) > X, with phi as the base and 0
+    written at the empty bar word, as in :func:`log_left`."""
     if phi(EMPTY_BAR) != 1:
         raise DomainError("half-shuffle logarithms need a unital operand")
-    out = _divide_right(phi, phi - e)
+    out = _divide_right(phi, phi)
+    out._memo[EMPTY_BAR] = 0
     out.is_infinitesimal_character = phi.is_character
     return out
 

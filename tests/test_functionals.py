@@ -424,6 +424,121 @@ def test_memo_reads_in_the_kernels_change_no_value(name):
                 assert b.parts == tuple(BarWord((u,)) for u in b.words), b
 
 
+def _mixed_values(seed, keys):
+    # ints on about two thirds of the keys and Fractions on the rest, so a
+    # kernel's first Fraction can come after int terms
+    rng = random.Random(seed)
+    return {k: rng.randint(-3, 3) if rng.random() < 0.65 else random_fraction(rng)
+            for k in keys}
+
+
+def _mixed_form(seed, unit):
+    return sp.from_values({EMPTY_BAR: unit, **_mixed_values(seed, all_barwords(AB, 4))})
+
+
+def _int_character(seed):
+    rng = random.Random(seed)
+    return sp.character({u: rng.randint(-3, 3) for u in words_up_to(AB, 4)})
+
+
+def _halves(f):
+    # f / 2 + f / 2: Fraction coefficients whose sum is integral wherever f is
+    return sp.functionals._Linear(((F(1, 2), f), (F(1, 2), f)))
+
+
+#: Trees on Fraction and mixed leaves; every node of each is checked
+#: against the sums of its kernel written out in Fraction arithmetic.
+KERNEL_TREES = {
+    "mixed convolution": lambda: sp.conv(_mixed_form(70, 1), _mixed_form(71, 0)),
+    "mixed characters": lambda: sp.conv(
+        sp.character(_mixed_values(72, words_up_to(AB, 4))), _int_character(73)),
+    "mixed half exponential": lambda: sp.exp_left(
+        sp.infinitesimal(_mixed_values(74, words_up_to(AB, 4)))),
+    "adjoint by a Fraction mu": lambda: sp.adjoint(_int_character(75),
+                                                   random_inf(76, max_degree=4)),
+    "neumann_inverse": lambda: sp.neumann_inverse(_random_character(77)),
+    "exp_right": lambda: sp.exp_right(random_inf(78, max_degree=4)),
+    "log_left": lambda: sp.log_left(_random_character(79)),
+    "log_right": lambda: sp.log_right(sp.character(_mixed_values(80, words_up_to(AB, 4)))),
+    "Fraction coefficients": lambda: _halves(_mixed_form(81, 0)) - F(2, 3) * _mixed_form(82, 0),
+    "exp_star": lambda: sp.exp_star(random_inf(83, max_degree=4)),
+    "log_star": lambda: sp.log_star(_int_character(84)),
+    "magnus": _magnus_unflagged,
+}
+
+
+def _reference(node, b):
+    """node(b) from the values of the nodes it reads, summed with Fraction
+    operators; None on a leaf."""
+    if len(b.words) > 1 and node.is_character:
+        out = F(1)
+        for u in b.words:
+            out *= node(BarWord((u,)))
+        return out
+    if len(b.words) > 1 and node.is_infinitesimal_character:
+        return F(0)
+    if isinstance(node, functionals._Linear):
+        return sum((F(c) * f(b) for c, f in node.parts), F(0))
+    if isinstance(node, functionals._Series):
+        return sum((F(c) * t(b) for c, t in node._terms[:b.degree]), F(0))
+    if isinstance(node, functionals._Pairing):
+        f = node if node.f is None else node.f
+        g = node if node.g is None else node.g
+        out = F(0) if node.base is None else F(node.base(b))
+        for (x, y), c in sp.coproducts.unshuffle_bar(b, node.side):
+            out += c * F(f(x)) * F(g(y))
+        return out
+    return None
+
+
+def _first_fraction_after_an_int(node, b):
+    """Whether the kernel loop of a pairing at b meets a nonzero int term
+    before its first Fraction term."""
+    f = node if node.f is None else node.f
+    g = node if node.g is None else node.g
+    seen_int = False
+    for x, y, c in sp.coproducts._terms(b, node.side, "all"):
+        v = f(x) * g(y)
+        if v:
+            if type(v) is not int:
+                return seen_int
+            seen_int = True
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_TREES))
+def test_kernels_sum_as_plain_fraction_arithmetic(name):
+    # The cold tree is read from the highest degree down, so a self-left
+    # pairing that read its own leg first would recurse without end.  Every
+    # value is an int exactly when it is integral, else a Fraction, which
+    # the constructor keeps reduced over a positive denominator.
+    bars_ = sorted(all_barwords(AB, 4), key=BarWord.sort_key, reverse=True)
+    tree = KERNEL_TREES[name]()
+    for b in bars_:
+        tree(b)
+    nodes = [tree, *_nodes_below(tree)]
+    fractions = 0
+    for node in nodes:
+        for b in bars_:
+            got, want = node(b), _reference(node, b)
+            assert type(got) is int or (type(got) is F and got.denominator > 1), (name, b, got)
+            if want is not None:
+                assert got == want, (name, node, b, got, want)
+                fractions += type(got) is F
+    assert fractions, name
+    if name == "mixed convolution":
+        assert any(_first_fraction_after_an_int(tree, b) for b in bars_)
+
+
+def test_a_fraction_sum_that_is_integral_is_an_int():
+    # conv(f, f)(ab) = 2 f(ab) + 2 f(a) f(b) = 1 + 1 over Fraction terms,
+    # and f / 2 + f / 2 over Fraction coefficients is f
+    f = sp.from_values({EMPTY_BAR: 1, w(A): F(1, 2), w(B): 1, w(A, B): F(1, 2)})
+    for got, want in ((sp.conv(f, f)(w(A, B)), 2), (_halves(f)(w(B)), 1),
+                      (_halves(f)(w(A)), F(1, 2))):
+        assert got == want and type(got) is type(want)
+
+
 def _random_distribution(seed, max_degree=5):
     rng = random.Random(seed)
     return sp.Distribution(AB, max_degree, {u: random_fraction(rng)

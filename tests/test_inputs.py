@@ -22,13 +22,16 @@ from shuffleprob.words import words_up_to
 from conftest import AB
 
 A, B = AB
-W1, W2 = Word((A,)), Word((A, A))
+W1, W2, WB = Word((A,)), Word((A, A)), Word((B,))
 
-#: What the rational rule refuses: an exponent literal (Fraction would build
-#: a 9,965,785-bit numerator for it), decimals, floats, bools and Decimals.
-REFUSED = ("1e3000000", "0.5", 0.1, True, Decimal("0.1"))
-#: What it accepts, with the rational each stands for.
-ACCEPTED = ((3, F(3)), (F(3, 4), F(3, 4)), (" -3/4 ", F(-3, 4)))
+#: What the rational rule refuses: exponent literals (Fraction would build
+#: a 9,965,785-bit numerator for the first), decimals, floats and bools
+#: (integral ones too) and Decimals.
+REFUSED = ("1e3000000", "3E2", "0.5", 0.1, 2.0, True, False, Decimal("0.1"), Decimal(3))
+#: What it accepts, with the rational each stands for; blanks around a
+#: string are allowed.
+ACCEPTED = ((3, F(3)), (F(3, 4), F(3, 4)), (" -3/4 ", F(-3, 4)), (" 3/4 ", F(3, 4)),
+            ("+3", F(3)))
 
 
 def _bp_fourth_moment(t):
@@ -141,6 +144,29 @@ def test_from_values_rejects_keys_that_are_not_words():
     for key in ("a", (A,), 1):
         with pytest.raises(DomainError):
             sp.from_values({key: 1})
+
+
+def test_a_parsed_cumulant_file_is_read_by_the_rule_once():
+    # parse_cumulant_map reads the values; from_cumulants and convert take
+    # its map as it is, unless it was read for other letters or a higher
+    # degree, or has had a value stored into it since
+    obj = {"kind": "free", "letters": ["a"], "max_degree": 2, "values": {"a": "1/2", "a.a": 1}}
+    kind, letters, n, values = sio.parse_cumulant_map(obj)
+    assert cumulants._word_map(values, letters, n, drop_above=True) is values
+    assert cumulants._word_map(values, AB, 3) is values
+    assert cumulants._word_map(values, None, n) is values
+    assert cumulants._word_map(values, letters, 1, drop_above=True) == {W1: F(1, 2)}
+    with pytest.raises(ValidationError):
+        cumulants._word_map(values, letters, 1)
+    values[W2] = "1/3"
+    assert sp.from_cumulants(values, kind, letters, n).moments == {W1: F(1, 2), W2: F(7, 12)}
+    stores = (lambda m: m.__setitem__(WB, 1), lambda m: m.update({WB: 1}),
+              lambda m: m.setdefault(WB, 1), lambda m: m.__ior__({WB: 1}))
+    for store in stores:
+        values = sio.parse_cumulant_map(obj)[3]
+        store(values)
+        with pytest.raises(ValidationError, match="undeclared"):
+            sp.convert(values, kind, "boolean", n, letters)
 
 
 def _fraction_parse(x):
