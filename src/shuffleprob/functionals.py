@@ -336,9 +336,9 @@ class _Pairing(Functional):
     memo; the logarithms take phi as z = phi - e and write 0 there.  The
     other operand vanishes on the empty bar word, and it is read first, so
     the one term whose self leg keeps the degree of b is dropped before it
-    recurses.  The node does not store itself, which
-    would make it a reference cycle that outlives its use; its loops
-    subscript the memos of its legs and of the base, its own included.
+    recurses.  The node does not store itself, which would make it a
+    reference cycle that outlives its use; its loops subscript the memos of
+    its legs and of the base, its own included.
 
     The runs leg is g, or the node itself when g is None.  When it is
     flagged ``is_infinitesimal_character`` and b is one word, only the terms
