@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 
-from .coproducts import Side, _terms, unshuffle_bar
+from .coproducts import Side, _terms
 from .errors import DomainError
 from .reporting import CheckResult, Report
-from .tensors import TensorSum
 from .words import BarWord, Word, all_barwords
 
 
@@ -41,10 +40,19 @@ def _triple(terms: tuple, right: bool, side: Side, mode: str) -> dict:
     return out
 
 
-def _counit_side(ts: TensorSum, left: bool) -> dict:
+def _tensor(*entries: tuple) -> dict:
+    """The sum of the flat terms of entries, keyed by (x, y); the
+    coefficients of a side are positive, so none cancels."""
+    out: dict = {}
+    for x, y, c in itertools.chain(*entries):
+        out[x, y] = out.get((x, y), 0) + c
+    return out
+
+
+def _counit_side(terms: tuple, left: bool) -> dict:
     """Project the chosen leg to degree zero and collect the other leg."""
     out: dict = {}
-    for (x, y), c in ts:
+    for x, y, c in terms:
         if left and not x.words:
             out[y] = out.get(y, 0) + c
         elif not left and not y.words:
@@ -98,7 +106,7 @@ def check_axioms(letters, max_degree: int) -> Report:
         report.add(CheckResult.from_mismatch(name, fail))
 
     def counit_law(b):
-        full = unshuffle_bar(b, Side.FULL)
+        full = _terms(b, Side.FULL, "all")
         for left in (True, False):
             got = _counit_side(full, left)
             if got != {b: 1}:
@@ -108,8 +116,8 @@ def check_axioms(letters, max_degree: int) -> Report:
     find("counit-laws", counit_law)
 
     def split(b):
-        full = unshuffle_bar(b, Side.FULL)
-        halves = unshuffle_bar(b, Side.LEFT) + unshuffle_bar(b, Side.RIGHT)
+        full = _tensor(_terms(b, Side.FULL, "all"))
+        halves = _tensor(_terms(b, Side.LEFT, "all"), _terms(b, Side.RIGHT, "all"))
         if full != halves:
             return b, f"{len(full)} terms", f"{len(halves)} terms (half sum)"
         return None
@@ -139,7 +147,7 @@ def check_axioms(letters, max_degree: int) -> Report:
     # Module compatibilities on the bar products of bounded total degree.
     def product_compat(side: Side):
         def check(b):
-            if len(b.words) > 1 and unshuffle_bar(b, side).terms != _expansion(b, side):
+            if len(b.words) > 1 and _tensor(_terms(b, side, "all")) != _expansion(b, side):
                 return b, "half of product", "half (x) full, multiplied"
             return None
         return check

@@ -39,7 +39,15 @@ than it is built.  Bar words are canonical (see :mod:`.words`), so a memo
 key's bar word matches by identity, and the legs built here are the same
 objects that key the functional memos; the enumeration and the bar
 product find each leg from its tuple of letter tuples (``BarWord._of``),
-and only a leg not yet live goes through the constructor.  The public functions return a fresh
+and only a leg not yet live goes through the constructor.
+
+An entry keeps its terms in the order first built.  The enumeration runs
+i upward and a bar product multiplies in order, so every left and full
+"all" entry on a nonempty bar word ends with b (x) 1, its one term whose
+left leg is b, or is empty (the left entry on a first word of one letter,
+under ``drop-left-singleton``); right and "run" entries hold no such term.
+A pairing that is its own left leg drops that last term.  The public
+functions refuse a side that is not a :class:`Side`, and return a fresh
 :class:`TensorSum` of an entry's terms, which the caller may change.  The
 memo is a plain dict: confine it to one thread or guard it externally.
 """
@@ -123,11 +131,6 @@ def _flat(data: dict) -> tuple:
     return tuple([(x, y, c) for (x, y), c in data.items()])
 
 
-def _sum(terms: tuple) -> TensorSum:
-    """A fresh TensorSum of flat terms."""
-    return TensorSum._raw({(x, y): c for x, y, c in terms})
-
-
 def _by_first_run(w: Word, side: Side, single_run: bool) -> tuple:
     """The terms of one side on the word w, by the first run w[i:j] of the
     complement (see the module docstring), or only those whose right leg is
@@ -160,6 +163,15 @@ def _by_first_run(w: Word, side: Side, single_run: bool) -> tuple:
     return _flat(data)
 
 
+def _public(b, side: Side, mode: str) -> TensorSum:
+    """A fresh TensorSum of the terms of mode on one side of b.  The side is
+    checked here, not in :func:`_terms`, which every pairing calls."""
+    if type(side) is not Side:
+        raise DomainError(f"a coproduct side is Side.LEFT, Side.RIGHT or Side.FULL, got {side!r}")
+    b = b if type(b) is BarWord else as_barword(b)
+    return TensorSum._raw({(x, y): c for x, y, c in _terms(b, side, mode)})
+
+
 def unshuffle(w: Word) -> TensorSum:
     """Full coproduct of a word (subset expansion)."""
     return unshuffle_bar(BarWord.from_word(w))
@@ -179,8 +191,7 @@ def half_unshuffle(w: Word, side: Side, reduced: bool = False) -> TensorSum:
 def unshuffle_bar(b, side: Side = Side.FULL, reduced: bool = False) -> TensorSum:
     """Coproduct of a bar word: the chosen half on the first component,
     the full coproduct on the rest, multiplied componentwise."""
-    b = b if type(b) is BarWord else as_barword(b)
-    return _sum(_terms(b, side, "reduced" if reduced else "all"))
+    return _public(b, side, "reduced" if reduced else "all")
 
 
 def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
@@ -189,5 +200,4 @@ def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
     one interval [i..j].  Every interval on the full side; i >= 2 on the
     left side, with [2..n] dropped under the ``drop-left-singleton`` defect;
     i = 1 on the right side."""
-    b = b if type(b) is BarWord else as_barword(b)
-    return _sum(_terms(b, side, "run"))
+    return _public(b, side, "run")

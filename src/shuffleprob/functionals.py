@@ -46,9 +46,14 @@ gives ``log_left`` (z = phi - e) and the conjugate in
 ``magnus.group_law_left``.  phi - e is phi past the empty bar word, so the
 two logarithms take phi itself as the base and write their 0 there.  The
 defining products these replace are references in :mod:`verify`, which
-checks the engine against them.  The right leg y is the bar word of the
-runs left over, so an infinitesimal character there reads 0 unless y is
-one word: when the right operand (or the node, in its place) is flagged
+checks the engine against them.  Every pairing reads its left leg first.
+A node that is its own left leg (the inverse, the left division and the
+right exponential) drops the last term of its coproduct entry when it is
+b (x) 1 (:mod:`.coproducts`), which would read the node at b itself; the
+term adds 0, as its right leg (e - f, e - phi or a) vanishes at the empty
+bar word.  The right leg y is the bar word of the runs left over, so an
+infinitesimal character there reads 0 unless y is one word: when the right
+operand (or the node, in its place) is flagged
 ``is_infinitesimal_character``, a pairing at a one-word bar word reads
 only the terms whose complement is one interval, at most n(n+1)/2 of them
 instead of 2^n (the terms of ``coproducts.single_run_terms``, read as the
@@ -334,9 +339,9 @@ class _Pairing(Functional):
     X = z + X < (e - phi).  The fixed points take no base: e is 0 off the
     empty bar word, and their constructors write the 1 there into the
     memo; the logarithms take phi as z = phi - e and write 0 there.  The
-    other operand vanishes on the empty bar word, and it is read first, so
-    the one term whose self leg keeps the degree of b is dropped before it
-    recurses.  The node does not store itself, which would make it a
+    loops read the left leg first, so a node that is its own left leg
+    drops the last term of its entry when it is b (x) 1, whose right leg
+    vanishes.  The node does not store itself, which would make it a
     reference cycle that outlives its use; its loops subscript the memos of
     its legs and of the base, its own included.
 
@@ -360,38 +365,11 @@ class _Pairing(Functional):
             terms = _terms(b, self.side, "run")
         else:
             terms = _terms(b, self.side, "all")
+        if self.f is None and terms and terms[-1][0] is b:
+            terms = terms[:-1]  # the term (b, 1): the right leg is 0 at 1
         total = 0 if self.base is None else self.base._memo[b]
         fmemo, gmemo = (self if self.f is None else self.f)._memo, runs._memo
         terms = iter(terms)
-        if self.f is None:  # self on the left: the known right leg goes first
-            if type(total) is int:
-                for x, y, c in terms:
-                    right = gmemo[y]
-                    if right:
-                        left = fmemo[x]
-                        if left:
-                            v = left * right
-                            if type(v) is not int:
-                                terms = chain(((x, y, c),), terms)
-                                break
-                            total += v if c == 1 else c * v
-                else:
-                    return total
-            num, den = total.as_integer_ratio()
-            for x, y, c in terms:
-                right = gmemo[y]
-                if right:
-                    left = fmemo[x]
-                    if left:
-                        ln, ld = left.as_integer_ratio()
-                        rn, rd = right.as_integer_ratio()
-                        q = ld * rd
-                        if den % q:
-                            m = q // gcd(den, q)
-                            num *= m
-                            den *= m
-                        num += c * ln * rn * (den // q)
-            return _ratio(num, den)
         if type(total) is int:
             for x, y, c in terms:
                 left = fmemo[x]

@@ -21,7 +21,7 @@ from math import comb
 from . import functionals as fn
 from . import products as pr
 from .axioms import check_axioms
-from .coproducts import Side, unshuffle_bar
+from .coproducts import Side, _terms
 from .cumulants import (CumulantKind, Distribution, _degree, _letters, bernoulli_symmetric,
                         convert, from_cumulants, point_mass, semicircle, series,
                         tabulate, to_cumulants)
@@ -30,7 +30,7 @@ from .io import letters_from_names
 from .magnus import bch, bernoulli, group_law_left, group_law_right, magnus, magnus_inverse
 from .partitions import oracle_convert, oracle_moments
 from .reporting import CheckResult, Report
-from .words import Word, all_barwords, words_up_to
+from .words import BarWord, Word, all_barwords, words_up_to
 
 DEFAULT_LETTERS = ("a", "b")
 
@@ -106,7 +106,7 @@ def _ad_closed_form(g1, g2, letters, max_degree) -> fn.Functional:
     for w in words_up_to(letters, max_degree):
         values[w] = g2(w) if len(w) == 1 else sum(
             c * g2(Word(w[:1] + (x.words[0] if x else ()) + w[-1:])) * E(y)
-            for (x, y), c in unshuffle_bar(Word(w[1:-1])))
+            for x, y, c in _terms(BarWord.from_word(Word(w[1:-1])), Side.FULL, "all"))
     return fn.infinitesimal(values)
 
 

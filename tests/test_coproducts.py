@@ -7,8 +7,8 @@ import pytest
 
 from conftest import ROOT
 from shuffleprob import (BarWord, DomainError, EMPTY_BAR, Letter, Side,
-                         TensorSum, Word, half_unshuffle, unshuffle, unshuffle_bar,
-                         words)
+                         TensorSum, Word, coproducts, half_unshuffle, unshuffle,
+                         unshuffle_bar, words)
 from shuffleprob.coproducts import _terms, clear_caches, single_run_terms
 from shuffleprob.mutations import inject_defect
 from shuffleprob.words import all_barwords, words_up_to
@@ -136,6 +136,47 @@ def test_single_run_term_counts():
                       Side.RIGHT: n}
     with pytest.raises(DomainError):
         single_run_terms(bw((A,), (B,)))
+
+
+def test_the_public_maps_refuse_a_side_that_is_not_a_side():
+    # Not the string values of the sides nor anything else: each is refused
+    # before the memo, which keys every entry by a Side.
+    clear_caches()
+    w = Word((A, B, A))
+    calls = (half_unshuffle, lambda w, side: half_unshuffle(w, side, True),
+             unshuffle_bar, single_run_terms)
+    for side in ("left", "full", "right", None, 0):
+        for call in calls:
+            with pytest.raises(DomainError):
+                call(w, side)
+    assert all(type(key[1]) is Side for key in coproducts._cache)
+
+
+@pytest.mark.parametrize("defect", [None, "drop-left-singleton"])
+def test_b_x_1_is_the_last_term_of_every_left_and_full_entry(defect):
+    # A pairing that is its own left leg drops the last term of its entry
+    # when that term's left leg is b, so on every nonempty bar word the one
+    # such term must come last on the left and full sides, and no right or
+    # single-run entry may hold one.  The defect drops S = {1}, which on a
+    # first word of one letter is that whole left entry.
+    empty_left = 0
+    with inject_defect(defect) if defect else nullcontext():
+        for letters, degree in (((A, B), 5), ((A, B, C), 4)):
+            for b in all_barwords(letters, degree):
+                for side in Side:
+                    modes = ("all", "run") if len(b.words) == 1 else ("all",)
+                    for mode in modes:
+                        terms = _terms(b, side, mode)
+                        at_b = [i for i, (x, _, _) in enumerate(terms) if x is b]
+                        if side is Side.RIGHT or mode == "run":
+                            assert not at_b, (b, side, mode)
+                        elif side is Side.LEFT and defect and len(b.words[0]) == 1:
+                            assert terms == (), b
+                            empty_left += len(letters) == 2
+                        else:
+                            assert at_b == [len(terms) - 1], (b, side)
+                            assert terms[-1] == (b, EMPTY_BAR, 1), (b, side)
+    assert empty_left == (342 if defect else 0)
 
 
 def _subset_terms(w: Word, side: Side, drop_singleton: bool) -> TensorSum:

@@ -281,8 +281,13 @@ def test_univariate_degree_40_closed_forms():
     evens = range(1, n // 2 + 1)
     catalans = {uw(a, 2 * k): _catalan(k - 1) for k in evens}
     c = F(-2, 3)
+    # the arcsine law, m_2k = C(2k, k) / 2^k, is the monotone central limit
+    arcsine = Distribution.univariate("a", [
+        F(math.comb(k, k // 2), 2 ** (k // 2)) if k % 2 == 0 else F(0)
+        for k in range(1, n + 1)], n)
     closed_forms = [
         (sp.semicircle(n), {"free": {uw(a, 2): 1}, "boolean": catalans}),
+        (arcsine, {"monotone": {uw(a, 2): 1}}),
         (sp.bernoulli_symmetric(n), {
             "boolean": {uw(a, 2): 1},
             "free": {uw(a, 2 * k): (-1) ** (k - 1) * _catalan(k - 1) for k in evens}}),

@@ -508,10 +508,12 @@ def _first_fraction_after_an_int(node, b):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_TREES))
 def test_kernels_sum_as_plain_fraction_arithmetic(name):
-    # The cold tree is read from the highest degree down, so a self-left
-    # pairing that read its own leg first would recurse without end.  Every
-    # value is an int exactly when it is integral, else a Fraction, which
-    # the constructor keeps reduced over a positive denominator.
+    # The cold tree is read from the highest degree down, so each value is a
+    # first read that recurses through the values below it, and a pairing
+    # that is its own left leg and kept its last term, b (x) 1, would read
+    # itself at b without end.  Every value is an int exactly when it is
+    # integral, else a Fraction, which the constructor keeps reduced over a
+    # positive denominator.
     bars_ = sorted(all_barwords(AB, 4), key=BarWord.sort_key, reverse=True)
     tree = KERNEL_TREES[name]()
     for b in bars_:
