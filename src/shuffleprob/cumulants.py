@@ -210,9 +210,9 @@ def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
     out = {}
     scale = [D ** k for k in range(max_degree + 1)]
     for b in word_bars_up_to(tuple(letters), max_degree):
-        v = phi(b)
-        if v:
-            out[b.words[0]] = Fraction(v, scale[b.degree])
+        num, den = fn._pair(phi, b)
+        if num:
+            out[b.words[0]] = Fraction(num, den * scale[b.degree])
     return out
 
 

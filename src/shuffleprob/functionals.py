@@ -7,20 +7,25 @@ coproducts of the argument, and memoized per node.  All series-type operators
 one at a bar word of degree d only ever touches evaluations at degree <= d,
 so every value is an exact finite sum.
 
-A value is an ``int`` when it is integral, else a reduced ``Fraction``.
-The leaves store integral values as ints, the values at the empty bar word
-and the flag short-circuit start from int 0 and 1, and an integral scalar
-multiple keeps an int coefficient.  Each evaluation kernel (the two loops
-of a pairing, a linear combination, a series, and a character's product
-over the components of a bar word) sums in ints while its values are
-ints.  From the first Fraction on (a value, the base or a coefficient) it
+A value is read as an ``int`` when it is integral, else a reduced
+``Fraction``.  Inside the engine a non-integral value is a ``_Ratio``, the
+reduced pair (numerator, denominator) with denominator > 1, so every memo
+holds an int or a ratio, and a Fraction is built, through the public
+constructor, only where a value leaves the engine: a call, a witness of
+:func:`agree_up_to`.  The leaves store integral values as ints, the values
+at the empty bar word and the flag short-circuit start from int 0 and 1,
+and an integral scalar multiple keeps an int coefficient.  Each evaluation
+kernel (the two loops of a pairing, a linear combination, a series, and a
+character's product over the components of a bar word) sums in ints while
+its values are ints.  From the first ratio or Fraction coefficient on it
 carries the rest of the sum as one int numerator over a running common
-denominator, the lcm of the denominators met, and builds one Fraction at
-the end, through the public constructor, or an int when the sum is
-integral.  A series, whose coefficients are Fractions (1/n!,
-(-1)^i/(i+1), B_m/m!), runs that accumulator from its first term.  So a
-tree on integral leaves runs its pairing loops in int arithmetic, and a
-tree on Fraction leaves builds one Fraction per value, not one per term.
+denominator, the lcm of the denominators met, and ends with one gcd, which
+gives an int or a ratio.  A ratio has no arithmetic: its product is None,
+which the int loop of a pairing reads as the hand-over.  A series, whose
+coefficients are Fractions (1/n!, (-1)^i/(i+1), B_m/m!), runs that
+accumulator from its first term.  So a tree on integral leaves runs its
+pairing loops in int arithmetic, and a tree on Fraction leaves runs them
+on int pairs and builds no Fraction.
 The distribution API in :mod:`cumulants` and :mod:`products` relies on
 the first: every construction here commutes with the grading automorphism
 theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
@@ -107,16 +112,19 @@ axioms in :mod:`verify` do.
 
 Every value is read one way: a subscript of the node's memo, a
 :class:`_Memo`, whose ``__missing__`` evaluates the node at a missed bar
-word and stores the value.  A call is the bar-word coercion and that
-subscript; the evaluation kernels (the loops of ``_Pairing``, ``_Linear``
-and ``_Series``, and a character's product over the components of a bar
-word) subscript their operands' memos.  So a hit is a dict read in C, and
-every miss goes through ``_Memo.__missing__``, the one place that
-dispatches on the flags.  A character reads its components from the bar
-word's ``parts`` slot, filled with their canonical one-word bar words on
-its first bar-product miss, so a second character node, or a second tree,
-builds none of them again.  A memo holds its node through a weak
-reference, so a tree is freed by reference counting alone.
+word and stores the value.  A call is the bar-word coercion, that
+subscript, and the Fraction of a ratio; :func:`_pair` reads the value as
+its (numerator, denominator) pair instead, which :mod:`cumulants`
+divides by D^|w| into one Fraction.  The evaluation kernels (the loops of
+``_Pairing``, ``_Linear`` and ``_Series``, and a character's product
+over the components of a bar word) subscript their operands' memos.  So a
+hit is a dict read in C, and every miss goes through
+``_Memo.__missing__``, the one place that dispatches on the flags.  A
+character reads its components from the bar word's ``parts`` slot,
+filled with their canonical one-word bar words on its first bar-product
+miss, so a second character node, or a second tree, builds none of them
+again.  A memo holds its node through a weak reference, so a tree is
+freed by reference counting alone.
 
 Expression trees are immutable and freely shareable.  The memo dicts are
 keyed by canonical bar words, whose table in :mod:`.words` is locked, but
@@ -182,21 +190,53 @@ def _exact(v) -> Value:
     return v.numerator if v.denominator == 1 else v
 
 
-def _ratio(num: int, den: int) -> Value:
-    """num / den for den > 0: an int when integral, else the reduced
-    Fraction, built by the public constructor."""
-    return num // den if num % den == 0 else Fraction(num, den)
+class _Ratio(tuple):
+    """A non-integral value inside the engine: the pair (numerator,
+    denominator), reduced, with denominator > 1.  It has no arithmetic:
+    its product with anything, in either order, is None, which a kernel's
+    int loop reads as the hand-over to its rational loop.  A value leaves
+    the engine as a Fraction (:func:`_public`)."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return None
+
+    __rmul__ = __mul__
 
 
-def _sum(pairs) -> Value:
-    """The sum of c * v over pairs of values, carried as one int numerator
-    over the lcm of the denominators seen so far."""
+def _ratio(num: int, den: int):
+    """num / den for den > 0, by one gcd: an int when integral, else a
+    :class:`_Ratio`."""
+    g = gcd(num, den)
+    return num // den if g == den else _Ratio((num // g, den // g))
+
+
+def _public(v) -> Value:
+    """An engine value as the package returns it: an int, or the Fraction
+    of a ratio, built by the public constructor."""
+    return v if type(v) is int else Fraction(*v)
+
+
+def _pair(f: "Functional", b: BarWord) -> tuple[int, int]:
+    """f(b) as (numerator, denominator), with no Fraction built."""
+    v = f._memo[b]
+    return (v, 1) if type(v) is int else v
+
+
+def _sum(pairs):
+    """The sum of c * v over pairs of a coefficient (an int or a Fraction)
+    and an engine value, carried as one int numerator over the lcm of the
+    denominators seen so far."""
     num, den = 0, 1
     for c, v in pairs:
         if v:
-            cn, cd = c.as_integer_ratio()
-            vn, vd = v.as_integer_ratio()
-            q = cd * vd
+            vn, vd = (v, 1) if type(v) is int else v
+            if type(c) is int:
+                cn, q = c, vd
+            else:
+                cn, cd = c.as_integer_ratio()
+                q = cd * vd
             if den % q:
                 m = q // gcd(den, q)
                 num *= m
@@ -217,7 +257,7 @@ class _Memo(dict):
     def __init__(self, node: "Functional"):
         self.node = weakref.ref(node)
 
-    def __missing__(self, b: BarWord) -> Value:
+    def __missing__(self, b: BarWord):
         node = self.node()
         if len(b.words) < 2:
             v = node._value(b)
@@ -231,7 +271,7 @@ class _Memo(dict):
                 if type(v) is int:
                     num *= v
                 else:
-                    n, d = v.as_integer_ratio()
+                    n, d = v
                     num *= n
                     den *= d
                 if not num:
@@ -256,7 +296,7 @@ class Functional:
     def __call__(self, element) -> Value:
         if type(element) is not BarWord:
             element = as_barword(element)
-        return self._memo[element]
+        return _public(self._memo[element])
 
     def _value(self, b: BarWord) -> Value:
         raise NotImplementedError
@@ -291,7 +331,8 @@ class _Table(Functional):
         for k, v in values.items():
             if not isinstance(k, keys):
                 raise DomainError(f"{what}, got {k!r}")
-            memo[as_barword(k)] = _exact(v)
+            v = _exact(v)
+            memo[as_barword(k)] = v if type(v) is int else _Ratio(v.as_integer_ratio())
 
     def _value(self, b):
         return 0
@@ -303,8 +344,8 @@ class _Linear(Functional):
     built, and the unit e, 0 everywhere else, is then dropped from the
     parts.  The flag is still read over every part, e included, so
     alpha + e is not flagged infinitesimal.  The sum is an int sum until a
-    coefficient or a value is a Fraction; then it is taken again over
-    every part as one numerator over a common denominator."""
+    coefficient is a Fraction or a value a ratio; then it is taken again
+    over every part as one numerator over a common denominator."""
 
     __slots__ = ("parts",)
 
@@ -349,9 +390,11 @@ class _Pairing(Functional):
     flagged ``is_infinitesimal_character`` and b is one word, only the terms
     whose y is one word can be nonzero, and the node reads just those
     (``coproducts.single_run_terms``).  The loops iterate the coproduct
-    memo's flat (x, y, c) triples.  Each loop adds in ints while the base
-    and the products are ints; at the first Fraction it goes on, from that
-    term, with one int numerator over the lcm of the denominators met."""
+    memo's flat (x, y, c) triples.  The int loop adds in ints while the
+    base and the products are ints.  The product of a ratio is None, so at
+    the first ratio, in the base or in a term, it hands over to the
+    rational loop, which goes on from that term with one int numerator
+    over the lcm of the denominators met."""
 
     __slots__ = ("f", "g", "side", "base")
 
@@ -383,14 +426,14 @@ class _Pairing(Functional):
                         total += v if c == 1 else c * v
             else:
                 return total
-        num, den = total.as_integer_ratio()
+        num, den = (total, 1) if type(total) is int else total
         for x, y, c in terms:
             left = fmemo[x]
             if left:
                 right = gmemo[y]
                 if right:
-                    ln, ld = left.as_integer_ratio()
-                    rn, rd = right.as_integer_ratio()
+                    ln, ld = (left, 1) if type(left) is int else left
+                    rn, rd = (right, 1) if type(right) is int else right
                     q = ld * rd
                     if den % q:
                         m = q // gcd(den, q)
@@ -633,16 +676,16 @@ def positive_part(f: Functional) -> Functional:
     return f - f(EMPTY_BAR) * e
 
 
-def _own_value(f: Functional, b: BarWord) -> Value:
+def _own_value(f: Functional, b: BarWord):
     """f(b) from the recursion of f itself, as if its flags were cleared.
     The terms of a linear combination are read the same way; the nodes
     below keep their flags, so each flag is checked one level at a time.
     A leaf has no recursion, and its flag is its definition: it is read
     through f(b)."""
     if isinstance(f, _Linear):
-        return sum(c * _own_value(p, b) for c, p in f.parts)
+        return _sum((c, _own_value(p, b)) for c, p in f.parts)
     if isinstance(f, _Table):
-        return f(b)
+        return f._memo[b]
     return f._value(b)
 
 
@@ -657,9 +700,9 @@ def agree_up_to(f: Functional, g: Functional, letters, max_degree: int,
     bars = all_barwords(tuple(letters), max_degree)
     for b in (EMPTY_BAR, *bars) if include_empty else bars:
         if len(b.words) < 2:
-            fv, gv = f(b), g(b)
+            fv, gv = f._memo[b], g._memo[b]
         else:
             fv, gv = _own_value(f, b), _own_value(g, b)
         if fv != gv:
-            return (b, fv, gv)
+            return (b, _public(fv), _public(gv))
     return None

@@ -141,6 +141,37 @@ def enumerate_partitions(n: int, family: PartitionFamily = PartitionFamily.ALL
     return tuple(out)
 
 
+@lru_cache(maxsize=16)
+def _layout(n: int, family: PartitionFamily
+            ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], int], ...]]:
+    """The partitions of [n] in a non-crossing family, laid out once for the
+    oracle sums: the distinct blocks, each as its 0-based positions, and for
+    each partition the indices of its blocks among them, with its tree
+    factorial."""
+    index: dict[tuple[int, ...], int] = {}
+    rows = tuple((tuple(index.setdefault(tuple(i - 1 for i in b), len(index))
+                        for b in p.blocks), tree_factorial(p))
+                 for p in enumerate_partitions(n, family))
+    return tuple(index), rows
+
+
+def _block_values(cumulants: Mapping[Word, Fraction], w: Word, blocks) -> list:
+    """The cumulant of w's subword at each block, 0 where it is missing.  A
+    word is the tuple of its letters, so the plain tuple of the letters at
+    a block looks up the same entry."""
+    get, letter = cumulants.get, w.__getitem__
+    return [get(tuple(map(letter, b)), 0) for b in blocks]
+
+
+def _products(values: list, rows):
+    """The product of the block values of each partition whose blocks are
+    all nonzero, with the partition's row."""
+    nonzero = {i for i, v in enumerate(values) if v}
+    for row in rows:
+        if nonzero.issuperset(row[0]):
+            yield math.prod(map(values.__getitem__, row[0])), row
+
+
 def oracle_moments(cumulants: Mapping[Word, Fraction], kind, w: Word) -> Fraction:
     """Moment of a word from a cumulant map, by direct partition summation.
 
@@ -155,39 +186,28 @@ def oracle_moments(cumulants: Mapping[Word, Fraction], kind, w: Word) -> Fractio
     if n == 0:
         return Fraction(1)
     if kind == "free":
-        parts, weighted = enumerate_partitions(n, PartitionFamily.NON_CROSSING), False
+        family, weighted = PartitionFamily.NON_CROSSING, False
     elif kind == "boolean":
-        parts, weighted = enumerate_partitions(n, PartitionFamily.INTERVAL), False
+        family, weighted = PartitionFamily.INTERVAL, False
     elif kind == "monotone":
-        parts, weighted = enumerate_partitions(n, PartitionFamily.NON_CROSSING), True
+        family, weighted = PartitionFamily.NON_CROSSING, True
     else:
         raise DomainError(f"unknown cumulant kind {kind!r}")
+    blocks, rows = _layout(n, family)
     total = Fraction(0)
-    for p in parts:
-        prod = _block_product(cumulants, w, p)
-        if prod:
-            total += Fraction(prod, tree_factorial(p)) if weighted else prod
+    for prod, (_, tf) in _products(_block_values(cumulants, w, blocks), rows):
+        total += Fraction(prod, tf) if weighted else prod
     return total
 
 
-def _block_product(cumulants: Mapping[Word, Fraction], w: Word, p: SetPartition):
-    """The product over the blocks V of p of the cumulant of w's subword at V."""
-    prod = Fraction(1)
-    for block in p.blocks:
-        c = cumulants.get(w.subword(block), 0)
-        if not c:
-            return 0
-        prod *= c
-    return prod
-
-
-#: The weight of an irreducible partition pi in each cumulant-to-cumulant
-#: sum: Lehner (2002) and Belinschi-Nica (2008) for free <-> boolean,
+#: The weight of an irreducible partition pi, given its number of blocks
+#: and its tree factorial, in each cumulant-to-cumulant sum: Lehner (2002)
+#: and Belinschi-Nica (2008) for free <-> boolean,
 #: Arizmendi-Hasebe-Lehner-Vargas (2015), Thm 1.1, for monotone -> boolean.
 _CONVERT_WEIGHTS = {
-    ("free", "boolean"): lambda p: 1,
-    ("boolean", "free"): lambda p: -1 if len(p.blocks) % 2 == 0 else 1,
-    ("monotone", "boolean"): lambda p: Fraction(1, tree_factorial(p)),
+    ("free", "boolean"): lambda k, tf: 1,
+    ("boolean", "free"): lambda k, tf: -1 if k % 2 == 0 else 1,
+    ("monotone", "boolean"): lambda k, tf: Fraction(1, tf),
 }
 
 
@@ -212,11 +232,10 @@ def oracle_convert(cumulants: Mapping[Word, Fraction], kind_from, kind_to,
     total = Fraction(0)
     if n == 0:
         return total
-    for p in enumerate_partitions(n, PartitionFamily.NON_CROSSING):
-        if p.blocks[0][-1] == n:  # the block of 1 holds n
-            prod = _block_product(cumulants, w, p)
-            if prod:
-                total += weight(p) * prod
+    blocks, rows = _layout(n, PartitionFamily.NON_CROSSING)
+    rows = [row for row in rows if blocks[row[0][0]][-1] == n - 1]  # 1 and n in one block
+    for prod, (ids, tf) in _products(_block_values(cumulants, w, blocks), rows):
+        total += weight(len(ids), tf) * prod
     return total
 
 

@@ -541,6 +541,46 @@ def test_a_fraction_sum_that_is_integral_is_an_int():
         assert got == want and type(got) is type(want)
 
 
+@pytest.mark.parametrize("name", sorted({**KERNEL_TREES, **MEMO_KERNELS}))
+def test_memos_hold_ints_and_reduced_ratios(name):
+    # Inside the engine a value is an int or a reduced (numerator,
+    # denominator) ratio; a Fraction is built only where a value leaves it.
+    tree = {**KERNEL_TREES, **MEMO_KERNELS}[name]()
+    for b in sorted(all_barwords(AB, 4), key=BarWord.sort_key, reverse=True):
+        tree(b)
+    ratios = 0
+    for node in (tree, *_nodes_below(tree)):
+        for v in node._memo.values():
+            if type(v) is not int:
+                assert type(v) is functionals._Ratio, (name, node, v)
+                num, den = v
+                assert den > 1 and F(num, den).denominator == den, (name, node, v)
+                ratios += 1
+    assert ratios, name
+
+
+def test_a_ratio_has_no_arithmetic():
+    # the int loop of a pairing hands over to its rational loop on a
+    # product that is not an int; a ratio's product is None in either order
+    half, third = functionals._Ratio((1, 2)), functionals._Ratio((-1, 3))
+    for other in (3, 10**30, third):
+        assert half * other is None and other * half is None, other
+
+
+def test_public_reads_give_ints_and_fractions():
+    rng = random.Random(79)
+    values = {u: rng.choice((rng.randint(-3, 3), random_fraction(rng)))
+              for u in words_up_to(AB, 3)}
+    f, g = sp.character(values), sp.character({**values, w(A, B): F(5, 7)})
+    got = [f(b) for b in all_barwords(AB, 3)] + list(sp.cumulants.tabulate(f, AB, 3).values())
+    assert all(type(v) in (int, F) for v in got)
+    assert any(type(v) is F and v.denominator > 1 for v in got)
+    assert any(type(v) is int for v in got)
+    b, fv, gv = functionals.agree_up_to(f, g, AB, 3)
+    assert (b, fv, gv) == (bars(w(A, B)), values[w(A, B)], F(5, 7))
+    assert type(fv) in (int, F) and type(gv) is F
+
+
 def _random_distribution(seed, max_degree=5):
     rng = random.Random(seed)
     return sp.Distribution(AB, max_degree, {u: random_fraction(rng)
