@@ -677,11 +677,11 @@ def positive_part(f: Functional) -> Functional:
 
 
 def _own_value(f: Functional, b: BarWord):
-    """f(b) from the recursion of f itself, as if its flags were cleared.
-    The terms of a linear combination are read the same way; the nodes
-    below keep their flags, so each flag is checked one level at a time.
-    A leaf has no recursion, and its flag is its definition: it is read
-    through f(b)."""
+    """f(b) as the engine holds it (an int or a ratio), from the recursion
+    of f itself, as if its flags were cleared.  The terms of a linear
+    combination are read the same way; the nodes below keep their flags, so
+    each flag is checked one level at a time.  A leaf has no recursion, and
+    its flag is its definition: it is read through its memo."""
     if isinstance(f, _Linear):
         return _sum((c, _own_value(p, b)) for c, p in f.parts)
     if isinstance(f, _Table):
@@ -696,7 +696,9 @@ def agree_up_to(f: Functional, g: Functional, letters, max_degree: int,
 
     On a bar product of two or more components each side is read from its
     own recursion, past its flags: two nodes flagged alike would otherwise
-    read the same product or 0 there, and agree by construction."""
+    read the same product or 0 there, and agree by construction.  The
+    values compare as the engine holds them, ints and reduced pairs, which
+    is exact; only a witness is built as Fractions."""
     bars = all_barwords(tuple(letters), max_degree)
     for b in (EMPTY_BAR, *bars) if include_empty else bars:
         if len(b.words) < 2:

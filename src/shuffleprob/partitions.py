@@ -141,9 +141,8 @@ def enumerate_partitions(n: int, family: PartitionFamily = PartitionFamily.ALL
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def _layout(n: int, family: PartitionFamily
-            ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, ...], int], ...]]:
+@lru_cache(maxsize=32)  # every (n, family) the oracle sums use
+def _layout(n: int, family: PartitionFamily):
     """The partitions of [n] in a non-crossing family, laid out once for the
     oracle sums: the distinct blocks, each as its 0-based positions, and for
     each partition the indices of its blocks among them, with its tree
@@ -155,17 +154,13 @@ def _layout(n: int, family: PartitionFamily
     return tuple(index), rows
 
 
-def _block_values(cumulants: Mapping[Word, Fraction], w: Word, blocks) -> list:
-    """The cumulant of w's subword at each block, 0 where it is missing.  A
-    word is the tuple of its letters, so the plain tuple of the letters at
-    a block looks up the same entry."""
+def _block_products(cumulants: Mapping[Word, Fraction], w: Word, blocks, rows):
+    """For each row whose blocks all have a nonzero cumulant, the product of
+    those cumulants, with the row.  The cumulant of a block is that of w's
+    subword at its positions, 0 where it is missing; a word is the tuple of
+    its letters, so the plain tuple of the letters looks up the same entry."""
     get, letter = cumulants.get, w.__getitem__
-    return [get(tuple(map(letter, b)), 0) for b in blocks]
-
-
-def _products(values: list, rows):
-    """The product of the block values of each partition whose blocks are
-    all nonzero, with the partition's row."""
+    values = [get(tuple(map(letter, b)), 0) for b in blocks]
     nonzero = {i for i, v in enumerate(values) if v}
     for row in rows:
         if nonzero.issuperset(row[0]):
@@ -195,7 +190,7 @@ def oracle_moments(cumulants: Mapping[Word, Fraction], kind, w: Word) -> Fractio
         raise DomainError(f"unknown cumulant kind {kind!r}")
     blocks, rows = _layout(n, family)
     total = Fraction(0)
-    for prod, (_, tf) in _products(_block_values(cumulants, w, blocks), rows):
+    for prod, (_, tf) in _block_products(cumulants, w, blocks, rows):
         total += Fraction(prod, tf) if weighted else prod
     return total
 
@@ -234,7 +229,7 @@ def oracle_convert(cumulants: Mapping[Word, Fraction], kind_from, kind_to,
         return total
     blocks, rows = _layout(n, PartitionFamily.NON_CROSSING)
     rows = [row for row in rows if blocks[row[0][0]][-1] == n - 1]  # 1 and n in one block
-    for prod, (ids, tf) in _products(_block_values(cumulants, w, blocks), rows):
+    for prod, (ids, tf) in _block_products(cumulants, w, blocks, rows):
         total += weight(len(ids), tf) * prod
     return total
 
