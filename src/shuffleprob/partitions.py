@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Iterable, Mapping
 
 from .errors import DomainError
@@ -164,7 +165,8 @@ def _block_products(cumulants: Mapping[Word, Fraction], w: Word, blocks, rows):
     nonzero = {i for i, v in enumerate(values) if v}
     for row in rows:
         if nonzero.issuperset(row[0]):
-            yield math.prod(map(values.__getitem__, row[0])), row
+            # from the first value on: math.prod would multiply 1 by a Fraction
+            yield reduce(mul, map(values.__getitem__, row[0])), row
 
 
 def oracle_moments(cumulants: Mapping[Word, Fraction], kind, w: Word) -> Fraction:
