@@ -9,10 +9,13 @@ Verified on every basis word and bar word up to a degree bound:
 - the module compatibilities: a half-coproduct of a bar product is the half
   on its first word times the full coproduct of each later word.  Since
   :mod:`.coproducts` builds it as that product, the check compares it with
-  an expansion written here, from one position subset per word.
+  an expansion written here, from one position subset per word.  Each
+  word's subsets are built once per check, and the expansion keys its terms
+  by the plain tuples of the words of their legs, so it builds no bar word.
 
 Three-fold tensors are assembled as plain dicts keyed by bar-word triples;
-only arity three is ever needed.
+only arity three is ever needed.  Two-fold ones are keyed by the pair of
+the legs' tuples of words.
 """
 
 from __future__ import annotations
@@ -41,11 +44,13 @@ def _triple(terms: tuple, right: bool, side: Side, mode: str) -> dict:
 
 
 def _tensor(*entries: tuple) -> dict:
-    """The sum of the flat terms of entries, keyed by (x, y); the
-    coefficients of a side are positive, so none cancels."""
+    """The sum of the flat terms of entries, keyed by the words of their
+    legs, (x.words, y.words); the coefficients of a side are positive, so
+    none cancels."""
     out: dict = {}
     for x, y, c in itertools.chain(*entries):
-        out[x, y] = out.get((x, y), 0) + c
+        key = x.words, y.words
+        out[key] = out.get(key, 0) + c
     return out
 
 
@@ -60,27 +65,43 @@ def _counit_side(terms: tuple, left: bool) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _expansion(b: BarWord, side: Side) -> dict:
+def _subsets(w: Word, first: bool, side: Side) -> list:
+    """The position subsets of w, each as (the picked letters as a tuple of
+    one word, or the empty tuple if none; the maximal runs of the rest).
+    As the first word of a product, w holds its first position on the left
+    side and avoids it on the right."""
+    n, out = len(w), []
+    for mask in range(1 << n):
+        if first and bool(mask & 1) != (side is Side.LEFT):
+            continue
+        picked = tuple(w[i] for i in range(n) if mask >> i & 1)
+        runs = tuple(tuple(w[i] for i in run) for kept, run in
+                     itertools.groupby(range(n), key=lambda i: mask >> i & 1) if not kept)
+        out.append(((picked,) if picked else (), runs))
+    return out
+
+
+def _expansion(b: BarWord, side: Side, subsets: dict) -> dict:
     """The terms of a half-coproduct on the bar product b, summed from
     position subsets without :mod:`.coproducts`: one subset per word, the
     first word's holding its first position on the left side and avoiding
     it on the right.  The picked letters of each word make the left bar
-    word, the maximal runs of the rest the right bar word."""
-    legs = []
+    word, the maximal runs of the rest the right bar word.  A term is keyed
+    by the pair of plain tuples of the words of its legs, as in
+    :func:`_tensor`, and no bar word is built.  ``subsets`` caches each
+    word's subsets by (word, whether it is the first) across the bar words
+    of one check."""
+    out = {((), ()): 1}
     for k, w in enumerate(b.words):
-        n, choices = len(w), []
-        for mask in range(1 << n):
-            if k == 0 and bool(mask & 1) != (side is Side.LEFT):
-                continue
-            picked = Word(w[i] for i in range(n) if mask >> i & 1)
-            runs = [Word(w[i] for i in run) for kept, run in
-                    itertools.groupby(range(n), key=lambda i: mask >> i & 1) if not kept]
-            choices.append((picked, runs))
-        legs.append(choices)
-    out: dict = {}
-    for terms in itertools.product(*legs):
-        key = (BarWord(x for x, _ in terms), BarWord(r for _, runs in terms for r in runs))
-        out[key] = out.get(key, 0) + 1
+        choices = subsets.get((w, k == 0))
+        if choices is None:
+            choices = subsets[w, k == 0] = _subsets(w, k == 0, side)
+        grown: dict = {}
+        for (xs, ys), c in out.items():
+            for x, runs in choices:
+                key = (xs + x, ys + runs)
+                grown[key] = grown.get(key, 0) + c
+        out = grown
     return out
 
 
@@ -146,8 +167,11 @@ def check_axioms(letters, max_degree: int) -> Report:
 
     # Module compatibilities on the bar products of bounded total degree.
     def product_compat(side: Side):
+        subsets: dict = {}
+
         def check(b):
-            if len(b.words) > 1 and _tensor(_terms(b, side, "all")) != _expansion(b, side):
+            if len(b.words) > 1 and (_tensor(_terms(b, side, "all"))
+                                     != _expansion(b, side, subsets)):
                 return b, "half of product", "half (x) full, multiplied"
             return None
         return check

@@ -6,6 +6,13 @@ the monotone family, and three cumulant-to-cumulant sums over the
 irreducible non-crossing partitions.  Nothing here touches coproducts or
 functionals, so a bug would have to be reproduced twice, combinatorially and
 algebraically, to go unnoticed.
+
+The sums run in plain ints.  The partitions of each sum are laid out once
+per degree, as their distinct blocks, and each call reads every block value
+of its word once.  A value must be an int or a Fraction (a float would be
+read as its binary expansion), else ValidationError.  The values are scaled
+to one common denominator, the weights to another, and each call builds one
+Fraction, through the public constructor.
 """
 
 from __future__ import annotations
@@ -13,11 +20,10 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .words import Word
 
 MAX_N = 10  # Bell(10) = 115975; the oracle is never needed beyond that
@@ -57,40 +63,41 @@ class SetPartition:
     def is_interval(self) -> bool:
         return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
 
+    def _nesting(self) -> list[int | None] | None:
+        """One scan of [n], in which each block opens at its first point and
+        closes at its last: for each block, the innermost block open when
+        it opens, or None if two blocks cross, which they do iff some point
+        returns to a block that is not the innermost open one."""
+        label = {}
+        for k, b in enumerate(self.blocks):
+            label.update(dict.fromkeys(b, k))
+        parents: list[int | None] = []
+        stack: list[int] = []
+        for i in range(1, self.n + 1):
+            k = label[i]
+            b = self.blocks[k]
+            if i == b[0]:
+                parents.append(stack[-1] if stack else None)
+                stack.append(k)
+            elif stack[-1] != k:
+                return None
+            if i == b[-1]:
+                stack.pop()
+        return parents
+
     def is_non_crossing(self) -> bool:
-        # Two blocks cross iff, scanning their union, block membership
-        # alternates at least four times (pattern x..y..x..y).
-        blocks = self.blocks
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                merged = sorted((p, 0) for p in blocks[i]) + sorted((p, 1) for p in blocks[j])
-                merged.sort()
-                switches = 1
-                last = merged[0][1]
-                for _, src in merged[1:]:
-                    if src != last:
-                        switches += 1
-                        last = src
-                if switches >= 4:
-                    return False
-        return True
+        return self._nesting() is not None
 
     def nesting_parents(self) -> list[int | None]:
         """Index of the innermost block strictly nesting each block.
 
-        Only meaningful for non-crossing partitions, where the blocks nesting
-        a given one are totally ordered by their spans.
+        Defined for non-crossing partitions only, where the blocks open at
+        a block's first point are those nesting it; a crossing partition
+        raises DomainError.
         """
-        parents: list[int | None] = []
-        for i, b in enumerate(self.blocks):
-            best = None
-            for j, other in enumerate(self.blocks):
-                if j == i:
-                    continue
-                if other[0] < b[0] and other[-1] > b[-1]:
-                    if best is None or other[0] > self.blocks[best][0]:
-                        best = j
-            parents.append(best)
+        parents = self._nesting()
+        if parents is None:
+            raise DomainError("nesting parents are defined for non-crossing partitions only")
         return parents
 
 
@@ -98,9 +105,9 @@ def tree_factorial(partition: SetPartition) -> int:
     """Forest factorial of the nesting forest of a non-crossing partition:
     the product, over blocks, of the number of blocks in the subtree hanging
     from (and including) that block."""
-    if not partition.is_non_crossing():
+    parents = partition._nesting()
+    if parents is None:
         raise DomainError("tree factorial is defined for non-crossing partitions only")
-    parents = partition.nesting_parents()
     k = len(partition.blocks)
     sizes = [1] * k
     # Children have strictly larger minima than their parent, so a reversed
@@ -115,58 +122,104 @@ def tree_factorial(partition: SetPartition) -> int:
 @lru_cache(maxsize=16)
 def enumerate_partitions(n: int, family: PartitionFamily = PartitionFamily.ALL
                          ) -> tuple[SetPartition, ...]:
-    """All set partitions of [n] in the family, via restricted-growth strings."""
+    """All set partitions of [n] in the family, via restricted-growth strings.
+
+    Each position joins an open block, in label order, or opens a new one,
+    so only the strings of the family are grown.  Every block is open in the
+    full family.  In the non-crossing family, joining a block closes the
+    blocks opened after it, since a later position in one of them would
+    cross it; in the interval family only the newest block is open.
+    """
     if not 1 <= n <= MAX_N:
         raise DomainError(f"partition enumeration supports 1 <= n <= {MAX_N}, got {n}")
     out = []
     labels = [0] * n
 
-    def grow(i: int, top: int):
+    def grow(i: int, top: int, open_: tuple):
         if i == n:
             blocks: list[list[int]] = [[] for _ in range(top + 1)]
             for pos in range(n):
                 blocks[labels[pos]].append(pos + 1)
-            p = SetPartition(n, blocks)
-            if family is PartitionFamily.NON_CROSSING and not p.is_non_crossing():
-                return
-            if family is PartitionFamily.INTERVAL and not p.is_interval():
-                return
-            out.append(p)
+            out.append(SetPartition(n, blocks))
             return
-        for lab in range(top + 2):
+        for k, lab in enumerate(open_):
             labels[i] = lab
-            grow(i + 1, max(top, lab))
+            grow(i + 1, top, open_ if family is PartitionFamily.ALL else open_[:k + 1])
+        labels[i] = top + 1
+        grow(i + 1, top + 1,
+             (top + 1,) if family is PartitionFamily.INTERVAL else open_ + (top + 1,))
 
     labels[0] = 0
-    grow(1, 0)
+    grow(1, 0, (0,))
     return tuple(out)
 
 
-@lru_cache(maxsize=32)  # every (n, family) the oracle sums use
-def _layout(n: int, family: PartitionFamily):
-    """The partitions of [n] in a non-crossing family, laid out once for the
-    oracle sums: the distinct blocks, each as its 0-based positions, and for
-    each partition the indices of its blocks among them, with its tree
-    factorial."""
+#: Each oracle sum: its family, whether it runs over the irreducible
+#: partitions only (1 and n in one block), and the weight of a partition.
+#: The moment sums are keyed by kind, the cumulant-to-cumulant sums by
+#: (kind from, kind to): Lehner (2002) and Belinschi-Nica (2008) for
+#: free <-> boolean, Arizmendi-Hasebe-Lehner-Vargas (2015), Thm 1.1, for
+#: monotone -> boolean.
+_SUMS = {
+    "free": (PartitionFamily.NON_CROSSING, False, lambda p: 1),
+    "boolean": (PartitionFamily.INTERVAL, False, lambda p: 1),
+    "monotone": (PartitionFamily.NON_CROSSING, False,
+                 lambda p: Fraction(1, tree_factorial(p))),
+    ("free", "boolean"): (PartitionFamily.NON_CROSSING, True, lambda p: 1),
+    ("boolean", "free"): (PartitionFamily.NON_CROSSING, True,
+                          lambda p: -1 if len(p.blocks) % 2 == 0 else 1),
+    ("monotone", "boolean"): (PartitionFamily.NON_CROSSING, True,
+                              lambda p: Fraction(1, tree_factorial(p))),
+}
+
+
+@lru_cache(maxsize=64)  # every (n, sum) the oracle uses
+def _layout(n: int, key):
+    """The partitions of [n] that the sum ``_SUMS[key]`` runs over, laid out
+    once: the distinct blocks, each as its 0-based positions; for each
+    partition the indices of its blocks among them, n minus its number of
+    blocks, and the numerator of its weight; and the weights' common
+    denominator, the lcm of theirs."""
+    family, irreducible, weight = _SUMS[key]
     index: dict[tuple[int, ...], int] = {}
-    rows = tuple((tuple(index.setdefault(tuple(i - 1 for i in b), len(index))
-                        for b in p.blocks), tree_factorial(p))
-                 for p in enumerate_partitions(n, family))
-    return tuple(index), rows
+    rows = []
+    for p in enumerate_partitions(n, family):
+        if irreducible and p.blocks[0][-1] != n:
+            continue
+        ids = tuple(index.setdefault(b, len(index)) for b in p.blocks)
+        rows.append((ids, *weight(p).as_integer_ratio()))
+    scale = math.lcm(*(den for _, _, den in rows))
+    return (tuple(tuple(i - 1 for i in b) for b in index),
+            tuple((ids, n - len(ids), num * (scale // den)) for ids, num, den in rows), scale)
 
 
-def _block_products(cumulants: Mapping[Word, Fraction], w: Word, blocks, rows):
-    """For each row whose blocks all have a nonzero cumulant, the product of
-    those cumulants, with the row.  The cumulant of a block is that of w's
-    subword at its positions, 0 where it is missing; a word is the tuple of
-    its letters, so the plain tuple of the letters looks up the same entry."""
+def _oracle_sum(cumulants: Mapping[Word, Fraction], w: Word, key) -> Fraction:
+    """The sum ``_SUMS[key]`` at w, in ints over one common denominator.
+
+    The cumulant of a block is that of w's subword at its positions, 0 where
+    it is missing; a word is the tuple of its letters, so the plain tuple of
+    the letters looks up the same entry.  Each block value is read once, and
+    must be an int or a Fraction.  With D the lcm of their denominators and a
+    the numerators scaled to D, a partition with k blocks adds its weight's
+    numerator times D^(n - k) times the product of its blocks' a, and the one
+    Fraction built divides the total by D^n and the weights' denominator."""
+    n = len(w)
+    blocks, rows, scale = _layout(n, key)
     get, letter = cumulants.get, w.__getitem__
-    values = [get(tuple(map(letter, b)), 0) for b in blocks]
-    nonzero = {i for i, v in enumerate(values) if v}
-    for row in rows:
-        if nonzero.issuperset(row[0]):
-            # from the first value on: math.prod would multiply 1 by a Fraction
-            yield reduce(mul, map(values.__getitem__, row[0])), row
+    ratios = []
+    for b in blocks:
+        sub = tuple(map(letter, b))
+        v = get(sub, 0)
+        if not isinstance(v, (int, Fraction)):
+            raise ValidationError(f"the value at {Word(sub)!r} must be an int or a "
+                                  f"Fraction, got {type(v).__name__}")
+        ratios.append(v.as_integer_ratio())
+    d = math.lcm(*(q for p, q in ratios if p))
+    nums = [p * (d // q) for p, q in ratios]
+    power = [d ** j for j in range(n)]
+    total = sum(math.prod(map(nums.__getitem__, ids), start=wt * power[j])
+                for ids, j, wt in rows)
+    return Fraction(total, scale * d ** n)
 
 
 def oracle_moments(cumulants: Mapping[Word, Fraction], kind, w: Word) -> Fraction:
@@ -176,36 +229,14 @@ def oracle_moments(cumulants: Mapping[Word, Fraction], kind, w: Word) -> Fractio
     "monotone" (non-crossing sum weighted by inverse tree factorials); the
     corresponding enum values are accepted too.  Missing cumulant entries
     count as zero.  The block cumulant of a block V is the cumulant of the
-    subword of ``w`` at the positions of V.
+    subword of ``w`` at the positions of V; every block value read must be
+    an int or a Fraction, else ValidationError.  The sum runs in ints over
+    one common denominator, and one Fraction is built per call.
     """
     kind = getattr(kind, "value", kind)
-    n = len(w)
-    if n == 0:
-        return Fraction(1)
-    if kind == "free":
-        family, weighted = PartitionFamily.NON_CROSSING, False
-    elif kind == "boolean":
-        family, weighted = PartitionFamily.INTERVAL, False
-    elif kind == "monotone":
-        family, weighted = PartitionFamily.NON_CROSSING, True
-    else:
+    if kind not in ("free", "boolean", "monotone"):
         raise DomainError(f"unknown cumulant kind {kind!r}")
-    blocks, rows = _layout(n, family)
-    total = Fraction(0)
-    for prod, (_, tf) in _block_products(cumulants, w, blocks, rows):
-        total += Fraction(prod, tf) if weighted else prod
-    return total
-
-
-#: The weight of an irreducible partition pi, given its number of blocks
-#: and its tree factorial, in each cumulant-to-cumulant sum: Lehner (2002)
-#: and Belinschi-Nica (2008) for free <-> boolean,
-#: Arizmendi-Hasebe-Lehner-Vargas (2015), Thm 1.1, for monotone -> boolean.
-_CONVERT_WEIGHTS = {
-    ("free", "boolean"): lambda k, tf: 1,
-    ("boolean", "free"): lambda k, tf: -1 if k % 2 == 0 else 1,
-    ("monotone", "boolean"): lambda k, tf: Fraction(1, tf),
-}
+    return _oracle_sum(cumulants, w, kind) if w else Fraction(1)
 
 
 def oracle_convert(cumulants: Mapping[Word, Fraction], kind_from, kind_to,
@@ -218,22 +249,13 @@ def oracle_convert(cumulants: Mapping[Word, Fraction], kind_from, kind_to,
         free from boolean:      kappa(w) = sum (-1)^(|pi| - 1) b_pi(w)
         boolean from monotone:  b(w) = sum h_pi(w) / tau(pi)!
 
-    Block values are read as in :func:`oracle_moments`.  The other pairs of
-    kinds have no such formula here and raise DomainError.
+    Block values are read, and summed, as in :func:`oracle_moments`.  The
+    other pairs of kinds have no such formula here and raise DomainError.
     """
     pair = (getattr(kind_from, "value", kind_from), getattr(kind_to, "value", kind_to))
-    weight = _CONVERT_WEIGHTS.get(pair)
-    if weight is None:
+    if pair not in _SUMS:
         raise DomainError(f"no partition formula for {pair[0]} to {pair[1]} cumulants")
-    n = len(w)
-    total = Fraction(0)
-    if n == 0:
-        return total
-    blocks, rows = _layout(n, PartitionFamily.NON_CROSSING)
-    rows = [row for row in rows if blocks[row[0][0]][-1] == n - 1]  # 1 and n in one block
-    for prod, (ids, tf) in _block_products(cumulants, w, blocks, rows):
-        total += weight(len(ids), tf) * prod
-    return total
+    return _oracle_sum(cumulants, w, pair) if w else Fraction(0)
 
 
 def bell_number(n: int) -> int:

@@ -35,26 +35,34 @@ def test_corrupted_left_half_is_caught_at_low_degree():
 
 
 def test_product_compat_checks_catch_a_wrong_word_coproduct(monkeypatch):
-    # Doubling one coefficient of every degree-2 word coproduct changes the
-    # bar products built from them; both compat checks compare those with an
-    # expansion of their own, so both must notice.
-    by_first_run = coproducts._by_first_run
-
-    def doubled(w, side, single_run):
-        out = by_first_run(w, side, single_run)
-        if len(w) != 2:
-            return out
-        (x, y, c), *rest = out
+    # Each change to the degree-2 word coproducts changes the bar products
+    # built from them; both compat checks compare those with an expansion
+    # of their own, so both must notice.  Doubling one coefficient tests the
+    # coefficients; moving the term with right leg ab to a|b, coefficient
+    # kept, tests that the checks compare the legs themselves.
+    def doubled(w, terms):
+        (x, y, c), *rest = terms
         return ((x, y, 2 * c), *rest)
 
-    coproducts.clear_caches()
-    monkeypatch.setattr(coproducts, "_by_first_run", doubled)
-    try:
-        report = check_axioms((Letter("a"), Letter("b")), 3)
-    finally:
+    def split_leg(w, terms):
+        whole, split = BarWord.from_word(w), BarWord((Word(w[:1]), Word(w[1:])))
+        return tuple((x, split if y is whole else y, c) for x, y, c in terms)
+
+    by_first_run = coproducts._by_first_run
+    for change in (doubled, split_leg):
+        def changed(w, side, single_run):
+            out = by_first_run(w, side, single_run)
+            return change(w, out) if len(w) == 2 else out
+
         coproducts.clear_caches()
-    names = {r.name for r in report.failures}
-    assert {"product-compat-left", "product-compat-right"} <= names
+        monkeypatch.setattr(coproducts, "_by_first_run", changed)
+        try:
+            report = check_axioms((Letter("a"), Letter("b")), 3)
+        finally:
+            monkeypatch.undo()
+            coproducts.clear_caches()
+        names = {r.name for r in report.failures}
+        assert {"product-compat-left", "product-compat-right"} <= names, change.__name__
 
 
 def test_checker_recovers_after_mutation():

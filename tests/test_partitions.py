@@ -1,11 +1,16 @@
+import functools
+import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from shuffleprob import DomainError, Letter, Word
-from shuffleprob.partitions import (PartitionFamily, SetPartition, bell_number,
+from shuffleprob import DomainError, Letter, ValidationError, Word
+from shuffleprob.partitions import (MAX_N, PartitionFamily, SetPartition, bell_number,
                                     catalan_number, enumerate_partitions,
                                     oracle_convert, oracle_moments, tree_factorial)
+from shuffleprob.words import words_up_to
 
 A = Letter("a")
 B = Letter("b")
@@ -31,6 +36,22 @@ def test_out_of_range():
         enumerate_partitions(11)
 
 
+def test_family_enumerations_are_the_filtered_full_enumeration():
+    # the pruned growth of each family against the predicates, in order, and
+    # the non-crossing predicate against its four-point definition
+    def crossing(p):
+        return any(a < b < c < d for u in p.blocks for v in p.blocks if u != v
+                   for a, c in itertools.combinations(u, 2)
+                   for b, d in itertools.combinations(v, 2))
+
+    for n in range(1, 8):
+        everything = enumerate_partitions(n, PartitionFamily.ALL)
+        assert all(p.is_non_crossing() != crossing(p) for p in everything)
+        for family, keep in ((PartitionFamily.NON_CROSSING, SetPartition.is_non_crossing),
+                             (PartitionFamily.INTERVAL, SetPartition.is_interval)):
+            assert enumerate_partitions(n, family) == tuple(filter(keep, everything))
+
+
 def test_predicates():
     crossing = SetPartition(4, [(1, 3), (2, 4)])
     assert not crossing.is_non_crossing()
@@ -48,6 +69,9 @@ def test_tree_factorial_examples():
     assert tree_factorial(deep) == 6
     with pytest.raises(DomainError):
         tree_factorial(SetPartition(4, [(1, 3), (2, 4)]))
+    with pytest.raises(DomainError):
+        SetPartition(4, [(1, 3), (2, 4)]).nesting_parents()
+    assert SetPartition(6, [(1, 6), (2, 3), (4, 5)]).nesting_parents() == [None, 0, 0]
 
 
 def test_oracle_free_pairings():
@@ -92,7 +116,6 @@ def test_oracle_multivariate_positions():
 
 
 def test_monotone_weight_sum_denominator_divides_factorial():
-    import math
     for n in range(1, 8):
         total = sum(F(1, tree_factorial(p))
                     for p in enumerate_partitions(n, PartitionFamily.NON_CROSSING))
@@ -124,3 +147,81 @@ def test_oracle_refuses_what_it_does_not_define(call, message):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_oracle_refuses_a_value_that_is_not_an_int_or_a_fraction():
+    # a float would be read as its binary expansion: 0.5 * 0.5 + 1 = 1.25
+    c = {Word((A,)): 0.5, Word((A, A)): 1}
+    for call in (lambda: oracle_moments(c, "free", Word((A, A))),
+                 lambda: oracle_convert(c, "free", "boolean", Word((A,) * 3))):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == "the value at a must be an int or a Fraction, got float"
+    # a value that no block reads is not checked
+    assert oracle_moments({Word((A,)): F(1, 2), Word((B,)): 0.5}, "free", Word((A, A))) == F(1, 4)
+    assert oracle_moments({Word((A,)): True}, "boolean", Word((A,))) == 1
+
+
+# The reference sums of the differential test below: a plain Fraction sum over
+# the partitions of each family, with every block read by its positions.
+_tree_factorial = functools.cache(tree_factorial)
+_NC, _INTERVAL = PartitionFamily.NON_CROSSING, PartitionFamily.INTERVAL
+_REFERENCE = {
+    "free": (_NC, False, lambda p: 1),
+    "boolean": (_INTERVAL, False, lambda p: 1),
+    "monotone": (_NC, False, lambda p: F(1, _tree_factorial(p))),
+    ("free", "boolean"): (_NC, True, lambda p: 1),
+    ("boolean", "free"): (_NC, True, lambda p: (-1) ** (len(p.blocks) - 1)),
+    ("monotone", "boolean"): (_NC, True, lambda p: F(1, _tree_factorial(p))),
+}
+
+
+def _reference_sum(values, key, w):
+    family, irreducible, weight = _REFERENCE[key]
+    n, total = len(w), F(0)
+
+    @functools.cache
+    def value(block):
+        return values.get(w.subword(block), 0)
+
+    for p in enumerate_partitions(n, family):
+        if irreducible and not any(1 in b and n in b for b in p.blocks):
+            continue
+        total += math.prod(map(value, p.blocks), start=F(weight(p)))
+    return total
+
+
+def _random_values(rng, words):
+    """Missing entries, zeros, negative values, ints and Fractions with
+    numerators and denominators up to 10**6."""
+    out = {}
+    for w in words:
+        pick = rng.random()
+        if pick < 0.15:
+            continue
+        if pick < 0.25:
+            out[w] = rng.choice((0, F(0)))
+        elif pick < 0.5:
+            out[w] = rng.randint(-10 ** 6, 10 ** 6)
+        else:
+            out[w] = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+    return out
+
+
+def test_oracle_sums_equal_plain_fraction_sums():
+    rng = random.Random(2)
+    words = [w for w in words_up_to((A, B), 6)]
+    # at degree MAX_N, the letter and its square are set, so that partitions
+    # with up to MAX_N blocks count; a missing value is None
+    univariate = {Word((A,) * k): v for k, v in enumerate(
+        (F(-999_983, 1_000_000), 10 ** 6, None, 0, F(999_999, 7), -31, F(-3, 999_998),
+         None, F(0), F(123_457, 654_321)), 1) if v is not None}
+    for values, targets in ((_random_values(rng, words), words),
+                            (univariate, [Word((A,) * MAX_N)])):
+        for w in targets:
+            for kind in ("free", "boolean", "monotone"):
+                assert oracle_moments(values, kind, w) == \
+                    _reference_sum(values, kind, w), (kind, w)
+            for pair in (("free", "boolean"), ("boolean", "free"), ("monotone", "boolean")):
+                assert oracle_convert(values, *pair, w) == \
+                    _reference_sum(values, pair, w), (pair, w)
