@@ -65,6 +65,25 @@ def test_product_compat_checks_catch_a_wrong_word_coproduct(monkeypatch):
         assert {"product-compat-left", "product-compat-right"} <= names, change.__name__
 
 
+def test_the_expansion_builds_no_bar_word(monkeypatch):
+    # the expansion keys its terms by tuples of words; the engine's side is
+    # read first, and then no bar word may be made
+    from shuffleprob import words
+    from shuffleprob.axioms import _expansion, _tensor
+
+    a, b = Letter("a"), Letter("b")
+    bars = [BarWord((Word((a, b)), Word((b,)), Word((a, a)))), BarWord((Word((b,)), Word((a, b, a))))]
+    expected = {(bar, side): _tensor(coproducts._terms(bar, side, "all"))
+                for bar in bars for side in (Side.LEFT, Side.RIGHT)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bar word was built")
+
+    monkeypatch.setattr(words.BarWord, "__new__", refuse)
+    for (bar, side), terms in expected.items():
+        assert _expansion(bar, side, {}) == terms
+
+
 def test_checker_recovers_after_mutation():
     report = check_axioms((Letter("a"),), 3)
     assert report.passed
