@@ -19,8 +19,8 @@ through monotone about n^3; log<, exp< and log* read 2^(n-1) to 2^n.  So
 monotone cumulants are -O(-log>), the boolean cumulants converted, at
 every degree.  Free cumulants are log< while max_degree < 9 and
 W(-O(-log>)) from 9 on, and free moments exp< below 9 and exp> of the
-cumulants converted to boolean from 9 on (the measurements behind 9 are
-at _FREE_VIA_BOOLEAN_DEGREE).  The conversion between free and boolean
+cumulants converted to boolean from 9 on (the rules behind 9 are at
+_FREE_VIA_BOOLEAN_DEGREE).  The conversion between free and boolean
 follows the same threshold: through moments below 9, through monotone
 from 9 on, where the free routes read it.  Boolean both ways and monotone
 moments (exp*, already pruned) use the family's own exponential or
@@ -39,11 +39,11 @@ route's extra scale, builds the leaves on the integers D^|w| v, evaluates
 the tree in int arithmetic, and divides each value by D^|w| once, so every
 result is a ``Fraction``.  A route that converts out of free or boolean
 cumulants through monotone reads the Magnus map; its extra scale, the lcm
-of the Magnus coefficients' denominators below max_degree, makes O and
-every pairing that reads it run on ints, and only the final sums of W and
-exp* meet their coefficients' Fractions.  The public constructors,
-:func:`cumulant_functional` and :meth:`Distribution.character` build
-unscaled trees.
+of the Magnus coefficients' denominators below max_degree, makes O, its
+iterates and every pairing that reads it run on ints, and only the final
+sums of W and exp* meet their coefficients' Fractions.  The public
+constructors, :func:`cumulant_functional` and
+:meth:`Distribution.character` build unscaled trees.
 
 Input follows one rule each, and the other layers (the JSON reader, the
 CLI, ``verify.run_suites``) call these rules and do not check again: a
@@ -65,7 +65,8 @@ from typing import Mapping
 
 from . import functionals as fn
 from .errors import ValidationError
-from .magnus import _coeff_lcm, magnus, magnus_inverse
+from .magnus import (_coeff_lcm, _magnus_inverse_twisted, _magnus_twisted, magnus,
+                     magnus_inverse)
 from .words import EMPTY_WORD, Letter, Word, word_bars_up_to, words_up_to
 
 
@@ -306,50 +307,36 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
 #: The max_degree from which the free transforms go through the boolean
 #: logarithm.  log< and exp< read about 2^(n-1) terms at a word of degree n;
 #: log>, the Magnus maps and exp> about n^3, in ints bar W's final sums.
-#: Measured on dense random input, free to_cumulants direct -> through
-#: log>, best of 3 fresh processes, cold, with the coproduct legs found
-#: from their letter tuples: 1 letter 3.6 -> 4.1 ms at degree 8, 4.1 ->
-#: 4.4 ms at 9, 4.9 -> 4.6 ms at 10, 16 -> 6.5 ms at 14; 2 letters 9.7 ->
-#: 15 ms at 6, 25 -> 34 ms at 7, 76 -> 84 ms at 8, 248 -> 216 ms at 9;
-#: 3 letters 17 -> 31 ms at 5, 65 -> 115 ms at 6, 376 -> 477 ms at 7.  So
-#: cold, one letter crosses at 9-10, two letters at 8-9, three above 7;
-#: while each leg went through the constructor, they crossed at 8-9, 6-7
-#: and 7 or above.  A second call, on warm coproducts, takes 7-10x longer
-#: through log> at 2 letters degrees 6-9 and 3 letters 5-7 (2 letters
-#: degree 8: 11 -> 94 ms), so a long-running process keeps the direct
-#: route up to degree 8.  Below 9 it is now the cheaper route cold too.
+#: On cold caches the boolean route wins from degree 9-10 on one letter and
+#: 8-9 on two, and loses up to degree 7 on three; on warm coproducts it is
+#: 7-10x slower at degrees 6-9 on two letters and 5-7 on three, so a
+#: long-running process keeps the direct route up to degree 8, which is
+#: also the cheaper route cold there.
 #:
 #: Below it, convert between free and boolean also goes through the moment
-#: character, log>(exp<) and log<(exp>), in place of -W(-O) and W(-O(-)).
-#: Dense random input, Magnus -> moments, best of 3, free -> boolean (the
-#: other way within 1.5x): warm, 2 letters 8.4 -> 1.1 ms at degree 6, 22 ->
-#: 3.0 ms at 7, 62 -> 16 ms at 8, 3 letters 18 -> 3.9 ms at 5; cold, fresh
-#: processes, 1 letter 1.5 -> 2.1 ms at 8, 2 letters 55 -> 60 ms at 7, 132
-#: -> 192 ms at 8, 3 letters 869 -> 951 ms at 7: the same warm-over-cold
-#: trade.  From 9 on the conversion stays on the Magnus maps, which the free
-#: transforms read there.  The other four conversions stay on them at every
-#: degree: through moments, one to monotone still reads O after an
-#: exponential and one from monotone adds exp*, and warm at 2 letters
-#: degrees 6-7 and 3 letters degree 5 they took 0.8-2.2x the Magnus time.
+#: character, log>(exp<) and log<(exp>), in place of -W(-O) and W(-O(-)):
+#: warm it is 4-8x faster at degrees 6-8 on two letters and 5 on three,
+#: cold up to 1.5x slower, the same trade.  From 9 on the conversion stays
+#: on the Magnus maps, which the free transforms read there.  The other
+#: four conversions stay on them at every degree: through moments, one to
+#: monotone still reads O after an exponential and one from monotone adds
+#: exp*, and they were no faster.  The timings are in CHANGES.md.
 _FREE_VIA_BOOLEAN_DEGREE = 9
 
 #: The moment character: the end of a route that is not a cumulant family.
 _MOMENTS = "moments"
 
 
-def _sign_twisted(f):
-    """a -> -f(-a)."""
-    return lambda alpha: -1 * f(-1 * alpha)
-
-
 def _identity(alpha):
     return alpha
 
 
-#: Each family's (to monotone, from monotone) maps at the Lie level.
+#: Each family's (to monotone, from monotone) maps at the Lie level; the
+#: boolean ones are the sign twists a -> -O(-a) and a -> -W(-a), each one
+#: series node (:mod:`magnus`).
 _VIA_MONOTONE = {
     CumulantKind.FREE: (magnus, magnus_inverse),
-    CumulantKind.BOOLEAN: (_sign_twisted(magnus), _sign_twisted(magnus_inverse)),
+    CumulantKind.BOOLEAN: (_magnus_twisted, _magnus_inverse_twisted),
     CumulantKind.MONOTONE: (_identity, _identity),
 }
 
@@ -360,8 +347,11 @@ def _route(kind_from, kind_to, max_degree: int):
     scale the tree needs beyond its input's denominators.  Either side is a
     CumulantKind or _MOMENTS.  Free and boolean convert into each other
     through the moment routes below _FREE_VIA_BOOLEAN_DEGREE.  Every other
-    conversion goes through monotone, and one out of free or boolean reads
-    O, so it takes :func:`magnus._coeff_lcm`."""
+    conversion goes through monotone by the maps of _VIA_MONOTONE: O and W
+    for free, and for boolean their sign twists -O(-a) and -W(-a), each one
+    series node with the signs folded into its coefficients.  One out of
+    free or boolean reads O or its twist, so it takes
+    :func:`magnus._coeff_lcm`, which clears both."""
     free, boolean = CumulantKind.FREE, CumulantKind.BOOLEAN
     if kind_from is _MOMENTS:
         if kind_to is free and max_degree < _FREE_VIA_BOOLEAN_DEGREE:

@@ -21,11 +21,13 @@ its values are ints.  From the first ratio or Fraction coefficient on it
 carries the rest of the sum as one int numerator over a running common
 denominator, the lcm of the denominators met, and ends with one gcd, which
 gives an int or a ratio.  A ratio has no arithmetic: its product is None,
-which the int loop of a pairing reads as the hand-over.  A series, whose
-coefficients are Fractions (1/n!, (-1)^i/(i+1), B_m/m!), runs that
-accumulator from its first term.  So a tree on integral leaves runs its
-pairing loops in int arithmetic, and a tree on Fraction leaves runs them
-on int pairs and builds no Fraction.
+which the int loop of a pairing reads as the hand-over.  A series sums its
+iterates the same way, and keeps its coefficients, Fractions (1/n!,
+(-1)^i/(i+1), B_m/m!), as int numerators over one common denominator, so
+its final sum is an int sum and one gcd while its iterates are ints.
+So a tree on integral leaves runs its pairing and iterate loops in int
+arithmetic, and a tree on Fraction leaves runs them on int pairs and
+builds no Fraction.
 The distribution API in :mod:`cumulants` and :mod:`products` relies on
 the first: every construction here commutes with the grading automorphism
 theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
@@ -63,18 +65,24 @@ operand (or the node, in its place) is flagged
 only the terms whose complement is one interval, at most n(n+1)/2 of them
 instead of 2^n (the terms of ``coproducts.single_run_terms``, read as the
 memo's flat (x, y, c) triples).  Clearing the flag brings the full terms
-back.  So ``exp_right``, the powers of ``exp_star``, every ``prelie`` of
-infinitesimal characters, and ``log_right`` and ``adjoint`` where flagged,
-read O(n^2) terms at a word of degree n.
+back.  So ``exp_right``, every ``prelie`` of infinitesimal characters,
+and ``log_right`` and ``adjoint`` where flagged, read O(n^2) terms at a
+word of degree n, and so do the series legs below whose right operand is
+flagged: the powers of ``exp_star`` and the Magnus iterates.
 
 One node kind, ``_Series``, sums the series: its value at the empty bar
 word (1 for exp*, else 0), and elsewhere c_0 T_0 + c_1 T_1 + ... up to
-the degree of the argument, where each term is one step after the last and
-vanishes below its index.  exp* and log* are series of convolution powers
-(the step is a convolution product, a ``_Pairing``); the Magnus map and its
-inverse in :mod:`magnus` are series of pre-Lie iterates.  The step sees the
-node itself, through a weak proxy, which the Magnus map needs: its iterates
-multiply by the node.
+the degree of the argument, where each iterate is one step after the last
+and vanishes below its index.  The step is data, a few signed pairing legs
+that each name their side, the leg that holds the previous iterate and a
+fixed operand, None for the node itself as in a pairing.  exp* and log*
+step by one convolution leg; the Magnus map and its inverse in
+:mod:`magnus` by the two legs of a pre-Lie product, and the Magnus map's
+fixed operand is the node itself.  At each bar word where it is evaluated
+the node keeps the row (T_0(b), ..., T_{d-1}(b)) in its own iterate table,
+filled by one kernel that sums every leg over the coproduct terms of b for
+all the iterates at once.  Other nodes read a series through its memo
+only, and the table goes with the node.
 
 Two structural flags travel with each node: ``is_character`` (unital and
 multiplicative over bars) and ``is_infinitesimal_character`` (vanishes on
@@ -117,7 +125,8 @@ subscript, and the Fraction of a ratio; :func:`_pair` reads the value as
 its (numerator, denominator) pair instead, which :mod:`cumulants`
 divides by D^|w| into one Fraction.  The evaluation kernels (the loops of
 ``_Pairing``, ``_Linear`` and ``_Series``, and a character's product
-over the components of a bar word) subscript their operands' memos.  So a
+over the components of a bar word) subscript their operands' memos, and
+a series its own iterate table, whose ``__missing__`` fills a row.  So a
 hit is a dict read in C, and every miss goes through
 ``_Memo.__missing__``, the one place that dispatches on the flags.  A
 character reads its components from the bar word's ``parts`` slot,
@@ -139,7 +148,7 @@ import re
 import weakref
 from fractions import Fraction
 from itertools import chain
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from . import mutations
@@ -443,34 +452,127 @@ class _Pairing(Functional):
         return _ratio(num, den)
 
 
+class _Rows(_Memo):
+    """A series' iterate table, keyed by canonical bar words: a missed read
+    fills the row of the iterates there (:meth:`_Series._row`)."""
+
+    __slots__ = ()
+
+    def __missing__(self, b: BarWord):
+        row = self[b] = self.node()._row(b)
+        return row
+
+
 class _Series(Functional):
     """A series: unit_term at the empty bar word, written into the memo
-    when the node is built, and at b the sum over i < deg b of
-    coeff(i) * T_i(b), where T_0 = first, T_{i+1} = step(node, T_i), and
-    T_i vanishes below degree i + 1.  Terms and
-    coefficients are built once, on demand; a zero coefficient (an odd
-    Bernoulli number) skips its term unevaluated, and each other term is
-    read by a subscript of its memo.  The coefficients are Fractions, so
-    the sum is one int numerator over a common denominator from its first
-    term.  The step gets the node as a weak proxy, so a term that refers
-    back to it (a Magnus iterate) makes no reference cycle."""
+    when the node is built, and at b of degree d the sum of coeff(i) *
+    T_i(b) over i < d, where T_0 = first and T_i vanishes below degree
+    i + 1.  ``legs`` holds (sign, side, prev_left, fixed): T_{i+1}(b) sums
+    sign * c * T_i(x) * fixed(y) over the terms c x (x) y of the side on b
+    when prev_left, else sign * c * fixed(x) * T_i(y), fixed None standing
+    for the node.  A step is one convolution leg or the two legs of a
+    pre-Lie product.  Every fixed operand vanishes at the empty bar word
+    and is read first, so no term reads the row at b itself.
 
-    __slots__ = ("step", "coeff", "_terms")
+    ``rows`` maps b to (T_0(b), ..., T_{d-1}(b)), filled from the rows of
+    the legs' bar words.  A pre-Lie product of infinitesimal characters is
+    one, so when first and fixed are flagged, every iterate is: its row on
+    a bar product is 0, and a leg whose right operand, iterate or fixed, is
+    flagged reads the pruned terms on a word, as a pairing does.  A
+    convolution step keeps no flag.  The kernel sums in ints and, at its
+    first product that is not an int, sums the row again on int pairs.
+    The coefficients are read once, on demand, and kept as int numerators
+    over their common denominator, so the value on a row of ints is an int
+    sum and one gcd; a row with a ratio goes to ``_sum``."""
 
-    def __init__(self, first, step, coeff, unit_term):
+    __slots__ = ("first", "legs", "coeff", "nums", "den", "rows")
+
+    def __init__(self, first, legs, coeff, unit_term):
         super().__init__()
-        self.step, self.coeff = step, coeff
-        self._terms = [(coeff(0), first)]
+        self.first, self.legs, self.coeff = first, legs, coeff
+        self.nums, self.den = [], 1
+        self.rows = _Rows(self)
         self._memo[EMPTY_BAR] = unit_term
 
     def _value(self, b):
+        row, nums = self.rows[b], self.nums
+        while len(nums) < len(row):
+            # the coefficients read so far, as ints over their common denominator
+            cn, cd = self.coeff(len(nums)).as_integer_ratio()
+            den = lcm(self.den, cd)
+            nums[:] = [c * (den // self.den) for c in nums]
+            nums.append(cn * (den // cd))
+            self.den = den
+        total = 0
+        for c, t in zip(nums, row):
+            if type(t) is not int:
+                s = _sum(zip(nums, row))
+                num, den = (s, 1) if type(s) is int else s
+                return _ratio(num, den * self.den)
+            total += c * t
+        return _ratio(total, self.den)
+
+    def _row(self, b):
         d = b.degree
-        terms = self._terms
-        if len(terms) < d:
-            me, step, coeff = weakref.proxy(self), self.step, self.coeff
-            while len(terms) < d:
-                terms.append((coeff(len(terms)), step(me, terms[-1][1])))
-        return _sum((c, t._memo[b]) for c, t in terms[:d] if c)
+        t0 = self.first._memo[b]
+        if d < 2:  # T_1, T_2, ... vanish below degree 2
+            return (t0,) if d else ()
+        lie = self.first.is_infinitesimal_character and all(
+            side is not Side.FULL and (self if f is None else f).is_infinitesimal_character
+            for _, side, _, f in self.legs)
+        if len(b.words) > 1 and lie:
+            return (0,) * d
+        legs = []
+        for sign, side, prev_left, f in self.legs:
+            f = self if f is None else f
+            pruned = len(b.words) == 1 and (f.is_infinitesimal_character if prev_left else lie)
+            legs.append((sign, _terms(b, side, "run" if pruned else "all"),
+                         *((0, 1) if prev_left else (1, 0)), f._memo))
+        if type(t0) is int:
+            row = self._int_row(d, t0, legs)
+            if row is not None:
+                return row
+        return self._ratio_row(d, t0, legs)
+
+    def _int_row(self, d, t0, legs):
+        # the row in int arithmetic, or None at the first product that is not an int
+        acc, rows = [t0] + [0] * (d - 1), self.rows
+        for sign, terms, p, q, fmemo in legs:
+            for term in terms:
+                fv = fmemo[term[q]]
+                if fv:
+                    k = sign * term[2] * fv
+                    if type(k) is not int:
+                        return None
+                    for j, t in enumerate(rows[term[p]], 1):
+                        if t:
+                            v = k * t
+                            if type(v) is not int:
+                                return None
+                            acc[j] += v
+        return tuple(acc)
+
+    def _ratio_row(self, d, t0, legs):
+        # each iterate as one int numerator over the lcm of its denominators
+        nums, dens = [0] * d, [1] * d
+        nums[0], dens[0] = (t0, 1) if type(t0) is int else t0
+        rows = self.rows
+        for sign, terms, p, q, fmemo in legs:
+            for term in terms:
+                fv = fmemo[term[q]]
+                if fv:
+                    fn, fd = (fv, 1) if type(fv) is int else fv
+                    k = sign * term[2] * fn
+                    for j, t in enumerate(rows[term[p]], 1):
+                        if t:
+                            tn, td = (t, 1) if type(t) is int else t
+                            r, den = fd * td, dens[j]
+                            if den % r:
+                                m = r // gcd(den, r)
+                                nums[j] *= m
+                                dens[j] = den = den * m
+                            nums[j] += k * tn * (den // r)
+        return tuple(map(_ratio, nums, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -555,25 +657,31 @@ def neumann_inverse(f: Functional) -> Functional:
     return out
 
 
-def _powers(base: Functional, coeff, unit_term) -> _Series:
-    # T_i = base^{*(i+1)}, each power one convolution step after the last
-    return _Series(base, lambda _, t: conv(t, base), coeff, unit_term)
+def _prelie_legs(f) -> tuple:
+    """The legs of the series step T -> f |> T = f > T - T < f; f None is
+    the series itself."""
+    return ((1, Side.RIGHT, False, f), (-1, Side.LEFT, True, f))
 
 
 def exp_star(alpha: Functional) -> Functional:
-    """Convolution exponential e + sum alpha^{*n} / n!."""
+    """Convolution exponential e + sum alpha^{*n} / n!: a series of the
+    powers of alpha, each one convolution step T -> T * alpha after the last."""
     if alpha(EMPTY_BAR) != 0:
         raise DomainError("exp* needs an operand vanishing on the empty bar word")
-    out = _powers(alpha, lambda i: Fraction(1, factorial(i + 1)), 1)
+    out = _Series(alpha, ((1, Side.FULL, True, alpha),),
+                  lambda i: Fraction(1, factorial(i + 1)), 1)
     out.is_character = alpha.is_infinitesimal_character
     return out
 
 
 def log_star(phi: Functional) -> Functional:
-    """Convolution logarithm sum (-1)^{n+1} (phi - e)^{*n} / n."""
+    """Convolution logarithm sum (-1)^{n+1} (phi - e)^{*n} / n, a series of
+    the powers of phi - e as in :func:`exp_star`."""
     if phi(EMPTY_BAR) != 1:
         raise DomainError("log* needs an operand with value 1 on the empty bar word")
-    out = _powers(phi - e, lambda i: Fraction(-1 if i % 2 else 1, i + 1), 0)
+    base = phi - e
+    out = _Series(base, ((1, Side.FULL, True, base),),
+                  lambda i: Fraction(-1 if i % 2 else 1, i + 1), 0)
     out.is_infinitesimal_character = phi.is_character
     return out
 

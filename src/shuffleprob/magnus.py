@@ -8,10 +8,17 @@ and W its inverse,
 
 Both are series nodes of :mod:`functionals`, like exp* and log*: sums of
 iterates, each one pre-Lie step after the last, weighted by coefficients.
-O is a Bernoulli-weighted fixed point, whose step multiplies by O itself;
-W is the plain right-nested pre-Lie exponential sum, whose step multiplies
-by its argument.  Both truncate exactly, because every pre-Lie
+The step is the two half-shuffle legs of a pre-Lie product, and the node
+evaluates all its iterates at a bar word in one pass over its coproduct
+terms.  O is a Bernoulli-weighted fixed point, whose step multiplies by O
+itself; W is the plain right-nested pre-Lie exponential sum, whose step
+multiplies by its argument.  Both truncate exactly, because every pre-Lie
 multiplication raises the minimal degree.
+
+Iterate m of either is homogeneous of degree m + 1 in the argument, so
+the sign twists a -> -O(-a) and a -> -W(-a), which the conversions of
+:mod:`cumulants` read, are the same series with the coefficients times
+(-1)^m: O with B_1 = +1/2, and W with (-1)^n/(n+1)!.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from math import comb, factorial, lcm
 
 from . import mutations
 from .errors import DomainError
-from .functionals import (Functional, _Linear, _Series, _divide_left, conv,
-                          exp_left, exp_star, hs_right, log_star, prelie)
+from .functionals import (Functional, _Linear, _prelie_legs, _Series, _divide_left,
+                          conv, exp_left, exp_star, hs_right, log_star)
 
 
 class BernoulliTable:
@@ -33,8 +40,8 @@ class BernoulliTable:
         self._values = [Fraction(1)]
 
     def __getitem__(self, m: int) -> Fraction:
-        if m < 0:
-            raise DomainError("Bernoulli numbers are indexed by m >= 0")
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+            raise DomainError(f"Bernoulli numbers are indexed by ints m >= 0, got {m!r}")
         values = self._values
         while len(values) <= m:
             k = len(values)
@@ -54,20 +61,35 @@ def _magnus_coeff(m: int) -> Fraction:
 
 def _coeff_lcm(n: int) -> int:
     """L, the lcm of the denominators of the coefficients O reads below
-    degree n.  A tree of O at a word w carries one coefficient per leaf,
-    and each leaf reads a nonempty subword, so at most |w| of them: on
-    leaves scaled by theta_L every value of O and of its iterates is an
-    int.  It reads _magnus_coeff, so under ``skip-bernoulli-2`` it follows
-    the mutated coefficients.
+    degree n, the same for O and for its sign twist.  A tree of O at a
+    word w carries one coefficient per leaf, and each leaf reads a nonempty
+    subword, so at most |w| of them: on leaves scaled by theta_L every
+    value of O and of its iterates is an int.  It reads _magnus_coeff, so
+    under ``skip-bernoulli-2`` it follows the mutated coefficients.
 
     W's and exp*'s coefficients are left to their own final sums: their
-    steps multiply by their argument, not by the node, so no pairing loop
+    steps multiply by their argument, not by the node, so no iterate
     reads them.  Clearing W's too, by a further n! in the scale, only
-    makes the ints longer.  Median of 5-6 fresh processes, cold, O alone
-    -> O and W: free cumulants of the degree-40 semicircle 156 -> 232 ms,
-    dense univariate free moments at degree 30 84 -> 146 ms, convert
-    boolean -> free at degree 40 114 -> 180 ms."""
+    makes the ints longer (the timings are in CHANGES.md)."""
     return lcm(*(_magnus_coeff(m).denominator for m in range(n)))
+
+
+def _series(arg: Functional, fixed, coeff, what: str) -> Functional:
+    # the series of pre-Lie iterates L_f^m(arg), f = fixed or the node itself
+    if not arg.is_infinitesimal_character:
+        raise DomainError(f"the {what} acts on infinitesimal characters")
+    out = _Series(arg, _prelie_legs(fixed), coeff, 0)
+    out.is_infinitesimal_character = True
+    return out
+
+
+def _inverse_coeff(n: int) -> Fraction:
+    return Fraction(1, factorial(n + 1))
+
+
+def _twisted(coeff):
+    # m -> (-1)^m coeff(m), the coefficients of a -> -S(-a)
+    return lambda m: -coeff(m) if m % 2 else coeff(m)
 
 
 def magnus(kappa: Functional) -> Functional:
@@ -77,23 +99,24 @@ def magnus(kappa: Functional) -> Functional:
     each iterate is one pre-Lie step by the node itself after the last.  An
     iterate reads the node only at strictly smaller degree, so the recursion
     is well founded."""
-    if not kappa.is_infinitesimal_character:
-        raise DomainError("the Magnus expansion acts on infinitesimal characters")
-    out = _Series(kappa, prelie, _magnus_coeff, 0)
-    out.is_infinitesimal_character = True
-    return out
+    return _series(kappa, None, _magnus_coeff, "Magnus expansion")
 
 
 def magnus_inverse(rho: Functional) -> Functional:
     """Inverse Magnus map W(rho); W and O are mutually inverse.
 
     The pre-Lie exponential W = sum_n L_rho^n (rho) / (n+1)!."""
-    if not rho.is_infinitesimal_character:
-        raise DomainError("the inverse Magnus expansion acts on infinitesimal characters")
-    out = _Series(rho, lambda _, t: prelie(rho, t),
-                  lambda n: Fraction(1, factorial(n + 1)), 0)
-    out.is_infinitesimal_character = True
-    return out
+    return _series(rho, rho, _inverse_coeff, "inverse Magnus expansion")
+
+
+def _magnus_twisted(beta: Functional) -> Functional:
+    """-O(-beta), the Magnus series with coefficients (-1)^m B_m / m!."""
+    return _series(beta, None, _twisted(_magnus_coeff), "Magnus expansion")
+
+
+def _magnus_inverse_twisted(rho: Functional) -> Functional:
+    """-W(-rho), the series sum_n (-1)^n L_rho^n (rho) / (n+1)!."""
+    return _series(rho, rho, _twisted(_inverse_coeff), "inverse Magnus expansion")
 
 
 def bch(g1: Functional, g2: Functional) -> Functional:

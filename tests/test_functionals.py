@@ -312,8 +312,8 @@ def test_exp_preconditions():
 
 def test_pairing_nodes_are_freed_without_the_cycle_collector():
     # A node that kept itself as an operand would hold its memo until the
-    # cyclic collector runs.  The series steps see their node through a weak
-    # proxy only, which the Magnus iterates keep.
+    # cyclic collector runs.  A series step names its node by None, as a
+    # pairing does, and its iterate table holds values only.
     kappa, kappa2 = random_inf(21), random_inf(23)
     phi = sp.exp_left(random_inf(22))
     b, word = bars(w(A, B), w(B), w(A, A)), w(A, B, B, A, A)
@@ -356,7 +356,8 @@ def _random_character(seed):
 
 
 def _magnus_unflagged():
-    # Flag cleared, so the series reads its terms on bar products too.
+    # Flag cleared, so the series fills its iterate rows on bar products
+    # through its kernel too.
     out = sp.magnus(random_inf(31))
     out.is_infinitesimal_character = False
     return out
@@ -368,14 +369,14 @@ MEMO_KERNELS = {
     "self-right pairing": lambda: sp.exp_left(_random_form(33, 0)),
     "linear": lambda: (sp.conv(_random_form(34, 1), _random_form(35, 0))
                        - F(3, 2) * _random_form(36, 0)),
-    "series through the Magnus proxy": _magnus_unflagged,
+    "series that reads itself": _magnus_unflagged,
     "character bar product": lambda: sp.conv(_random_character(37), _random_character(38)),
 }
 
 
 def _nodes_below(root):
-    """Every node below root, once each; the weak proxies through which a
-    series step sees its node are left out."""
+    """Every node below root, once each; a series reads its first term and
+    the fixed operands of its legs, None standing for itself."""
     found, stack = {}, [root]
     while stack:
         node = stack.pop()
@@ -384,11 +385,11 @@ def _nodes_below(root):
         elif isinstance(node, functionals._Linear):
             below = tuple(p for _, p in node.parts)
         elif isinstance(node, functionals._Series):
-            below = tuple(t for _, t in node._terms)
+            below = (node.first, *(f for *_, f in node.legs))
         else:
             below = ()
         for f in below:
-            if f is not None and type(f) not in weakref.ProxyTypes and id(f) not in found:
+            if f is not None and id(f) not in found:
                 found[id(f)] = f
                 stack.append(f)
     return list(found.values())
@@ -406,8 +407,6 @@ def test_memo_reads_in_the_kernels_change_no_value(name):
     for b in bars_:
         b.parts = None
     warm, cold = MEMO_KERNELS[name](), MEMO_KERNELS[name]()
-    if isinstance(warm, functionals._Series):
-        warm._value(max(bars_, key=BarWord.sort_key))  # builds its terms to degree 5
     for node in reversed(_nodes_below(warm)):
         for b in (EMPTY_BAR, *bars_):
             node(b)
@@ -480,7 +479,8 @@ def _reference(node, b):
     if isinstance(node, functionals._Linear):
         return sum((F(c) * f(b) for c, f in node.parts), F(0))
     if isinstance(node, functionals._Series):
-        return sum((F(c) * t(b) for c, t in node._terms[:b.degree]), F(0))
+        return sum((F(node.coeff(i)) * functionals._public(v)
+                    for i, v in enumerate(node.rows[b])), F(0))
     if isinstance(node, functionals._Pairing):
         f = node if node.f is None else node.f
         g = node if node.g is None else node.g
@@ -489,6 +489,20 @@ def _reference(node, b):
             out += c * F(f(x)) * F(g(y))
         return out
     return None
+
+
+def _row_reference(node, b):
+    """The iterates of a series at b from its rows below b, summed over
+    the full terms of every leg with Fraction operators."""
+    row = [F(node.first(b))] + [F(0)] * (b.degree - 1)
+    for sign, side, prev_left, f in node.legs:
+        f = node if f is None else f
+        for (x, y), c in sp.coproducts.unshuffle_bar(b, side):
+            fixed, prev = (y, x) if prev_left else (x, y)
+            if f(fixed):
+                for i, t in enumerate(node.rows[prev][:b.degree - 1], 1):
+                    row[i] += sign * c * F(f(fixed)) * functionals._public(t)
+    return tuple(row)
 
 
 def _first_fraction_after_an_int(node, b):
@@ -527,6 +541,9 @@ def test_kernels_sum_as_plain_fraction_arithmetic(name):
             if want is not None:
                 assert got == want, (name, node, b, got, want)
                 fractions += type(got) is F
+            if isinstance(node, functionals._Series):
+                row = tuple(map(functionals._public, node.rows[b]))
+                assert row == _row_reference(node, b), (name, b, row)
     assert fractions, name
     if name == "mixed convolution":
         assert any(_first_fraction_after_an_int(tree, b) for b in bars_)
@@ -544,13 +561,17 @@ def test_a_fraction_sum_that_is_integral_is_an_int():
 @pytest.mark.parametrize("name", sorted({**KERNEL_TREES, **MEMO_KERNELS}))
 def test_memos_hold_ints_and_reduced_ratios(name):
     # Inside the engine a value is an int or a reduced (numerator,
-    # denominator) ratio; a Fraction is built only where a value leaves it.
+    # denominator) ratio, and so is every iterate a series stores; a
+    # Fraction is built only where a value leaves it.
     tree = {**KERNEL_TREES, **MEMO_KERNELS}[name]()
     for b in sorted(all_barwords(AB, 4), key=BarWord.sort_key, reverse=True):
         tree(b)
     ratios = 0
     for node in (tree, *_nodes_below(tree)):
-        for v in node._memo.values():
+        stored = list(node._memo.values())
+        if isinstance(node, functionals._Series):
+            stored += [v for row in node.rows.values() for v in row]
+        for v in stored:
             if type(v) is not int:
                 assert type(v) is functionals._Ratio, (name, node, v)
                 num, den = v

@@ -4,8 +4,8 @@ import pytest
 
 import shuffleprob as sp
 from shuffleprob import DomainError, Word
-from shuffleprob.magnus import (bch, bernoulli, group_law_left, group_law_right,
-                                magnus, magnus_inverse)
+from shuffleprob.magnus import (BernoulliTable, bch, bernoulli, group_law_left,
+                                group_law_right, magnus, magnus_inverse)
 from shuffleprob.verify import _group_law_left_defining
 
 from conftest import AB, random_inf
@@ -20,6 +20,19 @@ def test_bernoulli_values():
     assert all(bernoulli[m] == 0 for m in (3, 5, 7, 9, 11))
     with pytest.raises(DomainError):
         bernoulli[-1]
+
+
+@pytest.mark.parametrize("m", [True, False, 2.5, "3", None, -1, F(2)],
+                         ids=["True", "False", "2.5", "'3'", "None", "-1", "Fraction 2"])
+def test_bernoulli_refuses_an_index_that_is_not_an_int_m_ge_0(m):
+    # a bool is an int to isinstance, and True would read B_1; 2.5 would
+    # grow the table to index 3 before the list index refused it
+    table = BernoulliTable()
+    with pytest.raises(DomainError):
+        table[m]
+    assert table._values == [1]
+    with pytest.raises(DomainError):
+        bernoulli[m]
 
 
 def test_magnus_low_order():

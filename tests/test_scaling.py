@@ -150,8 +150,9 @@ def test_univariate_degree_twelve_round_trip(raw):
 
 
 def test_magnus_node_of_the_free_route_holds_ints(monkeypatch):
-    # free cumulants at degree 12 are W(-O(-log>)): every value O and its
-    # iterates store is an int, and only the root W keeps Fractions
+    # free cumulants at degree 12 are W(-O(-log>)), two series whose iterate
+    # tables hold ints only; O, with B_1 = +1/2 for the sign twist, stores
+    # ints too, and only the final sums of W meet Fraction coefficients
     trees = []
     real = cumulants._unscaled
 
@@ -165,11 +166,12 @@ def test_magnus_node_of_the_free_route_holds_ints(monkeypatch):
     trees.clear()
     sp.to_cumulants(d, "free")
     (w,) = trees
-    ((_, omega),) = w._terms[0][1].parts  # W's first term is -1 * O(-1 * log>)
-    assert [c for c, _ in omega._terms][:3] == [1, F(-1, 2), F(1, 12)]
-    assert omega._memo
-    for node in (omega, *(t for _, t in omega._terms)):
-        assert all(type(v) is int for v in node._memo.values())
+    omega = w.first  # -O(-log>), one series
+    assert [omega.coeff(m) for m in range(3)] == [1, F(1, 2), F(1, 12)]
+    assert omega._memo and all(type(v) is int for v in omega._memo.values())
+    for node in (w, omega):
+        assert max(map(len, node.rows.values())) == 12
+        assert all(type(v) is int for row in node.rows.values() for v in row)
 
 
 def test_magnus_routes_follow_the_mutated_coefficients(raw):
