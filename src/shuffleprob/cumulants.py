@@ -24,9 +24,9 @@ _FREE_VIA_BOOLEAN_DEGREE).  The conversion between free and boolean
 follows the same threshold: through moments below 9, through monotone
 from 9 on, where the free routes read it.  Boolean both ways and monotone
 moments (exp*, already pruned) use the family's own exponential or
-logarithm.  One route table, :func:`_route`, gives each route's tree and
-the extra theta scale it needs, and is the only reader of the threshold,
-of the conversions through monotone and of the Magnus scale.
+logarithm.  One route table, :func:`_route`, gives each route's tree, and
+is the only reader of the threshold and of the conversions through
+monotone.
 
 The distribution API (:func:`to_cumulants`, :func:`from_cumulants`,
 :func:`convert`, and the distribution-level products of :mod:`products`)
@@ -34,15 +34,13 @@ evaluates through one evaluator, :func:`_evaluate`, on scaled inputs.
 Every term of the unshuffle coproduct keeps the degree, so the grading
 automorphism theta_D : w -> D^|w| w commutes with every construction of
 :mod:`functionals` and :mod:`magnus`.  :func:`_evaluate`, the only place
-that computes D, takes it as the lcm of the input denominators times the
-route's extra scale, builds the leaves on the integers D^|w| v, evaluates
-the tree in int arithmetic, and divides each value by D^|w| once, so every
-result is a ``Fraction``.  A route that converts out of free or boolean
-cumulants through monotone reads the Magnus map; its extra scale, the lcm
-of the Magnus coefficients' denominators below max_degree, makes O, its
-iterates and every pairing that reads it run on ints, and only the final
-sums of W and exp* meet their coefficients' Fractions.  The public
-constructors, :func:`cumulant_functional` and
+that knows the scale, takes D as the lcm of the input denominators,
+builds the leaves on the integers D^|w| v, evaluates the tree, and
+divides each value by D^|w| once, so every result is a ``Fraction``.  A
+tree with no series and no Fraction scalar runs in ints.  Every other
+denominator, the coefficients of O, W, exp* and log* and a scalar such as
+the t of ``bp_t``, the int-pair loops of :mod:`functionals` carry.  The
+public constructors, :func:`cumulant_functional` and
 :meth:`Distribution.character` build unscaled trees.
 
 Input follows one rule each, and the other layers (the JSON reader, the
@@ -65,8 +63,7 @@ from typing import Mapping
 
 from . import functionals as fn
 from .errors import ValidationError
-from .magnus import (_coeff_lcm, _magnus_inverse_twisted, _magnus_twisted, magnus,
-                     magnus_inverse)
+from .magnus import _magnus_inverse_twisted, _magnus_twisted, magnus, magnus_inverse
 from .words import EMPTY_WORD, Letter, Word, word_bars_up_to, words_up_to
 
 
@@ -192,13 +189,14 @@ def tabulate(phi: fn.Functional, letters, max_degree: int) -> dict[Word, Fractio
     return _unscaled(phi, 1, letters, max_degree)
 
 
-def _evaluate(tree, leaf, maps, letters, max_degree: int, extra: int = 1
-              ) -> dict[Word, Fraction]:
+def _evaluate(tree, leaf, maps, letters, max_degree: int) -> dict[Word, Fraction]:
     """tree(leaf(m), ...) over the maps, by theta_D: D is the lcm of their
-    denominators times extra, each leaf is built on the ints D^|w| v, and
-    :func:`_unscaled` divides each value by D^|w| once.  Every key of the
-    maps must be a nonempty word."""
-    D = math.lcm(*(v.denominator for m in maps for v in m.values())) * extra
+    denominators, each leaf is built on the ints D^|w| v, and
+    :func:`_unscaled` divides each value by D^|w| once.  Every other
+    denominator, a series coefficient or a Fraction scalar, the int-pair
+    loops of :mod:`functionals` carry.  Every key of the maps must be a
+    nonempty word."""
+    D = math.lcm(*(v.denominator for m in maps for v in m.values()))
     leaves = [leaf({w: v.numerator * (D // v.denominator) * D ** (len(w) - 1)
                     for w, v in m.items()}) for m in maps]
     return _unscaled(tree(*leaves), D, letters, max_degree)
@@ -306,7 +304,7 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
 
 #: The max_degree from which the free transforms go through the boolean
 #: logarithm.  log< and exp< read about 2^(n-1) terms at a word of degree n;
-#: log>, the Magnus maps and exp> about n^3, in ints bar W's final sums.
+#: log>, the Magnus maps and exp> about n^3, the Magnus maps on int pairs.
 #: On cold caches the boolean route wins from degree 9-10 on one letter and
 #: 8-9 on two, and loses up to degree 7 on three; on warm coproducts it is
 #: 7-10x slower at degrees 6-9 on two letters and 5-7 on three, so a
@@ -342,37 +340,33 @@ _VIA_MONOTONE = {
 
 
 def _route(kind_from, kind_to, max_degree: int):
-    """(tree, extra): tree maps a functional of kind_from to the one of
-    kind_to that it determines up to max_degree, and extra is the theta
-    scale the tree needs beyond its input's denominators.  Either side is a
-    CumulantKind or _MOMENTS.  Free and boolean convert into each other
-    through the moment routes below _FREE_VIA_BOOLEAN_DEGREE.  Every other
-    conversion goes through monotone by the maps of _VIA_MONOTONE: O and W
-    for free, and for boolean their sign twists -O(-a) and -W(-a), each one
-    series node with the signs folded into its coefficients.  One out of
-    free or boolean reads O or its twist, so it takes
-    :func:`magnus._coeff_lcm`, which clears both."""
+    """The tree that maps a functional of kind_from to the one of kind_to
+    that it determines up to max_degree.  Either side is a CumulantKind or
+    _MOMENTS.  Free and boolean convert into each other through the moment
+    routes below _FREE_VIA_BOOLEAN_DEGREE.  Every other conversion goes
+    through monotone by the maps of _VIA_MONOTONE: O and W for free, and
+    for boolean their sign twists -O(-a) and -W(-a), each one series node
+    with the signs folded into its coefficients."""
     free, boolean = CumulantKind.FREE, CumulantKind.BOOLEAN
     if kind_from is _MOMENTS:
         if kind_to is free and max_degree < _FREE_VIA_BOOLEAN_DEGREE:
-            return fn.log_left, 1
-        convert, extra = _route(boolean, kind_to, max_degree)
-        return (lambda phi: convert(fn.log_right(phi))), extra
+            return fn.log_left
+        convert = _route(boolean, kind_to, max_degree)
+        return lambda phi: convert(fn.log_right(phi))
     if kind_to is _MOMENTS:
         if kind_from is free and max_degree >= _FREE_VIA_BOOLEAN_DEGREE:
-            convert, extra = _route(free, boolean, max_degree)
-            return (lambda alpha: fn.exp_right(convert(alpha))), extra
+            convert = _route(free, boolean, max_degree)
+            return lambda alpha: fn.exp_right(convert(alpha))
         return {free: fn.exp_left, boolean: fn.exp_right,
-                CumulantKind.MONOTONE: fn.exp_star}[kind_from], 1
+                CumulantKind.MONOTONE: fn.exp_star}[kind_from]
     if kind_from is kind_to:
-        return _identity, 1
+        return _identity
     if {kind_from, kind_to} == {free, boolean} and max_degree < _FREE_VIA_BOOLEAN_DEGREE:
-        exp = _route(kind_from, _MOMENTS, max_degree)[0]
-        log = _route(_MOMENTS, kind_to, max_degree)[0]
-        return (lambda alpha: log(exp(alpha))), 1
+        exp = _route(kind_from, _MOMENTS, max_degree)
+        log = _route(_MOMENTS, kind_to, max_degree)
+        return lambda alpha: log(exp(alpha))
     to_monotone, from_monotone = _VIA_MONOTONE[kind_from][0], _VIA_MONOTONE[kind_to][1]
-    extra = 1 if kind_from is CumulantKind.MONOTONE else _coeff_lcm(max_degree)
-    return (lambda alpha: from_monotone(to_monotone(alpha))), extra
+    return lambda alpha: from_monotone(to_monotone(alpha))
 
 
 def cumulant_functional(d: Distribution, kind) -> fn.Functional:
@@ -383,14 +377,14 @@ def cumulant_functional(d: Distribution, kind) -> fn.Functional:
     d.max_degree < 9, and W(-O(-log>(phi))), which equals it, from degree 9
     on, where it is the cheaper of the two."""
     _distributions("cumulant_functional takes a Distribution", d)
-    return _route(_MOMENTS, _as_kind(kind), d.max_degree)[0](d.character())
+    return _route(_MOMENTS, _as_kind(kind), d.max_degree)(d.character())
 
 
 def to_cumulants(d: Distribution, kind) -> dict[Word, Fraction]:
     """Cumulants of every word of degree <= max_degree (zeros omitted)."""
     _distributions("to_cumulants takes a Distribution", d)
-    tree, extra = _route(_MOMENTS, _as_kind(kind), d.max_degree)
-    return _evaluate(tree, fn.character, (d.moments,), d.letters, d.max_degree, extra)
+    return _evaluate(_route(_MOMENTS, _as_kind(kind), d.max_degree), fn.character,
+                     (d.moments,), d.letters, d.max_degree)
 
 
 def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
@@ -401,9 +395,8 @@ def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
     kind = _as_kind(kind)
     letters = _letters(letters)
     values = _word_map(c, letters, max_degree, drop_above=True)
-    tree, extra = _route(kind, _MOMENTS, max_degree)
     return Distribution._built(letters, max_degree, _evaluate(
-        tree, fn.infinitesimal, (values,), letters, max_degree, extra))
+        _route(kind, _MOMENTS, max_degree), fn.infinitesimal, (values,), letters, max_degree))
 
 
 def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
@@ -426,8 +419,8 @@ def convert(c: Mapping[Word, Fraction], kind_from, kind_to, max_degree: int,
         if not letters:
             raise ValidationError("cannot infer letters from a cumulant map with no key "
                                   "up to max_degree; pass letters explicitly")
-    tree, extra = _route(kind_from, kind_to, max_degree)
-    return _evaluate(tree, fn.infinitesimal, (values,), letters, max_degree, extra)
+    return _evaluate(_route(kind_from, kind_to, max_degree), fn.infinitesimal, (values,),
+                     letters, max_degree)
 
 
 class TruncatedSeries:

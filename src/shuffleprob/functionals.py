@@ -25,16 +25,15 @@ which the int loop of a pairing reads as the hand-over.  A series sums its
 iterates the same way, and keeps its coefficients, Fractions (1/n!,
 (-1)^i/(i+1), B_m/m!), as int numerators over one common denominator, so
 its final sum is an int sum and one gcd while its iterates are ints.
-So a tree on integral leaves runs its pairing and iterate loops in int
-arithmetic, and a tree on Fraction leaves runs them on int pairs and
-builds no Fraction.
+So a tree on integral leaves with no series and no Fraction scalar runs
+in int arithmetic, and any other tree runs on int pairs and builds no
+Fraction.
 The distribution API in :mod:`cumulants` and :mod:`products` relies on
-the first: every construction here commutes with the grading automorphism
+this: every construction here commutes with the grading automorphism
 theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
-divides once at the end.  A tree with a Magnus node is scaled by D times
-the lcm of its coefficients' denominators, which clears them
-(:mod:`magnus`), so there only the coefficients of W and exp* bring
-Fractions in, each into its own final sum.
+divides once at the end.  Every other denominator, a series coefficient
+(the Magnus map's B_m/m! reach its iterates, which multiply by the node
+itself) or a scalar, the int-pair loops carry.
 
 One node kind, ``_Pairing``, pairs two functionals across one side of the
 unshuffle coproduct, on top of an optional base functional: X = base +

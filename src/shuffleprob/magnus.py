@@ -24,7 +24,7 @@ the sign twists a -> -O(-a) and a -> -W(-a), which the conversions of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from . import mutations
 from .errors import DomainError
@@ -57,21 +57,6 @@ def _magnus_coeff(m: int) -> Fraction:
     if m == 2 and mutations.is_active("skip-bernoulli-2"):
         return Fraction(0)
     return bernoulli[m] / factorial(m)
-
-
-def _coeff_lcm(n: int) -> int:
-    """L, the lcm of the denominators of the coefficients O reads below
-    degree n, the same for O and for its sign twist.  A tree of O at a
-    word w carries one coefficient per leaf, and each leaf reads a nonempty
-    subword, so at most |w| of them: on leaves scaled by theta_L every
-    value of O and of its iterates is an int.  It reads _magnus_coeff, so
-    under ``skip-bernoulli-2`` it follows the mutated coefficients.
-
-    W's and exp*'s coefficients are left to their own final sums: their
-    steps multiply by their argument, not by the node, so no iterate
-    reads them.  Clearing W's too, by a further n! in the scale, only
-    makes the ints longer (the timings are in CHANGES.md)."""
-    return lcm(*(_magnus_coeff(m).denominator for m in range(n)))
 
 
 def _series(arg: Functional, fixed, coeff, what: str) -> Functional:

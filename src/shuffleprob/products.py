@@ -12,12 +12,12 @@ alternating words, like every reference form, live in :mod:`verify`.
 The distribution-level entry points (:func:`convolve_distributions`,
 :func:`subordinate_distributions`, :func:`bp_distribution`) hand their
 tree and moment maps to :func:`cumulants._evaluate`, the one evaluator of
-the distribution API and the one place that computes D: it scales the
-moments by theta_D : w -> D^|w| w, evaluates in int arithmetic and divides
-once, so the results are Fractions.  :func:`bp_distribution` passes the
-denominator of t as the extra scale, so that t times the scaled left
-logarithm stays integral.  No product reads :func:`cumulants._route`, the
-home of the free threshold and the Magnus scale.
+the distribution API and the one place that knows the scale: it scales
+the moments by theta_D : w -> D^|w| w, evaluates and divides once, so the
+results are Fractions.  The products run in ints; the t of
+:func:`bp_distribution`, a Fraction scalar, is carried by the int-pair
+loops of :mod:`functionals`.  No product reads :func:`cumulants._route`,
+the home of the free threshold.
 
 Operands follow the rule of :mod:`cumulants` for a Distribution; a
 functional that is not unital is refused by the logarithm each product
@@ -209,8 +209,5 @@ def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> 
 
 def bp_distribution(d: Distribution, t=1) -> Distribution:
     _distributions("bp_distribution takes a Distribution", d)
-    # t * kappa stays integral when D also clears the denominator of t
-    t = fn.parse_rational(t)
     return Distribution._built(d.letters, d.max_degree, _evaluate(
-        lambda phi: bp_t(phi, t), fn.character, (d.moments,), d.letters, d.max_degree,
-        extra=t.denominator))
+        lambda phi: bp_t(phi, t), fn.character, (d.moments,), d.letters, d.max_degree))

@@ -377,8 +377,8 @@ def test_cli_degree_forty_free_cumulants_match_golden(monkeypatch, capsys):
 ])
 def test_cli_degree_forty_magnus_routes_match_golden(name, command, src, kind, monkeypatch,
                                                      capsys):
-    # both read the Magnus map at degree 40, on leaves scaled by L^|w| with
-    # L the 160-bit lcm of its coefficients' denominators
+    # both read the Magnus map at degree 40, whose coefficients' denominators
+    # (their lcm has 160 bits) ride in int pairs over the unscaled semicircle
     monkeypatch.setenv("SHUFFLE_MAX_DEGREE", "40")
     assert main([command, str(GOLDEN_CLI / f"{src}.json"), "--kind", kind]) == 0
     expected = (GOLDEN_CLI / f"{name}.json").read_text(encoding="utf-8")

@@ -52,9 +52,29 @@ BUILDERS = {
 }
 
 
+def on_unflagged_copies(build, *operands):
+    """build on from_values copies of the operands, flagged like them for the
+    constructor's gate only: with the flags cleared again, every pairing and
+    series built on them, now or lazily later, reads the full coproduct
+    terms, and no iterate of a series is 0 on a bar product by rule."""
+    bars = all_barwords(AB, 5)
+    copies = [sp.from_values({b: f(b) for b in (EMPTY_BAR, *bars)}) for f in operands]
+    for c, f in zip(copies, operands):
+        c.is_infinitesimal_character = f.is_infinitesimal_character
+    out = build(*copies)
+    for c in copies:
+        c.is_infinitesimal_character = False
+    return out
+
+
+#: W's iterates are infinitesimal by the flags of its argument, not its own,
+#: so its twin is built on an unflagged copy of the argument.
+TWINS = {"magnus_inverse": lambda: on_unflagged_copies(sp.magnus_inverse, k1)}
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_flag_agrees_with_the_unflagged_twin(name):
-    node, twin = BUILDERS[name](), BUILDERS[name]()
+    node, twin = BUILDERS[name](), TWINS.get(name, BUILDERS[name])()
     assert node.is_character or node.is_infinitesimal_character
     twin.is_character = twin.is_infinitesimal_character = False
     for b in all_barwords(AB, 5):
@@ -74,16 +94,7 @@ PRUNED = {
 @pytest.mark.parametrize("name", sorted(PRUNED))
 def test_pruned_pairing_agrees_with_the_full_terms(name):
     build, operands = PRUNED[name]
-    bars = all_barwords(AB, 5)
-    copies = [sp.from_values({b: f(b) for b in (EMPTY_BAR, *bars)}) for f in operands]
-    # Flag the copies like their originals for the constructor's gate only:
-    # with the flags cleared again, every pairing built on them, now or
-    # lazily later, reads the full coproduct terms.
-    for c, f in zip(copies, operands):
-        c.is_infinitesimal_character = f.is_infinitesimal_character
-    full = build(*copies)
-    for c in copies:
-        c.is_infinitesimal_character = False
+    full = on_unflagged_copies(build, *operands)
     node = build(*operands)
-    for b in bars:
+    for b in all_barwords(AB, 5):
         assert node(b) == full(b), b

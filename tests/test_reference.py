@@ -44,30 +44,39 @@ def _random_sequence(seed, n):
     return [F(0)] + [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
 
 
+def _prime_sequence(n):
+    """Value i over the i-th prime at degree i: D is the product of n primes,
+    and the Magnus routes run every iterate on int pairs."""
+    primes = [p for p in range(2, 8 * n) if all(p % q for q in range(2, p))]
+    return [F(0)] + [F(i, primes[i - 1]) for i in range(1, n + 1)]
+
+
 def _as_map(seq):
     return {_word(d): v for d, v in enumerate(seq) if d and v}
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_transforms_equal_the_univariate_recursions(kind):
-    # past the free threshold (9), on random dense input
-    n, seed = 22, KINDS.index(kind)
-    mom = [F(1)] + _random_sequence(seed, n)[1:]
-    d = sp.Distribution.univariate("a", mom[1:])
-    assert _sequence(sp.to_cumulants(d, kind), n)[1:] == ref.uni_cumulants(mom, kind, n)[1:]
-    n = 20
-    kappa = _random_sequence(seed + 10, n)
-    got = sp.from_cumulants(_as_map(kappa), kind, (A,), n).moments
-    assert _sequence(got, n)[1:] == ref.uni_moments(kappa, kind, n)[1:]
+    # past the free threshold (9), on random dense input and on primes at degree 24
+    seed = KINDS.index(kind)
+    for n, seq in ((22, _random_sequence(seed, 22)), (24, _prime_sequence(24))):
+        mom = [F(1)] + seq[1:]
+        d = sp.Distribution.univariate("a", mom[1:])
+        want = ref.uni_cumulants(mom, kind, n)
+        assert _sequence(sp.to_cumulants(d, kind), n)[1:] == want[1:], n
+    for n, kappa in ((20, _random_sequence(seed + 10, 20)), (24, _prime_sequence(24))):
+        got = sp.from_cumulants(_as_map(kappa), kind, (A,), n).moments
+        assert _sequence(got, n)[1:] == ref.uni_moments(kappa, kind, n)[1:], n
 
 
 @pytest.mark.parametrize("kind_from", KINDS)
 def test_conversions_equal_the_univariate_recursions(kind_from):
     for kind_to, n, seed in zip((k for k in KINDS if k != kind_from), (21, 24), (4, 5)):
-        kappa = _random_sequence(seed + KINDS.index(kind_from), n)
-        want = ref.uni_cumulants(ref.uni_moments(kappa, kind_from, n), kind_to, n)
-        got = sp.convert(_as_map(kappa), kind_from, kind_to, n, (A,))
-        assert _sequence(got, n)[1:] == want[1:], (kind_from, kind_to)
+        for n, kappa in ((n, _random_sequence(seed + KINDS.index(kind_from), n)),
+                         (24, _prime_sequence(24))):
+            want = ref.uni_cumulants(ref.uni_moments(kappa, kind_from, n), kind_to, n)
+            got = sp.convert(_as_map(kappa), kind_from, kind_to, n, (A,))
+            assert _sequence(got, n)[1:] == want[1:], (kind_from, kind_to, n)
 
 
 def _golden_sequence(name, key, n):

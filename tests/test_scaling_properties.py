@@ -75,10 +75,10 @@ def test_scaled_routes_equal_unscaled_trees(drawn):
     for kind in CumulantKind:
         same(sp.to_cumulants(d, kind), cumulants.cumulant_functional(d, kind), letters, n)
         same(sp.from_cumulants(c, kind, letters, n).moments,
-             cumulants._route(kind, cumulants._MOMENTS, n)[0](fn.infinitesimal(c)), letters, n)
+             cumulants._route(kind, cumulants._MOMENTS, n)(fn.infinitesimal(c)), letters, n)
         for dst in CumulantKind:
             same(sp.convert(c, kind, dst, n, letters),
-                 cumulants._route(kind, dst, n)[0](fn.infinitesimal(c)), letters, n)
+                 cumulants._route(kind, dst, n)(fn.infinitesimal(c)), letters, n)
 
 
 #: Each family's defining logarithm and exponential.
@@ -97,14 +97,14 @@ def test_routes_across_the_free_threshold(drawn):
     for kind in CumulantKind:
         log, exp = DEFINING[kind]
         got = sp.to_cumulants(d, kind)
-        same(got, cumulants._route(cumulants._MOMENTS, kind, n)[0](phi), letters, n)
+        same(got, cumulants._route(cumulants._MOMENTS, kind, n)(phi), letters, n)
         same(got, log(phi), letters, n)
         got = sp.from_cumulants(c, kind, letters, n).moments
-        same(got, cumulants._route(kind, cumulants._MOMENTS, n)[0](alpha), letters, n)
+        same(got, cumulants._route(kind, cumulants._MOMENTS, n)(alpha), letters, n)
         same(got, exp(alpha), letters, n)
         for dst in CumulantKind:
             got = sp.convert(c, kind, dst, n, letters)
-            same(got, cumulants._route(kind, dst, n)[0](alpha), letters, n)
+            same(got, cumulants._route(kind, dst, n)(alpha), letters, n)
             same(got, DEFINING[dst][0](exp(alpha)), letters, n)
             # below 9, free and boolean convert through moments, which is
             # the line above; the Magnus composition reads O and W
