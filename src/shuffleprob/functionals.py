@@ -14,17 +14,17 @@ holds an int or a ratio, and a Fraction is built, through the public
 constructor, only where a value leaves the engine: a call, a witness of
 :func:`agree_up_to`.  The leaves store integral values as ints, the values
 at the empty bar word and the flag short-circuit start from int 0 and 1,
-and an integral scalar multiple keeps an int coefficient.  Each evaluation
-kernel (the two loops of a pairing, a linear combination, a series, and a
-character's product over the components of a bar word) sums in ints while
-its values are ints.  From the first ratio or Fraction coefficient on it
-carries the rest of the sum as one int numerator over a running common
-denominator, the lcm of the denominators met, and ends with one gcd, which
-gives an int or a ratio.  A ratio has no arithmetic: its product is None,
-which the int loop of a pairing reads as the hand-over.  A series sums its
-iterates the same way, and keeps its coefficients, Fractions (1/n!,
-(-1)^i/(i+1), B_m/m!), as int numerators over one common denominator, so
-its final sum is an int sum and one gcd while its iterates are ints.
+and an integral scalar multiple keeps an int coefficient.  Each kernel
+that sums (a pairing, a linear combination, the row of a series and its
+value) makes one pass over its terms.  It adds the int products into an
+int total and every other term into one int numerator over the lcm of the
+denominators met, and at the end combines the two with one gcd, which
+gives an int or a ratio; a character's product over the components of a
+bar word multiplies numerators and denominators and ends with the same
+gcd.  A ratio has no arithmetic: its product is None, which sends a
+pairing's term to the numerator.  A series keeps its coefficients,
+Fractions (1/n!, (-1)^i/(i+1), B_m/m!), as int numerators over one common
+denominator, so its value on a row of ints is an int sum and one gcd.
 So a tree on integral leaves with no series and no Fraction scalar runs
 in int arithmetic, and any other tree runs on int pairs and builds no
 Fraction.
@@ -33,7 +33,7 @@ this: every construction here commutes with the grading automorphism
 theta_D : w -> D^|w| w, so it evaluates on inputs scaled to integers and
 divides once at the end.  Every other denominator, a series coefficient
 (the Magnus map's B_m/m! reach its iterates, which multiply by the node
-itself) or a scalar, the int-pair loops carry.
+itself) or a scalar, the kernels' numerators carry.
 
 One node kind, ``_Pairing``, pairs two functionals across one side of the
 unshuffle coproduct, on top of an optional base functional: X = base +
@@ -146,7 +146,6 @@ from __future__ import annotations
 import re
 import weakref
 from fractions import Fraction
-from itertools import chain
 from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
@@ -201,9 +200,9 @@ def _exact(v) -> Value:
 class _Ratio(tuple):
     """A non-integral value inside the engine: the pair (numerator,
     denominator), reduced, with denominator > 1.  It has no arithmetic:
-    its product with anything, in either order, is None, which a kernel's
-    int loop reads as the hand-over to its rational loop.  A value leaves
-    the engine as a Fraction (:func:`_public`)."""
+    its product with anything, in either order, is None, which sends a
+    pairing's term to the numerator over the common denominator.  A value
+    leaves the engine as a Fraction (:func:`_public`)."""
 
     __slots__ = ()
 
@@ -232,25 +231,26 @@ def _pair(f: "Functional", b: BarWord) -> tuple[int, int]:
     return (v, 1) if type(v) is int else v
 
 
-def _sum(pairs):
+def _sum(pairs, divisor=1):
     """The sum of c * v over pairs of a coefficient (an int or a Fraction)
-    and an engine value, carried as one int numerator over the lcm of the
-    denominators seen so far."""
-    num, den = 0, 1
+    and an engine value, divided by a positive int.  The int products add
+    into an int total, and every other term into one int numerator over the
+    lcm of the denominators met; one gcd joins the two at the end."""
+    total, num, den = 0, 0, 1
     for c, v in pairs:
         if v:
-            vn, vd = (v, 1) if type(v) is int else v
-            if type(c) is int:
-                cn, q = c, vd
+            if type(v) is int and type(c) is int:
+                total += c * v
             else:
-                cn, cd = c.as_integer_ratio()
+                vn, vd = (v, 1) if type(v) is int else v
+                cn, cd = (c, 1) if type(c) is int else c.as_integer_ratio()
                 q = cd * vd
-            if den % q:
-                m = q // gcd(den, q)
-                num *= m
-                den *= m
-            num += cn * vn * (den // q)
-    return _ratio(num, den)
+                if den % q:
+                    m = q // gcd(den, q)
+                    num *= m
+                    den *= m
+                num += cn * vn * (den // q)
+    return _ratio(total * den + num, den * divisor) if num or divisor > 1 else total
 
 
 class _Memo(dict):
@@ -351,9 +351,8 @@ class _Linear(Functional):
     empty bar word, sum c * f(1), is written into its memo when it is
     built, and the unit e, 0 everywhere else, is then dropped from the
     parts.  The flag is still read over every part, e included, so
-    alpha + e is not flagged infinitesimal.  The sum is an int sum until a
-    coefficient is a Fraction or a value a ratio; then it is taken again
-    over every part as one numerator over a common denominator."""
+    alpha + e is not flagged infinitesimal.  Its value is the :func:`_sum`
+    of the parts' values."""
 
     __slots__ = ("parts",)
 
@@ -366,14 +365,7 @@ class _Linear(Functional):
         self.parts = tuple(p for p in self.parts if p[1] is not e)
 
     def _value(self, b):
-        total = 0
-        for c, f in self.parts:
-            v = f._memo[b]
-            if v:
-                if type(c) is not int or type(v) is not int:
-                    return _sum((c, f._memo[b]) for c, f in self.parts)
-                total += c * v
-        return total
+        return _sum((c, f._memo[b]) for c, f in self.parts)
 
 
 class _Pairing(Functional):
@@ -388,21 +380,21 @@ class _Pairing(Functional):
     X = z + X < (e - phi).  The fixed points take no base: e is 0 off the
     empty bar word, and their constructors write the 1 there into the
     memo; the logarithms take phi as z = phi - e and write 0 there.  The
-    loops read the left leg first, so a node that is its own left leg
+    loop reads the left leg first, so a node that is its own left leg
     drops the last term of its entry when it is b (x) 1, whose right leg
     vanishes.  The node does not store itself, which would make it a
-    reference cycle that outlives its use; its loops subscript the memos of
+    reference cycle that outlives its use; its loop subscripts the memos of
     its legs and of the base, its own included.
 
     The runs leg is g, or the node itself when g is None.  When it is
     flagged ``is_infinitesimal_character`` and b is one word, only the terms
     whose y is one word can be nonzero, and the node reads just those
-    (``coproducts.single_run_terms``).  The loops iterate the coproduct
-    memo's flat (x, y, c) triples.  The int loop adds in ints while the
-    base and the products are ints.  The product of a ratio is None, so at
-    the first ratio, in the base or in a term, it hands over to the
-    rational loop, which goes on from that term with one int numerator
-    over the lcm of the denominators met."""
+    (``coproducts.single_run_terms``).  The loop makes one pass over the
+    coproduct memo's flat (x, y, c) triples.  An int base and the int
+    products add into an int total.  The product of a ratio is None, so a
+    ratio base, and every term with a ratio leg, adds into one int
+    numerator over the lcm of the denominators met; one gcd joins the two
+    at the end."""
 
     __slots__ = ("f", "g", "side", "base")
 
@@ -418,37 +410,28 @@ class _Pairing(Functional):
             terms = _terms(b, self.side, "all")
         if self.f is None and terms and terms[-1][0] is b:
             terms = terms[:-1]  # the term (b, 1): the right leg is 0 at 1
-        total = 0 if self.base is None else self.base._memo[b]
         fmemo, gmemo = (self if self.f is None else self.f)._memo, runs._memo
-        terms = iter(terms)
-        if type(total) is int:
-            for x, y, c in terms:
-                left = fmemo[x]
-                if left:
-                    right = gmemo[y]
-                    if right:
-                        v = left * right
-                        if type(v) is not int:
-                            terms = chain(((x, y, c),), terms)
-                            break
-                        total += v if c == 1 else c * v
-            else:
-                return total
-        num, den = (total, 1) if type(total) is int else total
+        total, num, den = 0 if self.base is None else self.base._memo[b], 0, 1
+        if type(total) is not int:
+            (num, den), total = total, 0
         for x, y, c in terms:
             left = fmemo[x]
             if left:
                 right = gmemo[y]
                 if right:
-                    ln, ld = (left, 1) if type(left) is int else left
-                    rn, rd = (right, 1) if type(right) is int else right
-                    q = ld * rd
-                    if den % q:
-                        m = q // gcd(den, q)
-                        num *= m
-                        den *= m
-                    num += c * ln * rn * (den // q)
-        return _ratio(num, den)
+                    v = left * right
+                    if v is None:  # a ratio leg: the term joins num / den
+                        ln, ld = (left, 1) if type(left) is int else left
+                        rn, rd = (right, 1) if type(right) is int else right
+                        q = ld * rd
+                        if den % q:
+                            m = q // gcd(den, q)
+                            num *= m
+                            den *= m
+                        num += c * ln * rn * (den // q)
+                    else:
+                        total += v if c == 1 else c * v
+        return _ratio(total * den + num, den) if num else total
 
 
 class _Rows(_Memo):
@@ -478,11 +461,16 @@ class _Series(Functional):
     one, so when first and fixed are flagged, every iterate is: its row on
     a bar product is 0, and a leg whose right operand, iterate or fixed, is
     flagged reads the pruned terms on a word, as a pairing does.  A
-    convolution step keeps no flag.  The kernel sums in ints and, at its
-    first product that is not an int, sums the row again on int pairs.
-    The coefficients are read once, on demand, and kept as int numerators
-    over their common denominator, so the value on a row of ints is an int
-    sum and one gcd; a row with a ratio goes to ``_sum``."""
+    convolution step keeps no flag.  The kernel fills the row in one pass
+    over the legs' terms, as a pairing sums: each iterate adds its int
+    products into an int and its other terms into one numerator over the
+    lcm of their denominators, joined by one gcd at the end.  A term whose
+    fixed value is an int tests each entry once, for an int; past a ratio
+    fixed value every entry goes to the numerator.  The coefficients are
+    read once, on demand, and kept as int numerators over their common
+    denominator, and the value is their :func:`_sum` with the row divided
+    by that denominator, so on a row of ints it is an int sum and one
+    gcd."""
 
     __slots__ = ("first", "legs", "coeff", "nums", "den", "rows")
 
@@ -502,14 +490,7 @@ class _Series(Functional):
             nums[:] = [c * (den // self.den) for c in nums]
             nums.append(cn * (den // cd))
             self.den = den
-        total = 0
-        for c, t in zip(nums, row):
-            if type(t) is not int:
-                s = _sum(zip(nums, row))
-                num, den = (s, 1) if type(s) is int else s
-                return _ratio(num, den * self.den)
-            total += c * t
-        return _ratio(total, self.den)
+        return _sum(zip(nums, row), self.den)
 
     def _row(self, b):
         d = b.degree
@@ -527,51 +508,38 @@ class _Series(Functional):
             pruned = len(b.words) == 1 and (f.is_infinitesimal_character if prev_left else lie)
             legs.append((sign, _terms(b, side, "run" if pruned else "all"),
                          *((0, 1) if prev_left else (1, 0)), f._memo))
+        # iterate j adds its int products into acc[j], every other term into
+        # nums[j] over dens[j], the lcm of the denominators met
+        acc, nums, dens, rows = [0] * d, [0] * d, [1] * d, self.rows
         if type(t0) is int:
-            row = self._int_row(d, t0, legs)
-            if row is not None:
-                return row
-        return self._ratio_row(d, t0, legs)
-
-    def _int_row(self, d, t0, legs):
-        # the row in int arithmetic, or None at the first product that is not an int
-        acc, rows = [t0] + [0] * (d - 1), self.rows
+            acc[0] = t0
+        else:
+            nums[0], dens[0] = t0
         for sign, terms, p, q, fmemo in legs:
             for term in terms:
                 fv = fmemo[term[q]]
                 if fv:
-                    k = sign * term[2] * fv
-                    if type(k) is not int:
-                        return None
+                    # int entries give int products unless the fixed value is a ratio
+                    if type(fv) is int:
+                        k, fd, ints = sign * term[2] * fv, 1, int
+                    else:
+                        fn, fd = fv
+                        k, ints = sign * term[2] * fn, None
                     for j, t in enumerate(rows[term[p]], 1):
                         if t:
-                            v = k * t
-                            if type(v) is not int:
-                                return None
-                            acc[j] += v
-        return tuple(acc)
-
-    def _ratio_row(self, d, t0, legs):
-        # each iterate as one int numerator over the lcm of its denominators
-        nums, dens = [0] * d, [1] * d
-        nums[0], dens[0] = (t0, 1) if type(t0) is int else t0
-        rows = self.rows
-        for sign, terms, p, q, fmemo in legs:
-            for term in terms:
-                fv = fmemo[term[q]]
-                if fv:
-                    fn, fd = (fv, 1) if type(fv) is int else fv
-                    k = sign * term[2] * fn
-                    for j, t in enumerate(rows[term[p]], 1):
-                        if t:
-                            tn, td = (t, 1) if type(t) is int else t
-                            r, den = fd * td, dens[j]
-                            if den % r:
-                                m = r // gcd(den, r)
-                                nums[j] *= m
-                                dens[j] = den = den * m
-                            nums[j] += k * tn * (den // r)
-        return tuple(map(_ratio, nums, dens))
+                            if type(t) is ints:
+                                acc[j] += k * t
+                            else:
+                                tn, td = (t, 1) if type(t) is int else t
+                                r, den = fd * td, dens[j]
+                                if den % r:
+                                    m = r // gcd(den, r)
+                                    nums[j] *= m
+                                    dens[j] = den = den * m
+                                nums[j] += k * tn * (den // r)
+        if not any(nums):
+            return tuple(acc)
+        return tuple(_ratio(a * den + n, den) if n else a for a, n, den in zip(acc, nums, dens))
 
 
 # ---------------------------------------------------------------------------

@@ -736,7 +736,10 @@ def _suite_func(name: str):
 
 def run_suite(name: str, max_degree: int = 5, seed: int = 0,
               letters=DEFAULT_LETTERS) -> Report:
-    _suite_func(name)  # "all" is not one suite
+    """The report of the one suite named; :func:`run_suites` runs "all"."""
+    if name not in _SUITE_FUNCS:
+        raise ValidationError(f"unknown suite {name!r}; run_suite runs one of "
+                              f"{sorted(_SUITE_FUNCS)}, and run_suites runs 'all'")
     [report] = run_suites(name, max_degree, seed, letters)
     return report
 

@@ -505,19 +505,35 @@ def _row_reference(node, b):
     return tuple(row)
 
 
-def _first_fraction_after_an_int(node, b):
-    """Whether the kernel loop of a pairing at b meets a nonzero int term
-    before its first Fraction term."""
+def _kernel_orders(node, b):
+    """The orders in which the kernel of node at b meets its nonzero terms:
+    each (earlier, later) pair of kinds, "int", "ratio" or "ratio base",
+    that a pairing adds in that order, and "mixed row" when a series row
+    holds ints and ratios."""
+    if isinstance(node, functionals._Series):
+        kinds = {type(t) for t in node.rows[b] if t}
+        return {"mixed row"} if len(kinds) == 2 else set()
+    if not isinstance(node, functionals._Pairing):
+        return set()
     f = node if node.f is None else node.f
     g = node if node.g is None else node.g
-    seen_int = False
+    kinds = ["ratio base"] if node.base is not None and type(node.base(b)) is F else []
     for x, y, c in sp.coproducts._terms(b, node.side, "all"):
         v = f(x) * g(y)
         if v:
-            if type(v) is not int:
-                return seen_int
-            seen_int = True
-    return False
+            kinds.append("int" if type(v) is int else "ratio")
+    return {(a, z) for i, a in enumerate(kinds) for z in kinds[i + 1:] if a != z}
+
+
+#: Orders that the kernels of some trees must meet: in one pairing an int
+#: term before a ratio term and another after one, an int term after a
+#: ratio base, and in a series a row of ints and ratios.
+KERNEL_ORDERS = {
+    "mixed convolution": {("int", "ratio"), ("ratio", "int")},
+    "log_right": {("ratio base", "int")},
+    "exp_star": {"mixed row"},
+    "magnus": {"mixed row"},
+}
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_TREES))
@@ -533,9 +549,10 @@ def test_kernels_sum_as_plain_fraction_arithmetic(name):
     for b in bars_:
         tree(b)
     nodes = [tree, *_nodes_below(tree)]
-    fractions = 0
+    fractions, orders = 0, set()
     for node in nodes:
         for b in bars_:
+            orders |= _kernel_orders(node, b)
             got, want = node(b), _reference(node, b)
             assert type(got) is int or (type(got) is F and got.denominator > 1), (name, b, got)
             if want is not None:
@@ -545,8 +562,7 @@ def test_kernels_sum_as_plain_fraction_arithmetic(name):
                 row = tuple(map(functionals._public, node.rows[b]))
                 assert row == _row_reference(node, b), (name, b, row)
     assert fractions, name
-    if name == "mixed convolution":
-        assert any(_first_fraction_after_an_int(tree, b) for b in bars_)
+    assert KERNEL_ORDERS.get(name, set()) <= orders, (name, orders)
 
 
 def test_a_fraction_sum_that_is_integral_is_an_int():
@@ -581,8 +597,8 @@ def test_memos_hold_ints_and_reduced_ratios(name):
 
 
 def test_a_ratio_has_no_arithmetic():
-    # the int loop of a pairing hands over to its rational loop on a
-    # product that is not an int; a ratio's product is None in either order
+    # a pairing adds a term whose product is None, a ratio's product in
+    # either order, to its numerator over the common denominator
     half, third = functionals._Ratio((1, 2)), functionals._Ratio((-1, 3))
     for other in (3, 10**30, third):
         assert half * other is None and other * half is None, other

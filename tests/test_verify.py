@@ -43,8 +43,14 @@ def test_run_suites_takes_one_name_or_all_anywhere():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(Exception):
-        run_suite("nope", max_degree=3)
+    # run_suite runs one suite and names only those; "all" is run_suites' name
+    for name in ("nope", "all"):
+        with pytest.raises(ValidationError) as info:
+            run_suite(name, max_degree=3)
+        assert str(info.value) == (f"unknown suite {name!r}; run_suite runs one of "
+                                   f"{sorted(SUITES)}, and run_suites runs 'all'")
+    with pytest.raises(ValidationError, match=r"expected one of .* or 'all'$"):
+        run_suites("nope", max_degree=3)
 
 
 @pytest.mark.parametrize("given", [
