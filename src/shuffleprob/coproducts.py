@@ -48,8 +48,9 @@ left leg is b, or is empty (the left entry on a first word of one letter,
 under ``drop-left-singleton``); right and "run" entries hold no such term.
 A pairing that is its own left leg drops that last term.  The public
 functions refuse a side that is not a :class:`Side`, and return a fresh
-:class:`TensorSum` of an entry's terms, which the caller may change.  The
-memo is a plain dict: confine it to one thread or guard it externally.
+:class:`TensorSum`, built from an entry's terms by its constructor, which
+the caller may change.  The memo is a plain dict: confine it to one thread
+or guard it externally.
 """
 
 from __future__ import annotations
@@ -164,12 +165,12 @@ def _by_first_run(w: Word, side: Side, single_run: bool) -> tuple:
 
 
 def _public(b, side: Side, mode: str) -> TensorSum:
-    """A fresh TensorSum of the terms of mode on one side of b.  The side is
-    checked here, not in :func:`_terms`, which every pairing calls."""
+    """A fresh TensorSum, by its constructor, of the terms of mode on one
+    side of b; the side is checked here, not in :func:`_terms`."""
     if type(side) is not Side:
         raise DomainError(f"a coproduct side is Side.LEFT, Side.RIGHT or Side.FULL, got {side!r}")
     b = b if type(b) is BarWord else as_barword(b)
-    return TensorSum._raw({(x, y): c for x, y, c in _terms(b, side, mode)})
+    return TensorSum(((x, y), c) for x, y, c in _terms(b, side, mode))
 
 
 def unshuffle(w: Word) -> TensorSum:

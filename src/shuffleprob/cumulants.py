@@ -51,7 +51,9 @@ the coefficients of a :class:`TruncatedSeries` by :func:`_word_map`.  The
 declared letters of a :class:`Distribution`, of :func:`from_cumulants` and
 of :func:`convert`, when given, follow :func:`_letters`, checked before any
 evaluation, and every distribution operand, here and in :mod:`products`,
-:func:`_distributions`.
+:func:`_distributions`.  A Distribution has one constructor: the rule and
+the evaluator return maps marked as read (:class:`_WordMap`), which the
+rule takes again, engine results and parsed files alike, as a plain copy.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class Distribution:
     """Moments of a family of non-commutative random variables, one letter
     per variable, for every word of degree <= max_degree (absent words have
     moment 0; the empty word implicitly has moment 1).  Immutable: assigning
-    a field raises AttributeError; equal by value, and unhashable."""
+    a field raises AttributeError, and it holds a copy of the moments given;
+    equal by value, and unhashable."""
 
     __slots__ = ("letters", "max_degree", "moments")
 
@@ -99,18 +102,6 @@ class Distribution:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "moments", _word_map(moments, letters, max_degree))
-
-    @classmethod
-    def _built(cls, letters, max_degree: int, moments: dict[Word, Fraction]
-               ) -> "Distribution":
-        """A Distribution from letters and a max_degree already checked and
-        the nonzero Fractions that :func:`_unscaled` keyed by words over
-        those letters: the engine's own output, read by no rule again."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "letters", letters)
-        object.__setattr__(d, "max_degree", max_degree)
-        object.__setattr__(d, "moments", moments)
-        return d
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a Distribution")
@@ -205,14 +196,14 @@ def _evaluate(tree, leaf, maps, letters, max_degree: int) -> dict[Word, Fraction
 def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
               ) -> dict[Word, Fraction]:
     """phi(w) / D^|w| on every nonempty word of degree <= max_degree, zeros
-    omitted: the values of the tree built on leaves scaled by theta_D."""
-    out = {}
+    omitted, as a marked map: the values of the tree on theta_D's leaves."""
+    letters, out = tuple(letters), {}
     scale = [D ** k for k in range(max_degree + 1)]
-    for b in word_bars_up_to(tuple(letters), max_degree):
+    for b in word_bars_up_to(letters, max_degree):
         num, den = fn._pair(phi, b)
         if num:
             out[b.words[0]] = Fraction(num, den * scale[b.degree])
-    return out
+    return _WordMap(out, (letters, max_degree))
 
 
 def _degree(n) -> int:
@@ -242,12 +233,20 @@ def _distributions(what: str, *ds) -> None:
 
 
 class _WordMap(dict):
-    """A map that :func:`_word_map` has read, with ``read`` = (letters,
-    max_degree) of that reading.  Storing into it (a subscript,
-    ``update``, ``setdefault``, ``|=``) clears ``read``, so a changed map
-    is read by the rule again."""
+    """A map of nonzero Fractions keyed by nonempty words, with ``read`` =
+    (letters, max_degree): every key is over letters (any when None) and of
+    degree <= max_degree.  :func:`_word_map` and :func:`_unscaled` return
+    one.  Storing into it (a subscript, ``update``, ``setdefault``, ``|=``)
+    clears ``read``, so a changed map is read by the rule again."""
 
     __slots__ = ("read",)
+
+    def __init__(self, values, read):
+        dict.__init__(self, values)
+        self.read = read
+
+    def __reduce__(self):
+        return _WordMap, (dict(self), self.read)
 
     def __setitem__(self, w, v):
         self.read = None
@@ -271,17 +270,17 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
     """values read by the rational rule, zeros dropped.  Keys are nonempty
     words over letters (any letters when None; a moment map takes its empty
     word, of value 1, out first).  A key above max_degree raises, or is
-    dropped when drop_above, as in a library cumulant map.  A map this has
-    returned, unchanged since, comes back as it is when its letters lie in
-    letters and its max_degree is at most max_degree, so a parsed cumulant
-    file that goes on to :func:`from_cumulants` or :func:`convert` is read
-    once."""
+    dropped when drop_above, as in a library cumulant map.  A marked map,
+    unchanged since, whose letters lie in letters and whose max_degree is
+    at most max_degree, comes back as a marked copy without a read: a parsed
+    file or an engine result is read once, and a store into it later
+    reaches no holder of the copy."""
     n = _degree(max_degree)
     allowed = None if letters is None else set(letters)
     if type(values) is _WordMap and values.read is not None:
         had, m = values.read
         if m <= n and (allowed is None or had is not None and allowed.issuperset(had)):
-            return values
+            return _WordMap(values, values.read)
     clean = {}
     for w, v in values.items():
         if not isinstance(w, Word):
@@ -297,28 +296,26 @@ def _word_map(values: Mapping[Word, Fraction], letters, max_degree: int,
         v = fn.parse_rational(v)
         if v:
             clean[w] = v
-    clean = _WordMap(clean)
-    clean.read = (None if letters is None else tuple(letters), n)
-    return clean
+    return _WordMap(clean, (None if letters is None else tuple(letters), n))
 
 
 #: The max_degree from which the free transforms go through the boolean
 #: logarithm.  log< and exp< read about 2^(n-1) terms at a word of degree n;
 #: log>, the Magnus maps and exp> about n^3, the Magnus maps on int pairs.
-#: On cold caches the boolean route wins from degree 9-10 on one letter and
-#: 8-9 on two, and loses up to degree 7 on three; on warm coproducts it is
-#: 7-10x slower at degrees 6-9 on two letters and 5-7 on three, so a
-#: long-running process keeps the direct route up to degree 8, which is
-#: also the cheaper route cold there.
+#: Warm, the boolean route is 2.3-3.5x slower on the lib-mixed shapes and
+#: 2.5-4.6x on dense input at degrees 6-8 on two letters and 5-6 on three,
+#: so a long-running process keeps the direct route up to degree 8.  Cold
+#: (coproduct memo cleared) it wins by 1.3-2.6x at degrees 8-10 on one
+#: letter and 7-9 on two, and loses by 1.4-1.6x at degrees 5-6 on three.
 #:
 #: Below it, convert between free and boolean also goes through the moment
 #: character, log>(exp<) and log<(exp>), in place of -W(-O) and W(-O(-)):
-#: warm it is 4-8x faster at degrees 6-8 on two letters and 5 on three,
-#: cold up to 1.5x slower, the same trade.  From 9 on the conversion stays
-#: on the Magnus maps, which the free transforms read there.  The other
-#: four conversions stay on them at every degree: through moments, one to
-#: monotone still reads O after an exponential and one from monotone adds
-#: exp*, and they were no faster.  The timings are in CHANGES.md.
+#: warm it is 1.9-3.1x faster at degrees 6-8 on two letters and 5-6 on
+#: three, cold 1.8-2.1x slower on two letters, the same trade.  From 9 on
+#: the conversion stays on the Magnus maps, which the free transforms read
+#: there.  The other four conversions stay on them at every degree: through
+#: moments, one to monotone still reads O after an exponential and one from
+#: monotone adds exp*, and they were no faster (timings in CHANGES.md).
 _FREE_VIA_BOOLEAN_DEGREE = 9
 
 #: The moment character: the end of a route that is not a cumulant family.
@@ -395,7 +392,7 @@ def from_cumulants(c: Mapping[Word, Fraction], kind, letters, max_degree: int
     kind = _as_kind(kind)
     letters = _letters(letters)
     values = _word_map(c, letters, max_degree, drop_above=True)
-    return Distribution._built(letters, max_degree, _evaluate(
+    return Distribution(letters, max_degree, _evaluate(
         _route(kind, _MOMENTS, max_degree), fn.infinitesimal, (values,), letters, max_degree))
 
 
@@ -494,8 +491,5 @@ def series(d: Distribution, which: str) -> TruncatedSeries:
     key = str(which).lower()
     if key not in table:
         raise ValidationError(f"unknown series {which!r}; expected M, R or eta")
-    if table[key] is None:
-        coeffs = dict(d.moments)
-    else:
-        coeffs = to_cumulants(d, table[key])
+    coeffs = d.moments if table[key] is None else to_cumulants(d, table[key])
     return TruncatedSeries(d.letters, d.max_degree, coeffs)

@@ -193,7 +193,7 @@ def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Dis
            "monotone-left": monotone_conv, "monotone-right": antimonotone_conv}
     if kind not in ops:
         raise ValidationError(f"unknown convolution kind {kind!r}; expected one of {sorted(ops)}")
-    return Distribution._built(d1.letters, d1.max_degree, _evaluate(
+    return Distribution(d1.letters, d1.max_degree, _evaluate(
         ops[kind], fn.character, (d1.moments, d2.moments), d1.letters, d1.max_degree))
 
 
@@ -202,12 +202,12 @@ def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> 
     side_enum = {"left": Side.LEFT, "right": Side.RIGHT}.get(side)
     if side_enum is None:
         raise ValidationError(f"unknown side {side!r}; expected left or right")
-    return Distribution._built(d1.letters, d1.max_degree, _evaluate(
+    return Distribution(d1.letters, d1.max_degree, _evaluate(
         lambda phi, psi: subordinate(phi, psi, side_enum), fn.character,
         (d1.moments, d2.moments), d1.letters, d1.max_degree))
 
 
 def bp_distribution(d: Distribution, t=1) -> Distribution:
     _distributions("bp_distribution takes a Distribution", d)
-    return Distribution._built(d.letters, d.max_degree, _evaluate(
+    return Distribution(d.letters, d.max_degree, _evaluate(
         lambda phi: bp_t(phi, t), fn.character, (d.moments,), d.letters, d.max_degree))

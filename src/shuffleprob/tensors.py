@@ -1,7 +1,10 @@
 """Formal linear combinations of two-fold tensors of bar words.
 
 A :class:`TensorSum` stores a map ``(BarWord, BarWord) -> coefficient`` with
-no explicit zeros.  Coefficients are exact (int or Fraction).  The product is
+no explicit zeros.  Coefficients are exact (int or Fraction).  Every tensor
+is built by the one constructor, which merges repeated pairs and drops zero
+coefficients: sums, scalar multiples, bar products, the unit and the
+public coproducts of :mod:`.coproducts`.  The product is
 componentwise concatenation of bar words,
 ``(a (x) b) * (a' (x) b') = (a|a') (x) (b|b')``, extended bilinearly — the
 multiplication used when a coproduct is extended from words to bar words.
@@ -9,8 +12,9 @@ multiplication used when a coproduct is extended from words to bar words.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import chain
 
 from .words import BarWord, EMPTY_BAR
 
@@ -31,16 +35,9 @@ class TensorSum:
         self.terms = data
 
     @classmethod
-    def _raw(cls, data: dict) -> "TensorSum":
-        # Internal: adopt an already-cleaned dict without copying.
-        out = object.__new__(cls)
-        out.terms = data
-        return out
-
-    @classmethod
     def unit(cls) -> "TensorSum":
         """The tensor 1 (x) 1."""
-        return cls._raw({(EMPTY_BAR, EMPTY_BAR): 1})
+        return cls({(EMPTY_BAR, EMPTY_BAR): 1})
 
     def coefficient(self, left: BarWord, right: BarWord):
         return self.terms.get((left, right), 0)
@@ -58,14 +55,7 @@ class TensorSum:
         return isinstance(other, TensorSum) and self.terms == other.terms
 
     def __add__(self, other: "TensorSum") -> "TensorSum":
-        data = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = data.get(key, 0) + coeff
-            if new:
-                data[key] = new
-            else:
-                data.pop(key, None)
-        return TensorSum._raw(data)
+        return TensorSum(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "TensorSum") -> "TensorSum":
         return self + (-1) * other
@@ -74,22 +64,13 @@ class TensorSum:
         return (-1) * self
 
     def __rmul__(self, scalar) -> "TensorSum":
-        if not scalar:
-            return TensorSum._raw({})
-        return TensorSum._raw({k: scalar * c for k, c in self.terms.items()})
+        return TensorSum({k: scalar * c for k, c in self.terms.items()})
 
     def bar_mul(self, other: "TensorSum") -> "TensorSum":
         """Componentwise bar product, bilinear in both arguments."""
-        data: dict[Pair, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a.concat(a2), b.concat(b2))
-                new = data.get(key, 0) + c * c2
-                if new:
-                    data[key] = new
-                else:
-                    del data[key]
-        return TensorSum._raw(data)
+        return TensorSum(((a.concat(a2), b.concat(b2)), c * c2)
+                         for (a, b), c in self.terms.items()
+                         for (a2, b2), c2 in other.terms.items())
 
     def __repr__(self):
         if not self.terms:

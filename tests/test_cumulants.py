@@ -65,6 +65,10 @@ def test_distribution_is_an_immutable_value():
                        "moments={a.a: Fraction(1, 1)})")
     for copied in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
         assert copied == d
+    # protocol 0 too, for the marked maps of the constructor and the engine
+    assert pickle.loads(pickle.dumps(d, 0)) == d
+    c = sp.to_cumulants(d, "free")
+    assert pickle.loads(pickle.dumps(c, 0)) == c
 
 
 def test_semicircle_fixed_vectors():

@@ -148,18 +148,24 @@ def test_from_values_rejects_keys_that_are_not_words():
 
 def test_a_parsed_cumulant_file_is_read_by_the_rule_once():
     # parse_cumulant_map reads the values; from_cumulants and convert take
-    # its map as it is, unless it was read for other letters or a higher
-    # degree, or has had a value stored into it since
+    # a copy of its map without a second read, unless it was read for other
+    # letters or a higher degree, or has had a value stored into it since
     obj = {"kind": "free", "letters": ["a"], "max_degree": 2, "values": {"a": "1/2", "a.a": 1}}
     kind, letters, n, values = sio.parse_cumulant_map(obj)
-    assert cumulants._word_map(values, letters, n, drop_above=True) is values
-    assert cumulants._word_map(values, AB, 3) is values
-    assert cumulants._word_map(values, None, n) is values
+    for read in (cumulants._word_map(values, letters, n, drop_above=True),
+                 cumulants._word_map(values, AB, 3), cumulants._word_map(values, None, n)):
+        assert read == values and read is not values
     assert cumulants._word_map(values, letters, 1, drop_above=True) == {W1: F(1, 2)}
     with pytest.raises(ValidationError):
         cumulants._word_map(values, letters, 1)
     values[W2] = "1/3"
     assert sp.from_cumulants(values, kind, letters, n).moments == {W1: F(1, 2), W2: F(7, 12)}
+    # a store into the parsed map after the read does not reach what holds it
+    values = sio.parse_cumulant_map(obj)[3]
+    d, s = sp.Distribution(letters, n, values), sp.TruncatedSeries(letters, n, values)
+    values[W1], values[W2] = 0.5, 0.25
+    for held in (d.moments, s.coefficients):
+        assert held == {W1: F(1, 2), W2: 1} and all(type(v) is F for v in held.values())
     stores = (lambda m: m.__setitem__(WB, 1), lambda m: m.update({WB: 1}),
               lambda m: m.setdefault(WB, 1), lambda m: m.__ior__({WB: 1}))
     for store in stores:
@@ -167,6 +173,34 @@ def test_a_parsed_cumulant_file_is_read_by_the_rule_once():
         store(values)
         with pytest.raises(ValidationError, match="undeclared"):
             sp.convert(values, kind, "boolean", n, letters)
+
+
+def test_engine_results_are_read_by_no_rule(monkeypatch):
+    # the distribution API hands back maps marked as read by the word-map
+    # rule, so a result that goes on to from_cumulants, convert or a
+    # Distribution reads no value again
+    from shuffleprob import functionals, products
+
+    kinds = ("free", "boolean", "monotone")
+    obj = {"letters": ["a", "b"], "max_degree": 3,
+           "moments": {"a": "1/2", "b": -1, "a.a": 2, "a.b": "1/3", "b.a": "1/3", "a.b.a": "5/7"}}
+    d1 = sio.parse_distribution(obj)
+    d2 = sio.parse_distribution({**obj, "moments": {"a": 1, "b.b": "2/3", "a.b": "-1/5"}})
+    n = d1.max_degree
+    results = {k: sp.to_cumulants(d1, k) for k in kinds}
+
+    def refuse(v):
+        raise AssertionError(f"{v!r} read again")
+
+    monkeypatch.setattr(functionals, "parse_rational", refuse)
+    for k, c in results.items():
+        assert sp.from_cumulants(c, k, d1.letters, n) == d1
+        for dst in kinds:
+            assert sp.convert(c, k, dst, n) == results[dst]
+    for kind in ("free", "boolean", "monotone-left", "monotone-right"):
+        assert products.convolve_distributions(d1, d2, kind).letters == d1.letters
+    for side in ("left", "right"):
+        assert products.subordinate_distributions(d1, d2, side).max_degree == n
 
 
 def _fraction_parse(x):

@@ -21,6 +21,19 @@ def test_zero_coefficients_dropped():
     ts = TensorSum({(b, b): Fraction(0)})
     assert not ts
     assert (ts + ts) == TensorSum({})
+    x = TensorSum({(b, EMPTY_BAR): 1, (EMPTY_BAR, b): -1})
+    assert not (0 * x).terms and not (Fraction(0) * x).terms
+    # (u(x)1 - 1(x)u)(1(x)u + u(x)1): the two u(x)u terms cancel
+    y = x.bar_mul(TensorSum({(EMPTY_BAR, b): 1, (b, EMPTY_BAR): 1}))
+    assert (b, b) not in y.terms and y == TensorSum({(b.concat(b), EMPTY_BAR): 1,
+                                                     (EMPTY_BAR, b.concat(b)): -1})
+    assert not (x - x).terms
+    rng = random.Random(3)
+    for _ in range(20):
+        u, v = _random_sum(rng), _random_sum(rng)
+        c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        for t in (u + v, u - v, c * u, u.bar_mul(v), u + (-1) * u):
+            assert all(t.terms.values())
 
 
 def test_bilinearity_and_associativity():
