@@ -45,11 +45,11 @@ public constructors, :func:`cumulant_functional` and
 
 Input follows one rule each, and the other layers (the JSON reader, the
 CLI, ``verify.run_suites``) call these rules and do not check again: a
-value by ``functionals.parse_rational``, a max_degree by :func:`_degree`,
+value by ``functionals.parse_rational``, a max_degree by ``words._degree``,
 and the keys of a moment map, a library cumulant map, a cumulant file or
 the coefficients of a :class:`TruncatedSeries` by :func:`_word_map`.  The
 declared letters of a :class:`Distribution`, of :func:`from_cumulants` and
-of :func:`convert`, when given, follow :func:`_letters`, checked before any
+of :func:`convert`, when given, follow ``words._letters``, checked before any
 evaluation, and every distribution operand, here and in :mod:`products`,
 :func:`_distributions`.  A Distribution has one constructor: the rule and
 the evaluator return maps marked as read (:class:`_WordMap`), which the
@@ -66,7 +66,8 @@ from typing import Mapping
 from . import functionals as fn
 from .errors import ValidationError
 from .magnus import _magnus_inverse_twisted, _magnus_twisted, magnus, magnus_inverse
-from .words import EMPTY_WORD, Letter, Word, word_bars_up_to, words_up_to
+from .words import (EMPTY_WORD, Letter, Word, _degree, _letters, word_bars_up_to,
+                    words_up_to)
 
 
 class CumulantKind(enum.Enum):
@@ -204,26 +205,6 @@ def _unscaled(phi: fn.Functional, D: int, letters, max_degree: int
         if num:
             out[b.words[0]] = Fraction(num, den * scale[b.degree])
     return _WordMap(out, (letters, max_degree))
-
-
-def _degree(n) -> int:
-    """n, the one rule for a max_degree: a positive int, not a bool."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("max_degree must be a positive integer")
-    return n
-
-
-def _letters(letters) -> tuple[Letter, ...]:
-    """letters as a tuple, the one rule for a declared letter set: at least
-    one letter, each a :class:`Letter`, no two alike."""
-    letters = tuple(letters)
-    if not letters:
-        raise ValidationError("at least one letter is needed")
-    if not all(isinstance(l, Letter) for l in letters):
-        raise ValidationError("letters must be Letters")
-    if len(set(letters)) != len(letters):
-        raise ValidationError("duplicate letters")
-    return letters
 
 
 def _distributions(what: str, *ds) -> None:

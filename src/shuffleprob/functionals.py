@@ -15,11 +15,12 @@ constructor, only where a value leaves the engine: a call, a witness of
 :func:`agree_up_to`.  The leaves store integral values as ints, the values
 at the empty bar word and the flag short-circuit start from int 0 and 1,
 and an integral scalar multiple keeps an int coefficient.  Each kernel
-that sums (a pairing, a linear combination, the row of a series and its
-value) makes one pass over its terms.  It adds the int products into an
-int total and every other term into one int numerator over the lcm of the
-denominators met, and at the end combines the two with one gcd, which
-gives an int or a ratio; a character's product over the components of a
+that sums (a pairing, the row of a series and its value) makes one pass
+over its terms.  It adds the int products into an int total and every
+other term into one int numerator over the lcm of the denominators met,
+and at the end combines the two with one gcd, which gives an int or a
+ratio.  A linear combination sums in a plain int loop, and at its first
+ratio or Fraction coefficient starts again with that pass; a character's product over the components of a
 bar word multiplies numerators and denominators and ends with the same
 gcd.  A ratio has no arithmetic: its product is None, which sends a
 pairing's term to the numerator.  A series keeps its coefficients,
@@ -152,7 +153,7 @@ from typing import Iterable, Mapping
 from . import mutations
 from .coproducts import Side, _terms
 from .errors import DomainError, ValidationError
-from .words import BarWord, EMPTY_BAR, Word, all_barwords, as_barword
+from .words import BarWord, EMPTY_BAR, Word, _degree, _letters, all_barwords, as_barword
 
 #: Read by nothing in this package.  perfbench/run.py refuses to run unless it
 #: is false, so the name stays until the benchmark stops reading it.
@@ -351,8 +352,9 @@ class _Linear(Functional):
     empty bar word, sum c * f(1), is written into its memo when it is
     built, and the unit e, 0 everywhere else, is then dropped from the
     parts.  The flag is still read over every part, e included, so
-    alpha + e is not flagged infinitesimal.  Its value is the :func:`_sum`
-    of the parts' values."""
+    alpha + e is not flagged infinitesimal.  Its value is summed in ints
+    while the coefficients and the parts' values are ints; at the first
+    that is not, it is the :func:`_sum` of all the parts' values."""
 
     __slots__ = ("parts",)
 
@@ -365,7 +367,13 @@ class _Linear(Functional):
         self.parts = tuple(p for p in self.parts if p[1] is not e)
 
     def _value(self, b):
-        return _sum((c, f._memo[b]) for c, f in self.parts)
+        total = 0
+        for c, f in self.parts:
+            v = f._memo[b]
+            if type(v) is not int or type(c) is not int:
+                return _sum((c, f._memo[b]) for c, f in self.parts)
+            total += c * v
+        return total
 
 
 class _Pairing(Functional):
@@ -773,8 +781,11 @@ def agree_up_to(f: Functional, g: Functional, letters, max_degree: int,
     own recursion, past its flags: two nodes flagged alike would otherwise
     read the same product or 0 there, and agree by construction.  The
     values compare as the engine holds them, ints and reduced pairs, which
-    is exact; only a witness is built as Fractions."""
-    bars = all_barwords(tuple(letters), max_degree)
+    is exact; only a witness is built as Fractions.  The letters and
+    max_degree follow the package's rules (``words._letters`` and
+    ``words._degree``), so no agreement is certified over no letters or no
+    degree."""
+    bars = all_barwords(_letters(letters), _degree(max_degree))
     for b in (EMPTY_BAR, *bars) if include_empty else bars:
         if len(b.words) < 2:
             fv, gv = f._memo[b], g._memo[b]

@@ -7,7 +7,7 @@ random infinitesimal characters, which guarantees well-formedness instead of
 rejection-sampling on moments.  All comparisons are exact.
 
 :func:`run_suites`, the one driver, checks the letters and max_degree by
-the rules of :mod:`io` and :mod:`cumulants` before any suite runs.
+the rules of :mod:`io` and :mod:`words` before any suite runs.
 """
 
 from __future__ import annotations
@@ -22,15 +22,15 @@ from . import functionals as fn
 from . import products as pr
 from .axioms import check_axioms
 from .coproducts import Side, _terms
-from .cumulants import (CumulantKind, Distribution, _degree, _letters, bernoulli_symmetric,
-                        convert, from_cumulants, point_mass, semicircle, series,
-                        tabulate, to_cumulants)
+from .cumulants import (CumulantKind, Distribution, bernoulli_symmetric, convert,
+                        from_cumulants, point_mass, semicircle, series, tabulate,
+                        to_cumulants)
 from .errors import DomainError, ValidationError
 from .io import letters_from_names
 from .magnus import bch, bernoulli, group_law_left, group_law_right, magnus, magnus_inverse
 from .partitions import oracle_convert, oracle_moments
 from .reporting import CheckResult, Report
-from .words import BarWord, Word, all_barwords, words_up_to
+from .words import BarWord, Word, _degree, _letters, all_barwords, words_up_to
 
 DEFAULT_LETTERS = ("a", "b")
 
@@ -637,28 +637,30 @@ def products_suite(rng, ls, D) -> Report:
         expect, total.moment, expect)))
 
     # Subordination identities, over ten random character triples.  All ten
-    # are drawn first, as the eta-series draws below come after them.
+    # are drawn first, as the eta-series draws below come after them.  The
+    # checks of a draw share its products A = free_conv(P1, P2), B = P2 |> P1
+    # and C = P1 |> P2, built once when the draw is reached, so only one
+    # draw's memos are filled at a time.
     d5 = min(D, 5)
     triples = [[fn.exp_left(_random_infinitesimal(rng, ls, d5)) for _ in range(3)]
                for _ in range(10)]
     left_sub = lambda a, b: pr.subordinate(a, b, Side.LEFT)
+    draws = ((P1, P2, P3, pr.free_conv(P1, P2), left_sub(P2, P1), left_sub(P1, P2))
+             for P1, P2, P3 in triples)
     sides = {
-        "subordination-decomposition": lambda P1, P2, P3: (
-            pr.free_conv(P1, P2), fn.conv(P1, left_sub(P2, P1))),
-        "subordination-decomposition-swapped": lambda P1, P2, P3: (
-            pr.free_conv(P1, P2), fn.conv(P2, left_sub(P1, P2))),
-        "subordination-decomposition-right": lambda P1, P2, P3: (
+        "subordination-decomposition": lambda P1, P2, P3, A, B, C: (A, fn.conv(P1, B)),
+        "subordination-decomposition-swapped": lambda P1, P2, P3, A, B, C: (
+            A, fn.conv(P2, C)),
+        "subordination-decomposition-right": lambda P1, P2, P3, A, B, C: (
             pr.boolean_conv(P1, P2), fn.conv(pr.subordinate(P2, P1, Side.RIGHT), P2)),
-        "subordination-distributivity": lambda P1, P2, P3: (
-            left_sub(pr.free_conv(P1, P2), P3),
-            pr.free_conv(left_sub(P1, P3), left_sub(P2, P3))),
-        "subordination-change-of-product": lambda P1, P2, P3: (
-            pr.free_conv(P1, P2), pr.boolean_conv(left_sub(P1, P2), left_sub(P2, P1))),
-        "subordination-log-additivity": lambda P1, P2, P3: (
-            fn.log_right(pr.free_conv(P1, P2)),
-            fn.log_right(left_sub(P1, P2)) + fn.log_right(left_sub(P2, P1))),
+        "subordination-distributivity": lambda P1, P2, P3, A, B, C: (
+            left_sub(A, P3), pr.free_conv(left_sub(P1, P3), left_sub(P2, P3))),
+        "subordination-change-of-product": lambda P1, P2, P3, A, B, C: (
+            A, pr.boolean_conv(C, B)),
+        "subordination-log-additivity": lambda P1, P2, P3, A, B, C: (
+            fn.log_right(A), fn.log_right(C) + fn.log_right(B)),
     }
-    report.extend(_first_over(triples, {
+    report.extend(_first_over(draws, {
         name: lambda P, pair=pair: fn.agree_up_to(*pair(*P), ls, d5)
         for name, pair in sides.items()}))
 

@@ -13,7 +13,8 @@ and hash by identity, in C, and every memo or coproduct lookup keyed by one is
 an identity hit.  A bar product caches its one-word components in ``parts``
 for the character nodes, and :func:`word_bars_up_to` keeps the one-word bar
 words of the recent word sweeps, so a warm sweep or bar product builds no bar
-word.
+word.  The one rule for a declared letter set, :func:`_letters`, and the
+one rule for a max_degree, :func:`_degree`, are here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import weakref
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 
 class Letter(NamedTuple):
@@ -185,6 +186,26 @@ def as_barword(x) -> BarWord:
 def words_of_degree(letters: Iterable[Letter], degree: int) -> Iterator[Word]:
     """All words of the exact degree over the given letters, in product order."""
     return map(Word, itertools.product(tuple(letters), repeat=degree))
+
+
+def _degree(n) -> int:
+    """n, the one rule for a max_degree: a positive int, not a bool."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError("max_degree must be a positive integer")
+    return n
+
+
+def _letters(letters) -> tuple[Letter, ...]:
+    """letters as a tuple, the one rule for a declared letter set: at least
+    one letter, each a :class:`Letter`, no two alike."""
+    letters = tuple(letters)
+    if not letters:
+        raise ValidationError("at least one letter is needed")
+    if not all(isinstance(l, Letter) for l in letters):
+        raise ValidationError("letters must be Letters")
+    if len(set(letters)) != len(letters):
+        raise ValidationError("duplicate letters")
+    return letters
 
 
 def words_up_to(letters: Iterable[Letter], max_degree: int,

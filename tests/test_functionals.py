@@ -77,6 +77,17 @@ def test_agree_up_to_reads_bar_products_past_the_flags():
     assert sp.agree_up_to(alpha, off, AB, 3) == (bars(w(A), w(B)), 0, 1)
 
 
+@pytest.mark.parametrize("letters, degree", [(("a",), 1), ((), 1), ((A, A), 1), ((A,), 0)],
+                         ids=["names", "no-letters", "duplicate-letter", "degree-0"])
+def test_agree_up_to_refuses_what_the_letters_and_degree_rules_refuse(letters, degree):
+    # Over letter names or no letters it would sweep no word of the maps and
+    # certify agreement; at degree 0 it would read only the empty bar word.
+    phi, psi = sp.character({w(A): 1}), sp.character({w(A): 2})
+    with pytest.raises(sp.ValidationError):
+        sp.agree_up_to(phi, psi, letters, degree)
+    assert sp.agree_up_to(phi, psi, (A,), 1) == (bars(w(A)), 1, 2)
+
+
 def test_agree_up_to_reads_a_leaf_through_its_flag():
     # A leaf's flag is its definition: a character table holds no bar
     # products, and read past its flag it would be 0 on them.

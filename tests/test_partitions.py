@@ -200,7 +200,9 @@ def _reference_sum(values, key, w):
     for p in enumerate_partitions(n, family):
         if irreducible and not any(1 in b and n in b for b in p.blocks):
             continue
-        total += math.prod(map(value, p.blocks), start=F(weight(p)))
+        blocks = list(map(value, p.blocks))
+        if all(blocks):  # a partition with a zero block adds 0
+            total += math.prod(blocks, start=F(weight(p)))
     return total
 
 

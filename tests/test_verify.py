@@ -176,3 +176,26 @@ def test_universal_product_references_are_not_tautological(monkeypatch, name):
     check_name = "universal-product-" + name.removesuffix("_conv")
     [check] = [c for c in report.results if c.name == check_name]
     assert check.status == "fail" and check.witness["element"] == "x#1.y#2.x#1"
+
+
+# Each subordination draw builds free_conv(P1, P2) and the two subordinations
+# once and hands them to all six checks.  A broken product must fail the same
+# checks as when each check built its own: the boolean product in place of the
+# free one, and a subordination with its operands swapped.
+BROKEN_SUBORDINATION_PRODUCTS = {
+    "free_conv": (lambda real: products.boolean_conv, {
+        "decomposition", "decomposition-swapped", "change-of-product", "log-additivity"}),
+    "subordinate": (lambda real: lambda a, b, side: real(b, a, side), {
+        "decomposition", "decomposition-right", "decomposition-swapped",
+        "distributivity"}),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_SUBORDINATION_PRODUCTS)
+def test_shared_subordination_draws_still_catch_broken_products(monkeypatch, name):
+    broken, expected = BROKEN_SUBORDINATION_PRODUCTS[name]
+    monkeypatch.setattr(products, name, broken(getattr(products, name)))
+    report = run_suite("products", max_degree=3, seed=0)
+    failing = {c.name.removeprefix("subordination-") for c in report.results
+               if c.status == "fail" and c.name.startswith("subordination-")}
+    assert failing == expected
