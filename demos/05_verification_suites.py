@@ -1,10 +1,10 @@
-"""The verification surface: randomized identity suites and defect hooks.
+"""The verification surface: randomized identity suites and seeded defects.
 
 Every theorem the engine relies on is re-derived on demand over a seeded
 random corpus; a report carries one line per identity with the first
 counterexample as witness.  To show the suites have teeth, the seeded-defect
-context manager corrupts one primitive at a time and the right suite calls
-it out at low degree.
+context manager swaps a broken twin in for one primitive at a time and the
+right suite calls it out at low degree.
 """
 
 from shuffleprob import run_suites

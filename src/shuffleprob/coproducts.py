@@ -44,8 +44,7 @@ and only a leg not yet live goes through the constructor.
 An entry keeps its terms in the order first built.  The enumeration runs
 i upward and a bar product multiplies in order, so every left and full
 "all" entry on a nonempty bar word ends with b (x) 1, its one term whose
-left leg is b, or is empty (the left entry on a first word of one letter,
-under ``drop-left-singleton``); right and "run" entries hold no such term.
+left leg is b; right and "run" entries hold no such term.
 A pairing that is its own left leg drops that last term.  The public
 functions refuse a side that is not a :class:`Side`, and return a fresh
 :class:`TensorSum`, built from an entry's terms by its constructor, which
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import enum
 
-from . import mutations
 from .errors import DomainError
 from .tensors import TensorSum
 from .words import BarWord, EMPTY_BAR, EMPTY_WORD, Word, as_barword
@@ -145,13 +143,10 @@ def _by_first_run(w: Word, side: Side, single_run: bool) -> tuple:
         starts = range(1, stop)
     else:
         starts = range(min(n, 1))  # i = 0, none on the empty word
-    drop_singleton = side is Side.LEFT and mutations.is_active("drop-left-singleton")
     of = BarWord._of
     data: dict = {}
     for i in starts:
         for j in range(i + 1, n + 1) or (n,):  # i = n: only the empty run
-            if drop_singleton and i == 1 and j == n:  # the term of S = {1}
-                continue
             run = w[i:j]
             if single_run or j == n:
                 pair = (of((w[:i] + w[j:],)), of((run,)))
@@ -199,6 +194,5 @@ def single_run_terms(b, side: Side = Side.FULL) -> TensorSum:
     """The terms of ``unshuffle_bar(b, side)`` whose right leg is one
     nonempty word, on a one-word bar word b: the subsets whose complement is
     one interval [i..j].  Every interval on the full side; i >= 2 on the
-    left side, with [2..n] dropped under the ``drop-left-singleton`` defect;
-    i = 1 on the right side."""
+    left side; i = 1 on the right side."""
     return _public(b, side, "run")

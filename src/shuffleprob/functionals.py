@@ -150,7 +150,6 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
-from . import mutations
 from .coproducts import Side, _terms
 from .errors import DomainError, ValidationError
 from .words import BarWord, EMPTY_BAR, Word, _degree, _letters, all_barwords, as_barword
@@ -745,8 +744,7 @@ def ad_action(g1: Functional, g2: Functional) -> Functional:
     adjoint Ad_{E<(g1)}(g2) = E<(g1)^{-1} > g2 < E<(g1)."""
     if not (g1.is_infinitesimal_character and g2.is_infinitesimal_character):
         raise DomainError("the adjoint actions act on infinitesimal characters")
-    conjugator = -1 * g1 if mutations.is_active("flip-ad-conjugator") else g1
-    return adjoint(exp_left(conjugator), g2)
+    return adjoint(exp_left(g1), g2)
 
 
 def ad_action_right(g1: Functional, g2: Functional) -> Functional:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from . import mutations
 from .errors import DomainError
 from .functionals import (Functional, _Linear, _prelie_legs, _Series, _divide_left,
                           conv, exp_left, exp_star, hs_right, log_star)
@@ -54,8 +53,6 @@ bernoulli = BernoulliTable()
 
 
 def _magnus_coeff(m: int) -> Fraction:
-    if m == 2 and mutations.is_active("skip-bernoulli-2"):
-        return Fraction(0)
     return bernoulli[m] / factorial(m)
 
 

@@ -191,7 +191,7 @@ def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Dis
     _common_operands("convolution", d1, d2)
     ops = {"free": free_conv, "boolean": boolean_conv,
            "monotone-left": monotone_conv, "monotone-right": antimonotone_conv}
-    if kind not in ops:
+    if not isinstance(kind, str) or kind not in ops:
         raise ValidationError(f"unknown convolution kind {kind!r}; expected one of {sorted(ops)}")
     return Distribution(d1.letters, d1.max_degree, _evaluate(
         ops[kind], fn.character, (d1.moments, d2.moments), d1.letters, d1.max_degree))
@@ -199,7 +199,7 @@ def convolve_distributions(d1: Distribution, d2: Distribution, kind: str) -> Dis
 
 def subordinate_distributions(d1: Distribution, d2: Distribution, side: str) -> Distribution:
     _common_operands("subordination", d1, d2)
-    side_enum = {"left": Side.LEFT, "right": Side.RIGHT}.get(side)
+    side_enum = next((s for s in (Side.LEFT, Side.RIGHT) if s.value == side), None)
     if side_enum is None:
         raise ValidationError(f"unknown side {side!r}; expected left or right")
     return Distribution(d1.letters, d1.max_degree, _evaluate(

@@ -730,7 +730,7 @@ SUITES = tuple(_SUITE_FUNCS)
 
 
 def _suite_func(name: str):
-    if name not in _SUITE_FUNCS:
+    if not isinstance(name, str) or name not in _SUITE_FUNCS:
         raise ValidationError(f"unknown suite {name!r}; expected one of "
                               f"{sorted(_SUITE_FUNCS)} or 'all'")
     return _SUITE_FUNCS[name]
@@ -739,7 +739,7 @@ def _suite_func(name: str):
 def run_suite(name: str, max_degree: int = 5, seed: int = 0,
               letters=DEFAULT_LETTERS) -> Report:
     """The report of the one suite named; :func:`run_suites` runs "all"."""
-    if name not in _SUITE_FUNCS:
+    if not isinstance(name, str) or name not in _SUITE_FUNCS:
         raise ValidationError(f"unknown suite {name!r}; run_suite runs one of "
                               f"{sorted(_SUITE_FUNCS)}, and run_suites runs 'all'")
     [report] = run_suites(name, max_degree, seed, letters)

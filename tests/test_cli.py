@@ -415,7 +415,8 @@ print(json.dumps(sorted(m for m in sys.modules
 
 #: The modules that the data commands must not load.
 OFF_THE_DATA_PATH = {"shuffleprob.verify", "shuffleprob.products", "shuffleprob.partitions",
-                     "shuffleprob.axioms", "shuffleprob.reporting", "dataclasses"}
+                     "shuffleprob.axioms", "shuffleprob.reporting", "shuffleprob.mutations",
+                     "dataclasses"}
 
 
 def loaded_modules(argvs):

@@ -220,6 +220,13 @@ PRODUCT_REFUSALS = {
     "subordinate_distributions with an unknown side": (
         lambda: sp.subordinate_distributions(sp.semicircle(4), sp.semicircle(4), "up"),
         ValidationError, "unknown side 'up'; expected left or right"),
+    "subordinate_distributions with a list for the side": (
+        lambda: sp.subordinate_distributions(sp.semicircle(4), sp.semicircle(4), ["left"]),
+        ValidationError, "unknown side ['left']; expected left or right"),
+    "convolve_distributions with a list for the kind": (
+        lambda: sp.convolve_distributions(sp.semicircle(4), sp.semicircle(4), ["free"]),
+        ValidationError, "unknown convolution kind ['free']; expected one of "
+        "['boolean', 'free', 'monotone-left', 'monotone-right']"),
 }
 
 

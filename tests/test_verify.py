@@ -1,13 +1,16 @@
+import importlib
 import json
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from shuffleprob import functionals as fn
+import shuffleprob as sp
+from shuffleprob import coproducts, functionals as fn
 from shuffleprob import products, verify
 from shuffleprob.errors import ValidationError
-from shuffleprob.mutations import DEFECTS, inject_defect
+from shuffleprob.mutations import DEFECTS, inject_defect, is_active
 from shuffleprob.reporting import CheckResult, Report
 from shuffleprob.verify import SUITES, run_suite, run_suites
 from shuffleprob.words import BarWord, Letter, Word
@@ -43,14 +46,16 @@ def test_run_suites_takes_one_name_or_all_anywhere():
 
 
 def test_unknown_suite_rejected():
-    # run_suite runs one suite and names only those; "all" is run_suites' name
-    for name in ("nope", "all"):
+    # run_suite runs one suite and names only those; "all" is run_suites' name,
+    # and a list is no name, though it holds one
+    for name in ("nope", "all", ["shuffle"]):
         with pytest.raises(ValidationError) as info:
             run_suite(name, max_degree=3)
         assert str(info.value) == (f"unknown suite {name!r}; run_suite runs one of "
                                    f"{sorted(SUITES)}, and run_suites runs 'all'")
-    with pytest.raises(ValidationError, match=r"expected one of .* or 'all'$"):
-        run_suites("nope", max_degree=3)
+    for names in ("nope", [["shuffle"]]):
+        with pytest.raises(ValidationError, match=r"expected one of .* or 'all'$"):
+            run_suites(names, max_degree=3)
 
 
 @pytest.mark.parametrize("given", [
@@ -109,6 +114,44 @@ def test_unknown_defect_rejected():
         with inject_defect("not-a-defect"):
             pass
     assert "drop-left-singleton" in DEFECTS
+
+
+def test_a_defect_nested_in_itself_lasts_until_the_outer_exit():
+    with inject_defect("skip-bernoulli-2"):
+        with inject_defect("skip-bernoulli-2"):
+            pass
+        assert is_active("skip-bernoulli-2")
+        [report] = run_suites(["magnus"], max_degree=4, seed=0)
+    assert report.failures
+    assert not is_active("skip-bernoulli-2")
+    [report] = run_suites(["magnus"], max_degree=4, seed=0)
+    assert report.passed
+
+
+def _bindings():
+    # every binding of a function that a defect corrupts; the package
+    # attribute ``magnus`` is the function, so the module comes by name
+    magnus_module = importlib.import_module("shuffleprob.magnus")
+    return (coproducts._by_first_run, magnus_module._magnus_coeff,
+            fn.ad_action, sp.ad_action)
+
+
+#: The positions in ``_bindings()`` of the functions each defect swaps.
+SWAPPED = {"drop-left-singleton": {0}, "skip-bernoulli-2": {1}, "flip-ad-conjugator": {2, 3}}
+
+
+@pytest.mark.parametrize("defect", sorted(SWAPPED))
+def test_each_defect_swaps_its_function_and_restores_it(defect):
+    clean = _bindings()
+    for fail in (False, True):
+        with pytest.raises(RuntimeError) if fail else nullcontext():
+            with inject_defect(defect):
+                inside = _bindings()
+                if fail:
+                    raise RuntimeError("inside the defect")
+        assert {i for i, f in enumerate(inside) if f is not clean[i]} == SWAPPED[defect]
+        assert all(f is g for f, g in zip(_bindings(), clean))
+        assert not is_active(defect)
 
 
 def test_report_lines_format():
