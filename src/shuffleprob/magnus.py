@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError
-from .functionals import (Functional, _Linear, _prelie_legs, _Series, _divide_left,
-                          conv, exp_left, exp_star, hs_right, log_star)
+from .functionals import (Functional, _prelie_legs, _Series, _divide_left, conv, exp_left,
+                          exp_star, hs_right, log_star)
 
 
 class BernoulliTable:
@@ -117,16 +117,14 @@ def group_law_left(g1: Functional, g2: Functional) -> Functional:
         raise DomainError("the shuffle group laws act on infinitesimal characters")
     E = exp_left(g1)
     moved = _divide_left(hs_right(E, g2), E)
-    out = _Linear(((1, g1), (1, moved)))
+    out = g1 + moved
     out.is_infinitesimal_character = True
     return out
 
 
 def group_law_right(g1: Functional, g2: Functional) -> Functional:
     """Right shuffle group law g1 (.) g2 = -((-g2) # (-g1))."""
-    out = _Linear(((-1, group_law_left(-1 * g2, -1 * g1)),))
-    out.is_infinitesimal_character = True
-    return out
+    return -group_law_left(-1 * g2, -1 * g1)
 
 
 __all__ = ["BernoulliTable", "bernoulli", "magnus", "magnus_inverse", "bch",

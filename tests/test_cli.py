@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -152,13 +153,14 @@ def test_verify_reports_failure_with_nonzero_exit(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
-def test_verify_coalgebra_subcommand(tmp_path):
-    out = str(tmp_path / "report.json")
+def test_verify_coalgebra_subcommand(tmp_path, capsys):
+    # the one-suite verify, with a JSON shape of its own: checks by axiom
+    out = tmp_path / "report.json"
     assert main(["verify-coalgebra", "--letters", "a,b", "--max-degree", "3",
-                 "-o", out]) == 0
-    payload = read(out)
-    assert payload["passed"] is True
-    assert all(set(c) >= {"axiom", "status"} for c in payload["checks"])
+                 "-o", str(out)]) == 0
+    golden = Path(__file__).resolve().parent / "golden"
+    assert capsys.readouterr().out == (golden / "verify-coalgebra-a-b-degree-3.txt").read_text()
+    assert out.read_bytes() == (golden / "verify-coalgebra-a-b-degree-3.json").read_bytes()
 
 
 def test_bad_json_exits_two(tmp_path, capsys):
@@ -224,6 +226,24 @@ def test_failed_command_leaves_output_path_as_it_was(tmp_path, capsys):
     src = write(tmp_path, "sem.json", SEMICIRCLE)
     assert main(["cumulants", src, "--kind", "free", "-o", str(kept)]) == 0
     assert read(kept)["values"] == {"a.a": "1"}
+
+
+def test_failed_command_through_a_dangling_symlink_leaves_no_file(tmp_path, capsys):
+    # the -o check makes the link's target to test it, and must remove it
+    # again, not leave an empty file there
+    link, target = tmp_path / "out.json", tmp_path / "target.json"
+    try:
+        os.symlink(target, link)
+    except (NotImplementedError, OSError):
+        pytest.skip("symlinks are not available here")
+    bad = write(tmp_path, "bad.json", {"letters": ["a"], "max_degree": 2,
+                                       "moments": {"a.b": "1"}})
+    assert main(["cumulants", bad, "--kind", "free", "-o", str(link)]) == 2
+    assert "undeclared letter" in capsys.readouterr().err
+    assert link.is_symlink() and not target.exists()
+    src = write(tmp_path, "sem.json", SEMICIRCLE)
+    assert main(["cumulants", src, "--kind", "free", "-o", str(link)]) == 0
+    assert link.is_symlink() and read(target)["values"] == {"a.a": "1"}
 
 
 def test_unknown_suite_exits_two_naming_the_suites(capsys):
@@ -359,6 +379,15 @@ def test_cli_output_matches_golden(name, argv, capsys):
     assert main(argv) == 0
     expected = (GOLDEN_CLI / f"{name}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name,argv", golden_cli_cases(), ids=[n for n, _ in golden_cli_cases()])
+def test_cli_output_file_matches_golden(name, argv, tmp_path, capsys):
+    # -o goes through the same writer as stdout: the file holds the same bytes
+    out = tmp_path / "out.json"
+    assert main(argv + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (GOLDEN_CLI / f"{name}.json").read_bytes()
 
 
 def test_cli_degree_forty_free_cumulants_match_golden(monkeypatch, capsys):
