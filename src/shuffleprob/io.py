@@ -23,19 +23,25 @@ from fractions import Fraction
 from typing import Mapping
 
 from .cumulants import Distribution, TruncatedSeries, _word_map
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .functionals import parse_rational
 from .words import Letter, Word
 
 
 def rational_str(v) -> str:
+    """v as "p" or "p/q".  A numerator or denominator past the interpreter's
+    int-string digit limit raises :class:`DomainError`, as the reader
+    refuses such an integer."""
     if type(v) is not Fraction:
         try:
             v = Fraction(v)
         except (TypeError, ValueError):
             return str(v)  # witnesses are occasionally structural, not numeric
     p, q = v.numerator, v.denominator
-    return str(p) if q == 1 else f"{p}/{q}"
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError as exc:
+        raise DomainError(f"a value too long to write: {exc}") from None
 
 
 def parse_word(s: str, letters: Mapping[str, Letter]) -> Word:

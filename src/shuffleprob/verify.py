@@ -6,6 +6,15 @@ counterexample as witness.  Random characters are produced by exponentiating
 random infinitesimal characters, which guarantees well-formedness instead of
 rejection-sampling on moments.  All comparisons are exact.
 
+Every draw is the image under the dilation theta_6, f(w) -> 6^|w| f(w), of
+a random rational leaf p/q with q in 1..3: a value at a word or bar word of
+degree k is the int p * (6/q) * 6^(k-1).  Every operation the suites check
+is graded, so theta_6 commutes with it, and an identity holds on the images
+exactly when it holds on the rational leaves; on ints the pairing and series
+kernels run their int loops.  A draw-based check reports its witness
+unscaled, both values divided by 6^k, k the degree of the witness, as on the
+rational leaves; a check on a fixed input reports its values as they are.
+
 :func:`run_suites`, the one driver, checks the letters and max_degree by
 the rules of :mod:`io` and :mod:`words` before any suite runs.
 """
@@ -35,17 +44,29 @@ from .words import BarWord, Word, _degree, _letters, all_barwords, words_up_to
 DEFAULT_LETTERS = ("a", "b")
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+#: The dilation of every draw: the lcm of the denominators 1-3 of p/q.
+_SCALE = 6
+
+
+def _rand_scaled(rng: random.Random, degree: int) -> int:
+    """theta_6 of a random p/q (p in -3..3 drawn first, then q in 1..3) at a
+    word or bar word of this degree: the int p * (6/q) * 6^(degree-1)."""
+    p = rng.randint(-3, 3)
+    return p * (_SCALE // rng.randint(1, 3)) * _SCALE ** (degree - 1)
 
 
 def _random_infinitesimal(rng, letters, max_degree) -> fn.Functional:
     values = {}
     for w in words_up_to(letters, max_degree):
-        v = _rand_fraction(rng)
+        v = _rand_scaled(rng, len(w))
         if v:
             values[w] = v
     return fn.infinitesimal(values)
+
+
+def _random_moments(rng, max_degree) -> list[int]:
+    """The moments m_1, ..., m_max_degree of one variable, m_k at degree k."""
+    return [_rand_scaled(rng, k) for k in range(1, max_degree + 1)]
 
 
 def _random_character(rng, letters, max_degree) -> fn.Functional:
@@ -56,7 +77,7 @@ def _random_table(rng, letters, max_degree, unital=False) -> fn.Functional:
     values = {}
     for b in all_barwords(tuple(letters), max_degree):
         if b.bar_length <= 2:
-            v = _rand_fraction(rng)
+            v = _rand_scaled(rng, b.degree)
             if v:
                 values[b] = v
     f = fn.from_values(values)
@@ -90,9 +111,18 @@ def _expect(name, element, got, want) -> CheckResult:
     return CheckResult.from_mismatch(name, _first_mismatch([(element, got, want)]))
 
 
+def _drawn(name, mismatch) -> CheckResult:
+    """The result of a check on the draws, its witness unscaled: both values
+    divided by 6^k, k the degree of the witness word or bar word."""
+    if mismatch is not None:
+        element, lhs, rhs = mismatch
+        scale = _SCALE ** element.degree
+        mismatch = element, Fraction(lhs, scale), Fraction(rhs, scale)
+    return CheckResult.from_mismatch(name, mismatch)
+
+
 def _agree(name, f, g, letters, degree, include_empty=True) -> CheckResult:
-    return CheckResult.from_mismatch(
-        name, fn.agree_up_to(f, g, letters, degree, include_empty=include_empty))
+    return _drawn(name, fn.agree_up_to(f, g, letters, degree, include_empty=include_empty))
 
 
 def _ad_closed_form(g1, g2, letters, max_degree) -> fn.Functional:
@@ -199,7 +229,8 @@ def _closed_free(ctx, node, w: Word) -> Fraction:
 def _first_over(draws, checks) -> list[CheckResult]:
     """checks maps a name to a function from one draw to a mismatch or None.
     Each check keeps its first mismatch over the draws, in order, and is not
-    run again; drawing stops once every check has one."""
+    run again; drawing stops once every check has one.  Its witness is
+    unscaled."""
     found = dict.fromkeys(checks)
     for draw in draws:
         for name, check in checks.items():
@@ -207,7 +238,7 @@ def _first_over(draws, checks) -> list[CheckResult]:
                 found[name] = check(draw)
         if None not in found.values():
             break
-    return [CheckResult.from_mismatch(name, m) for name, m in found.items()]
+    return [_drawn(name, m) for name, m in found.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +337,7 @@ def shuffle_suite(rng, ls, D) -> Report:
         (x.concat(y), E(x.concat(y)), E(x) * E(y))
         for x in all_barwords(ls, D)
         for y in all_barwords(ls, D - x.degree) if x.degree < D)
-    report.add(CheckResult.from_mismatch("left-exp-is-multiplicative", mismatch))
+    report.add(_drawn("left-exp-is-multiplicative", mismatch))
 
     # Group action compatibilities with the half-shuffles (degree <= 5).
     d5 = min(D, 5)
@@ -536,7 +567,7 @@ def cumulants_suite(rng, ls, D) -> Report:
     # Series identities.
     M = series(dists[1], "M")
     eta = series(dists[1], "eta")
-    report.add(CheckResult.from_mismatch("moment-series-fixed-point", _entrywise(
+    report.add(_drawn("moment-series-fixed-point", _entrywise(
         words_up_to(ls, D), M.coefficient, (eta + M * eta).coefficient)))
 
     report.add(_expect("semicircle-R-series", w(2), series(sem, "R").coefficients,
@@ -553,7 +584,7 @@ def products_suite(rng, ls, D) -> Report:
 
     # Universal products on two single-letter algebras.
     def random_univariate(name):
-        return Distribution.univariate(name, [_rand_fraction(rng) for _ in range(D)], D)
+        return Distribution.univariate(name, _random_moments(rng, D), D)
 
     def contexts():
         while True:
@@ -581,7 +612,7 @@ def products_suite(rng, ls, D) -> Report:
     ctx, chars, alt = next(draws)
     free = pr.free_conv(*chars)
     rec = fn.hs_left(free, fn.positive_part(fn.neumann_inverse(free)))
-    report.add(CheckResult.from_mismatch("free-product-recursion", _entrywise(
+    report.add(_drawn("free-product-recursion", _entrywise(
         [w for w in alt if len(w) >= 2], free, lambda w: -rec(w))))
 
     # Convolution group laws on a common algebra.
@@ -705,7 +736,7 @@ def bp_suite(rng, ls, D) -> Report:
     # R-series of the image equals the eta-series of the source.
     d = _random_distribution(rng, ls, D)
     image = pr.bp_distribution(d)
-    report.add(CheckResult.from_mismatch("bp-R-equals-eta", _entrywise(
+    report.add(_drawn("bp-R-equals-eta", _entrywise(
         words_up_to(ls, D), series(image, "R").coefficient, series(d, "eta").coefficient)))
 
     # Fixed vector: symmetric Bernoulli maps to the semicircle law.

@@ -312,6 +312,25 @@ def test_overlong_json_integer_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_overlong_output_value_exits_two(tmp_path, capsys):
+    # moments of a quarter of the int-string digit limit are read, but the
+    # degree-8 free cumulants hold their eighth powers, which the writer
+    # cannot print: it refuses them as the reader would, before any output
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no limit on int-string digits")
+    big = "7" * (limit // 4 + 1)
+    src = write(tmp_path, "big.json", {"letters": ["a"], "max_degree": 8, "moments": {
+        ".".join("a" * k): big for k in range(1, 9)}})
+    out = tmp_path / "out.json"
+    for extra in ([], ["-o", str(out)]):
+        assert main(["cumulants", src, "--kind", "free", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_letter_named_one_exits_two(tmp_path, capsys):
     # "1" is the key of the empty word, so a letter named 1 could not state
     # its degree-1 moment

@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
@@ -9,11 +10,14 @@ import pytest
 import shuffleprob as sp
 from shuffleprob import coproducts, functionals as fn
 from shuffleprob import products, verify
+from shuffleprob.cumulants import Distribution, tabulate
 from shuffleprob.errors import ValidationError
 from shuffleprob.mutations import DEFECTS, inject_defect, is_active
 from shuffleprob.reporting import CheckResult, Report
 from shuffleprob.verify import SUITES, run_suite, run_suites
-from shuffleprob.words import BarWord, Letter, Word
+from shuffleprob.words import BarWord, Letter, Word, all_barwords, words_up_to
+
+from conftest import random_fraction
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -80,6 +84,56 @@ def test_reports_deterministic_under_seed():
     a = [r.to_json() for r in run_suites(["cumulants"], max_degree=3, seed=9)]
     b = [r.to_json() for r in run_suites(["cumulants"], max_degree=3, seed=9)]
     assert json.dumps(a) == json.dumps(b)
+
+
+def _fraction_draws(seed, keys):
+    """The draws of the suites before the dilation: Fraction(p, q) per key
+    in order, zeros skipped; and the generator's state after them."""
+    rng = random.Random(seed)
+    values = {}
+    for key in keys:
+        v = random_fraction(rng)
+        if v:
+            values[key] = v
+    return values, rng.getstate()
+
+
+@pytest.mark.parametrize("names", ["ab", "abc"])
+@pytest.mark.parametrize("seed", range(5))
+def test_scaled_draws_are_theta_6_of_the_fraction_draws(seed, names):
+    # a change that moves the draws fails here, not only in the witness goldens
+    ls, D = tuple(Letter(n) for n in names), 4
+    words = list(words_up_to(ls, D))
+    for draw in (verify._random_infinitesimal, verify._random_character,
+                 verify._random_distribution):
+        rng = random.Random(seed)
+        got = draw(rng, ls, D)
+        leaves, state = _fraction_draws(seed, words)
+        assert rng.getstate() == state
+        if draw is verify._random_infinitesimal:
+            assert {w: got(w) for w in words if got(w)} == {
+                w: v * 6 ** len(w) for w, v in leaves.items()}
+            assert all(type(got(w)) is int for w in words)
+        else:
+            # the moments of the character of the Fraction draws, dilated
+            want = fn.exp_left(fn.infinitesimal(leaves))
+            moments = got.moments if isinstance(got, Distribution) else tabulate(got, ls, D)
+            assert all(moments.get(w, 0) == want(w) * 6 ** len(w) for w in words)
+    for unital in (False, True):
+        rng = random.Random(seed)
+        got = verify._random_table(rng, ls, D, unital=unital)
+        bars = [b for b in all_barwords(ls, D) if b.bar_length <= 2]
+        leaves, state = _fraction_draws(seed, bars)
+        assert rng.getstate() == state
+        assert {b: got(b) for b in bars if got(b)} == {
+            b: v * 6 ** b.degree for b, v in leaves.items()}
+        assert got(BarWord()) == (1 if unital else 0)
+    rng = random.Random(seed)
+    got = verify._random_moments(rng, D)
+    leaves, state = _fraction_draws(seed, range(1, D + 1))
+    assert rng.getstate() == state
+    assert got == [leaves.get(k, 0) * 6 ** k for k in range(1, D + 1)]
+    assert all(type(m) is int for m in got)
 
 
 def test_report_json_shape():
