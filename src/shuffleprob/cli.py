@@ -33,7 +33,7 @@ import os
 import sys
 
 from . import io as sio
-from .cumulants import Distribution, convert, from_cumulants, series, to_cumulants
+from .cumulants import CumulantKind, Distribution, convert, from_cumulants, series, to_cumulants
 from .errors import DomainError, ValidationError
 
 DEFAULT_CAP = 8
@@ -143,9 +143,9 @@ def cmd_verify(args) -> dict:
     verify-coalgebra lists its one suite's checks by axiom."""
     from .verify import DEFAULT_LETTERS, run_suites
     n = _degree(args.max_degree)
-    # run_suites checks the names
+    # run_suites checks the names, an empty one too
     letters = DEFAULT_LETTERS if args.letters is None else tuple(
-        name.strip() for name in args.letters.split(",") if name.strip())
+        name.strip() for name in args.letters.split(","))
     reports = run_suites(args.suite or "all", max_degree=n, seed=args.seed, letters=letters)
     for report in reports:
         for line in report.lines():
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(default: stdout)")
         p.set_defaults(func=func)
 
-    families = ["free", "boolean", "monotone"]
+    families = [k.value for k in CumulantKind]
     data("cumulants", "moments -> cumulants of one family", cmd_cumulants, ["input"],
          "--kind", choices=families, required=True)
     data("moments", "cumulants -> moments (inverse transform)", cmd_moments, ["input"],

@@ -53,7 +53,8 @@ of :func:`convert`, when given, follow ``words._letters``, checked before any
 evaluation, and every distribution operand, here and in :mod:`products`,
 :func:`_distributions`.  A Distribution has one constructor: the rule and
 the evaluator return maps marked as read (:class:`_WordMap`), which the
-rule takes again, engine results and parsed files alike, as a plain copy.
+rule takes again, engine results and parsed files alike, as a plain copy,
+and it holds that copy behind a read-only view.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from . import functionals as fn
@@ -89,8 +91,9 @@ class Distribution:
     """Moments of a family of non-commutative random variables, one letter
     per variable, for every word of degree <= max_degree (absent words have
     moment 0; the empty word implicitly has moment 1).  Immutable: assigning
-    a field raises AttributeError, and it holds a copy of the moments given;
-    equal by value, and unhashable."""
+    a field raises AttributeError, and it holds a copy of the moments given,
+    of which ``moments`` is a read-only view (a store into it raises
+    TypeError); equal by value, and unhashable."""
 
     __slots__ = ("letters", "max_degree", "moments")
 
@@ -102,7 +105,8 @@ class Distribution:
                 raise ValidationError("the empty word always has moment 1")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "moments", _word_map(moments, letters, max_degree))
+        object.__setattr__(self, "moments",
+                           MappingProxyType(_word_map(moments, letters, max_degree)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a Distribution")
@@ -111,7 +115,7 @@ class Distribution:
         raise AttributeError(f"cannot delete field {name!r} of a Distribution")
 
     def __reduce__(self):
-        return Distribution, (self.letters, self.max_degree, self.moments)
+        return Distribution, (self.letters, self.max_degree, self._marked())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -123,7 +127,12 @@ class Distribution:
 
     def __repr__(self):
         return (f"Distribution(letters={self.letters!r}, max_degree={self.max_degree!r}, "
-                f"moments={self.moments!r})")
+                f"moments={dict(self.moments)!r})")
+
+    def _marked(self) -> "_WordMap":
+        """The moments as the marked map the rule made of them, which the
+        rule takes again without a read (a dict copy keeps the hashes)."""
+        return _WordMap(self.moments.copy(), (self.letters, self.max_degree))
 
     def moment(self, w: Word) -> Fraction:
         if w == EMPTY_WORD:
@@ -144,13 +153,12 @@ class Distribution:
                             {remap(w): v for w, v in self.moments.items()})
 
     @classmethod
-    def univariate(cls, name: str, values, max_degree: int | None = None,
-                   tag: int = 0) -> "Distribution":
+    def univariate(cls, name: str, values, max_degree: int | None = None) -> "Distribution":
         """Distribution of a single variable from the list of its moments
         (m_1, m_2, ...)."""
         values = [fn.parse_rational(v) for v in values]
         n = len(values) if max_degree is None else _degree(max_degree)
-        letter = Letter(name, tag)
+        letter = Letter(name)
         moments = {Word((letter,) * (k + 1)): v for k, v in enumerate(values[:n]) if v}
         return cls((letter,), n, moments)
 
@@ -472,5 +480,5 @@ def series(d: Distribution, which: str) -> TruncatedSeries:
     key = str(which).lower()
     if key not in table:
         raise ValidationError(f"unknown series {which!r}; expected M, R or eta")
-    coeffs = d.moments if table[key] is None else to_cumulants(d, table[key])
+    coeffs = d._marked() if table[key] is None else to_cumulants(d, table[key])
     return TruncatedSeries(d.letters, d.max_degree, coeffs)

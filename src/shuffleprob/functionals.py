@@ -690,29 +690,28 @@ def _divide_left(z: Functional, phi: Functional) -> Functional:
     return _Pairing(None, e - phi, Side.LEFT, z)
 
 
+def _half_log(phi: Functional, divide) -> Functional:
+    if phi(EMPTY_BAR) != 1:
+        raise DomainError("half-shuffle logarithms need a unital operand")
+    out = divide(phi, phi)
+    out._memo[EMPTY_BAR] = 0
+    out.is_infinitesimal_character = phi.is_character
+    return out
+
+
 def log_left(phi: Functional) -> Functional:
     """Left half-shuffle logarithm (phi - e) < phi^{-1}, the compositional
     inverse of exp_left; computed as the division X = (phi - e) + X < (e - phi).
     phi - e is phi past the empty bar word, so phi itself is the base, and
     the 0 there is written into the memo."""
-    if phi(EMPTY_BAR) != 1:
-        raise DomainError("half-shuffle logarithms need a unital operand")
-    out = _divide_left(phi, phi)
-    out._memo[EMPTY_BAR] = 0
-    out.is_infinitesimal_character = phi.is_character
-    return out
+    return _half_log(phi, _divide_left)
 
 
 def log_right(phi: Functional) -> Functional:
     """Right half-shuffle logarithm phi^{-1} > (phi - e), computed as the
     division X = (phi - e) + (e - phi) > X, with phi as the base and 0
     written at the empty bar word, as in :func:`log_left`."""
-    if phi(EMPTY_BAR) != 1:
-        raise DomainError("half-shuffle logarithms need a unital operand")
-    out = _divide_right(phi, phi)
-    out._memo[EMPTY_BAR] = 0
-    out.is_infinitesimal_character = phi.is_character
-    return out
+    return _half_log(phi, _divide_right)
 
 
 def hs_power(phi: Functional, s, side: Side = Side.LEFT) -> Functional:

@@ -22,21 +22,18 @@ import json
 from fractions import Fraction
 from typing import Mapping
 
-from .cumulants import Distribution, TruncatedSeries, _word_map
+from .cumulants import CumulantKind, Distribution, TruncatedSeries, _word_map
 from .errors import DomainError, ValidationError
 from .functionals import parse_rational
 from .words import Letter, Word
 
 
 def rational_str(v) -> str:
-    """v as "p" or "p/q".  A numerator or denominator past the interpreter's
-    int-string digit limit raises :class:`DomainError`, as the reader
-    refuses such an integer."""
+    """v, an int or a Fraction, as "p" or "p/q".  A numerator or denominator
+    past the interpreter's int-string digit limit raises
+    :class:`DomainError`, as the reader refuses such an integer."""
     if type(v) is not Fraction:
-        try:
-            v = Fraction(v)
-        except (TypeError, ValueError):
-            return str(v)  # witnesses are occasionally structural, not numeric
+        v = Fraction(v)
     p, q = v.numerator, v.denominator
     try:
         return str(p) if q == 1 else f"{p}/{q}"
@@ -154,7 +151,7 @@ def parse_cumulant_map(obj):
         raise ValidationError("cumulant file must be a JSON object")
     _check_fields(obj, "cumulant", ("kind", "letters", "max_degree", "values"))
     kind = obj.get("kind")
-    if kind not in ("free", "boolean", "monotone"):
+    if kind not in [k.value for k in CumulantKind]:
         raise ValidationError(f"bad or missing 'kind': {kind!r}")
     letters = _parse_letters(obj)
     n = obj.get("max_degree")

@@ -33,7 +33,7 @@ from . import functionals as fn
 from .coproducts import Side
 from .cumulants import Distribution, _distributions, _evaluate
 from .errors import DomainError, ValidationError
-from .words import Letter, Word
+from .words import Word
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +150,6 @@ class LabeledContext:
     def from_distributions(cls, d1: Distribution, d2: Distribution) -> "LabeledContext":
         _distributions("a labeled context embeds two Distributions", d1, d2)
         return cls(d1.retag(1), d2.retag(2))
-
-    @property
-    def max_degree(self) -> int:
-        return self.d1.max_degree
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return self.d1.letters + self.d2.letters
 
     def characters(self):
         return self.d1.character(), self.d2.character()

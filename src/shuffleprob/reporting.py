@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .io import rational_str
 
@@ -21,12 +22,14 @@ class CheckResult:
 
     @classmethod
     def fail(cls, name: str, element, lhs, rhs) -> "CheckResult":
-        """element is shown by its repr, or as it is when it is already text."""
+        """element is shown by its repr, or as it is when it is already text;
+        a value that is an int or a Fraction as "p" or "p/q", and any other,
+        such as a structural witness of the coalgebra or series checks, by
+        str."""
         if not isinstance(element, str):
             element = repr(element)
-        return cls(name, "fail", {"element": element,
-                                  "lhs": rational_str(lhs),
-                                  "rhs": rational_str(rhs)})
+        show = lambda v: rational_str(v) if isinstance(v, (int, Fraction)) else str(v)
+        return cls(name, "fail", {"element": element, "lhs": show(lhs), "rhs": show(rhs)})
 
     @classmethod
     def from_mismatch(cls, name: str, mismatch) -> "CheckResult":

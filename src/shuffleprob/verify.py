@@ -14,6 +14,10 @@ exactly when it holds on the rational leaves; on ints the pairing and series
 kernels run their int loops.  A draw-based check reports its witness
 unscaled, both values divided by 6^k, k the degree of the witness, as on the
 rational leaves; a check on a fixed input reports its values as they are.
+One helper draws every random character.  Of the closed forms of the
+universal products, boolean is the grouped form of monotone and
+antimonotone with no letter grouped, and one helper takes the product of
+first moments.
 
 :func:`run_suites`, the one driver, checks the letters and max_degree by
 the rules of :mod:`io` and :mod:`words` before any suite runs.
@@ -25,7 +29,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
-from math import comb
+from math import comb, prod
 
 from . import functionals as fn
 from . import products as pr
@@ -175,29 +179,24 @@ def _check_alternating(w: Word):
 # The closed forms of the universal products at an alternating word w of a
 # LabeledContext ctx; node is the engine's product, read by the free form only.
 
-def _closed_grouped(tag: int, ctx, node, w: Word) -> Fraction:
+def _first_moments(ctx, letters) -> Fraction:
+    """The product of the first moments of the letters, in order."""
+    return prod((ctx.dist_for_tag(l.tag).moment(Word((l,))) for l in letters),
+                start=Fraction(1))
+
+
+def _closed_grouped(tag, ctx, node, w: Word) -> Fraction:
     """The letters of algebra tag multiply inside one moment; the other
-    algebra's letters factor out one by one."""
+    letters factor out one by one.  Tag None groups no letter."""
     _check_alternating(w)
     own = w.subword([i + 1 for i, l in enumerate(w) if l.tag == tag])
     out = ctx.dist_for_tag(tag).moment(own) if own else Fraction(1)
-    for l in w:
-        if l.tag != tag:
-            out *= ctx.dist_for_tag(l.tag).moment(Word((l,)))
-    return out
+    return out * _first_moments(ctx, (l for l in w if l.tag != tag))
 
 
 _closed_monotone = partial(_closed_grouped, 1)
 _closed_antimonotone = partial(_closed_grouped, 2)
-
-
-def _closed_boolean(ctx, node, w: Word) -> Fraction:
-    """Every letter factors out on its own moment."""
-    _check_alternating(w)
-    out = Fraction(1)
-    for l in w:
-        out *= ctx.dist_for_tag(l.tag).moment(Word((l,)))
-    return out
+_closed_boolean = partial(_closed_grouped, None)
 
 
 def _closed_free(ctx, node, w: Word) -> Fraction:
@@ -217,11 +216,7 @@ def _closed_free(ctx, node, w: Word) -> Fraction:
         if not inner:
             continue
         sign = -1 if (n - len(positions)) % 2 else 1
-        outer = Fraction(1)
-        for i in range(n):
-            if not mask >> i & 1:
-                l = w[i]
-                outer *= ctx.dist_for_tag(l.tag).moment(Word((l,)))
+        outer = _first_moments(ctx, (w[i] for i in range(n) if not mask >> i & 1))
         total += sign * inner * outer
     return -total
 
@@ -673,8 +668,7 @@ def products_suite(rng, ls, D) -> Report:
     # and C = P1 |> P2, built once when the draw is reached, so only one
     # draw's memos are filled at a time.
     d5 = min(D, 5)
-    triples = [[fn.exp_left(_random_infinitesimal(rng, ls, d5)) for _ in range(3)]
-               for _ in range(10)]
+    triples = [[_random_character(rng, ls, d5) for _ in range(3)] for _ in range(10)]
     left_sub = lambda a, b: pr.subordinate(a, b, Side.LEFT)
     draws = ((P1, P2, P3, pr.free_conv(P1, P2), left_sub(P2, P1), left_sub(P1, P2))
              for P1, P2, P3 in triples)

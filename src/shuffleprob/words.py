@@ -208,11 +208,8 @@ def _letters(letters) -> tuple[Letter, ...]:
     return letters
 
 
-def words_up_to(letters: Iterable[Letter], max_degree: int,
-                include_empty: bool = False) -> Iterator[Word]:
+def words_up_to(letters: Iterable[Letter], max_degree: int) -> Iterator[Word]:
     letters = tuple(letters)
-    if include_empty:
-        yield EMPTY_WORD
     for d in range(1, max_degree + 1):
         yield from words_of_degree(letters, d)
 
@@ -226,10 +223,7 @@ def barwords_of_degree(letters: Iterable[Letter], degree: int) -> Iterator[BarWo
             yield BarWord(combo)
 
 
-def barwords_up_to(letters: Iterable[Letter], max_degree: int,
-                   include_empty: bool = False) -> Iterator[BarWord]:
-    if include_empty:
-        yield EMPTY_BAR
+def barwords_up_to(letters: Iterable[Letter], max_degree: int) -> Iterator[BarWord]:
     for d in range(1, max_degree + 1):
         yield from barwords_of_degree(letters, d)
 

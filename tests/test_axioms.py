@@ -155,7 +155,7 @@ def test_unshuffle_bar_against_brute_force(defect):
     a, b, c = Letter("a"), Letter("b"), Letter("c")
     with inject_defect(defect) if defect else nullcontext():
         for letters, degree in (((a, b, c), 4), ((a,), 10), ((a, b), 7)):
-            for w in words_up_to(letters, degree, include_empty=True):
+            for w in (Word(), *words_up_to(letters, degree)):
                 _check_against_brute_force(w, defect is not None)
 
 

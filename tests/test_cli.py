@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from shuffleprob import ValidationError, io as sio
-from shuffleprob.cli import main
+import shuffleprob as sp
+from shuffleprob import CumulantKind, ValidationError, io as sio
+from shuffleprob.cli import build_parser, main
 from shuffleprob.mutations import inject_defect
 
 from conftest import run_python
@@ -346,11 +348,47 @@ def test_letter_named_one_exits_two(tmp_path, capsys):
 def test_bad_letter_names_exit_two(capsys):
     # the letter-name rule of the input files: a duplicate would enumerate
     # every word twice, "1", "a.b" and "a|b" would print as other words, and
-    # no name at all would certify every identity over no letters
-    for raw in ("a,a", "1,b", "a.b,c", "a|b", ","):
+    # no name at all would certify every identity over no letters; an empty
+    # name is refused too, not dropped
+    for raw in ("a,a", "1,b", "a.b,c", "a|b", ",", "a,,b", "a,"):
         for cmd in (["verify", "--suite", "coalgebra"], ["verify-coalgebra"]):
             assert main(cmd + ["--letters", raw, "--max-degree", "2"]) == 2, (cmd, raw)
             assert "error:" in capsys.readouterr().err
+
+
+def test_letter_names_are_stripped(capsys):
+    assert main(["verify-coalgebra", "--letters", " a , b ", "--max-degree", "3"]) == 0
+    golden = Path(__file__).resolve().parent / "golden"
+    assert capsys.readouterr().out == (golden / "verify-coalgebra-a-b-degree-3.txt").read_text()
+
+
+def _choices(parser, command, flag):
+    """The choices of one option of one command of the parser."""
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    [option] = [a for a in commands.choices[command]._actions if flag in a.option_strings]
+    return option.choices
+
+
+def test_cli_choices_are_accepted_by_the_library():
+    # the CLI keeps its own lists, so that it need not import products at
+    # start-up; every choice must reach a library call that takes it
+    from shuffleprob import products as pr
+    parser = build_parser()
+    families = [k.value for k in CumulantKind]
+    for command in ("cumulants", "moments", "convert"):
+        assert _choices(parser, command, "--kind") == families, command
+    d = sp.semicircle(3)
+    for kind in families:
+        values = sp.to_cumulants(d, kind)
+        assert sp.from_cumulants(values, kind, d.letters, 3) == d
+        for target in families:
+            sp.convert(values, kind, target, 3, d.letters)
+    for kind in _choices(parser, "convolve", "--kind"):
+        pr.convolve_distributions(d, d, kind)
+    for side in _choices(parser, "subordinate", "--side"):
+        pr.subordinate_distributions(d, d, side)
+    for name in _choices(parser, "series", "--kind"):
+        sp.series(d, name)
 
 
 def test_max_degree_above_cumulant_file_exits_two(tmp_path, capsys):

@@ -71,6 +71,20 @@ def test_distribution_is_an_immutable_value():
     assert pickle.loads(pickle.dumps(c, 0)) == c
 
 
+def test_distribution_moments_are_a_read_only_view():
+    # a store through d.moments would change a value that compares equal
+    # by its moments, and put a float where the engine reads a Fraction
+    d = sp.semicircle(4)
+    a = d.letters[0]
+    free = sp.to_cumulants(d, "free")
+    with pytest.raises(TypeError):
+        d.moments[uw(a, 2)] = 0.5
+    with pytest.raises(TypeError):
+        del d.moments[uw(a, 2)]
+    assert d == sp.semicircle(4) and d.moment(uw(a, 2)) == 1
+    assert sp.to_cumulants(d, "free") == free
+
+
 def test_semicircle_fixed_vectors():
     sem = sp.semicircle(6)
     a = sem.letters[0]

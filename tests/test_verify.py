@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shuffleprob as sp
-from shuffleprob import coproducts, functionals as fn
+from shuffleprob import coproducts, functionals as fn, io as sio
 from shuffleprob import products, verify
 from shuffleprob.cumulants import Distribution, tabulate
 from shuffleprob.errors import ValidationError
@@ -214,6 +214,19 @@ def test_report_lines_format():
     assert lines and all(line.startswith("[PASS]") for line in lines)
     failing = Report("demo", [CheckResult.fail("identity", "a.a", 1, 2)])
     assert "[FAIL]" in next(iter(failing.lines()))
+
+
+def test_witness_writers():
+    # the JSON writer writes rationals only; a report witness that is no
+    # rational, a structural one of the coalgebra or series checks, is
+    # written by str
+    assert sio.rational_str(Fraction(-3, 6)) == "-1/2" and sio.rational_str(4) == "4"
+    with pytest.raises(TypeError):
+        sio.rational_str({"x": 1})
+    check = CheckResult.fail("identity", Word((Letter("a"),)), 2, Fraction(1, 3))
+    assert check.witness == {"element": "a", "lhs": "2", "rhs": "1/3"}
+    check = CheckResult.fail("identity", "a|b", {"x": 1}, "2 terms")
+    assert check.witness == {"element": "a|b", "lhs": "{'x': 1}", "rhs": "2 terms"}
 
 
 def test_left_exp_multiplicativity_is_not_decided_by_the_flag(monkeypatch):
