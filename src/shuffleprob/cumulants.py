@@ -45,7 +45,7 @@ public constructors, :func:`cumulant_functional` and
 
 Input follows one rule each, and the other layers (the JSON reader, the
 CLI, ``verify.run_suites``) call these rules and do not check again: a
-value by ``functionals.parse_rational``, a max_degree by ``words._degree``,
+value by ``words.parse_rational``, a max_degree by ``words._degree``,
 and the keys of a moment map, a library cumulant map, a cumulant file or
 the coefficients of a :class:`TruncatedSeries` by :func:`_word_map`.  The
 declared letters of a :class:`Distribution`, of :func:`from_cumulants` and

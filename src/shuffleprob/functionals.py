@@ -51,7 +51,7 @@ and z < phi^{-1} solves X = z + X < (e - phi).  The right division gives
 axiom), hence ``ad_action``, the conjugation by E<(g1); the left division
 gives ``log_left`` (z = phi - e) and the conjugate in
 ``magnus.group_law_left``.  phi - e is phi past the empty bar word, so the
-two logarithms take phi itself as the base and write their 0 there.  The
+two logarithms take phi itself as the base and are built with 0 there.  The
 defining products these replace are references in :mod:`verify`, which
 checks the engine against them.  Every pairing reads its left leg first.
 A node that is its own left leg (the inverse, the left division and the
@@ -90,6 +90,9 @@ the empty bar word and on bar products).  They gate the operations whose
 meaning requires them, and drive evaluation: on a memo miss at a bar word of
 two or more components, a flagged node returns the product of its values on
 the component words, or 0, instead of recursing through the bar coproduct.
+A node's constructor takes its flags and its value at the empty bar word,
+so each constructor returns its node in one call with its whole contract,
+and nothing writes either after the node is built.
 
 There is one leaf node, ``_Table``: explicit bar-word values, 0 elsewhere,
 written into its memo, so a kernel's first read of one is a hit.
@@ -109,14 +112,16 @@ constructor on unflagged copies of its operands, so what the flags promise
 is still checked.
 
 The value at the empty bar word has one home, the node's own memo: a leaf
-holds it with its other values, and every derived node that fixes it
-without pairing (a series, the inverse, the half exponentials, and a linear
-combination, which sums its parts' values there) writes it in when it is
-built.  The unit e is 1 at the empty bar word and 0 elsewhere, so a linear
-combination drops it from its parts: e - phi and phi - e read only phi
-past the empty bar word.  So no tree that the package builds reads e, and
-e's memo holds its one entry only, unless e itself is paired, as the unit
-axioms in :mod:`verify` do.
+holds it with its other values (a character's 1 unless its map holds one),
+and every derived node that fixes it without pairing (a series, the
+inverse, the half exponentials, the two logarithms, and a linear
+combination, which sums its parts' values there) takes it as
+``unit_value``, which ``Functional.__init__`` writes in.  The unit e is 1
+at the empty bar word and 0 elsewhere, so a linear combination drops it
+from its parts: e - phi and phi - e read only phi past the empty bar word.
+So no tree that the package builds reads e, and e's memo holds its one
+entry only, unless e itself is paired, as the unit axioms in
+:mod:`verify` do.
 
 Every value is read one way: a subscript of the node's memo, a
 :class:`_Memo`, whose ``__missing__`` evaluates the node at a missed bar
@@ -144,15 +149,15 @@ deterministic either way).
 
 from __future__ import annotations
 
-import re
 import weakref
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from .coproducts import Side, _terms
-from .errors import DomainError, ValidationError
-from .words import BarWord, EMPTY_BAR, Word, _degree, _letters, all_barwords, as_barword
+from .errors import DomainError
+from .words import (BarWord, EMPTY_BAR, Word, _degree, _exact, _letters, all_barwords,
+                    as_barword, parse_rational)
 
 #: Read by nothing in this package.  perfbench/run.py refuses to run unless it
 #: is false, so the name stays until the benchmark stops reading it.
@@ -160,41 +165,6 @@ CROSS_CHECK_AD = False
 
 #: Functional values are exact: an int when integral, else a Fraction.
 Value = int | Fraction
-
-
-#: The string forms "p" and "p/q", with p signed and q not.  Fraction alone
-#: would also take decimals and exponents, and compute 10**3000000 for
-#: "1e3000000".
-_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
-
-
-def parse_rational(x) -> Fraction:
-    """x as a Fraction, by the one rule for input rationals, in the library
-    and in JSON files alike: an int (not a bool), a Fraction, or a string
-    "p" or "p/q".  Anything else, floats and Decimals included, raises
-    :class:`ValidationError`."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, str):  # before the ABC test below, which is slow
-        m = _RATIONAL.fullmatch(x)
-        if m is None:
-            raise ValidationError(f"bad rational literal {x!r}: expected 'p' or 'p/q'")
-        p, q = m.groups()
-        try:  # int() refuses a numeral past the int-string digit limit
-            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational literal {x!r}: {exc}") from None
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
-    raise ValidationError(f"expected an int, Fraction or 'p/q' string, got {type(x).__name__}")
-
-
-def _exact(v) -> Value:
-    """v by the rational rule, as an int when integral."""
-    if type(v) is int:
-        return v
-    v = parse_rational(v)
-    return v.numerator if v.denominator == 1 else v
 
 
 class _Ratio(tuple):
@@ -272,7 +242,7 @@ class _Memo(dict):
         elif node.is_character:
             parts = b.parts
             if parts is None:
-                parts = b.parts = tuple(BarWord((w,)) for w in b.words)
+                parts = b.parts = tuple(BarWord._of((w,)) for w in b.words)
             num = den = 1
             for part in parts:
                 v = self[part]
@@ -294,12 +264,18 @@ class _Memo(dict):
 
 
 class Functional:
+    """A node takes its whole contract when it is built: its two flags and,
+    when it fixes one, its value at the empty bar word, which goes into its
+    memo."""
+
     __slots__ = ("_memo", "is_character", "is_infinitesimal_character", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, is_character=False, is_infinitesimal_character=False, unit_value=None):
         self._memo = _Memo(self)
-        self.is_character = False
-        self.is_infinitesimal_character = False
+        if unit_value is not None:
+            self._memo[EMPTY_BAR] = unit_value
+        self.is_character = is_character
+        self.is_infinitesimal_character = is_infinitesimal_character
 
     def __call__(self, element) -> Value:
         if type(element) is not BarWord:
@@ -311,9 +287,13 @@ class Functional:
 
     # Linear structure; scalar multiples only (convolution is conv()).
     def __add__(self, other: "Functional") -> "Functional":
+        if not isinstance(other, Functional):
+            return NotImplemented
         return _Linear(((1, self), (1, other)))
 
     def __sub__(self, other: "Functional") -> "Functional":
+        if not isinstance(other, Functional):
+            return NotImplemented
         return _Linear(((1, self), (-1, other)))
 
     def __neg__(self) -> "Functional":
@@ -333,8 +313,8 @@ class _Table(Functional):
 
     __slots__ = ()
 
-    def __init__(self, values: Mapping, keys, what: str):
-        super().__init__()
+    def __init__(self, values: Mapping, keys, what: str, **contract):
+        super().__init__(**contract)
         memo = self._memo
         for k, v in values.items():
             if not isinstance(k, keys):
@@ -348,21 +328,24 @@ class _Table(Functional):
 
 class _Linear(Functional):
     """A linear combination sum c * f over its parts.  Its value at the
-    empty bar word, sum c * f(1), is written into its memo when it is
-    built, and the unit e, 0 everywhere else, is then dropped from the
-    parts.  The flag is still read over every part, e included, so
-    alpha + e is not flagged infinitesimal.  Its value is summed in ints
-    while the coefficients and the parts' values are ints; at the first
-    that is not, it is the :func:`_sum` of all the parts' values."""
+    empty bar word, sum c * f(1), read from the parts before the node
+    exists, is its ``unit_value``, and the unit e, 0 everywhere else, is
+    then dropped from the parts.  The flag is still read over every part,
+    e included, so alpha + e is not flagged infinitesimal; a given
+    ``is_infinitesimal_character`` replaces it, for a combination whose
+    parts are unflagged (a pre-Lie product, a group law).  Its value is
+    summed in ints while the coefficients and the parts' values are ints;
+    at the first that is not, it is the :func:`_sum` of all the parts'
+    values."""
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: Iterable[tuple[Value, Functional]]):
-        super().__init__()
+    def __init__(self, parts: Iterable[tuple[Value, Functional]], is_infinitesimal_character=None):
         self.parts = tuple(parts)
-        self.is_infinitesimal_character = all(
-            f.is_infinitesimal_character for _, f in self.parts)
-        self._memo[EMPTY_BAR] = self._value(EMPTY_BAR)
+        if is_infinitesimal_character is None:
+            is_infinitesimal_character = all(f.is_infinitesimal_character for _, f in self.parts)
+        super().__init__(is_infinitesimal_character=is_infinitesimal_character,
+                         unit_value=self._value(EMPTY_BAR))
         self.parts = tuple(p for p in self.parts if p[1] is not e)
 
     def _value(self, b):
@@ -379,14 +362,15 @@ class _Pairing(Functional):
     """Pair two functionals across one side of the unshuffle coproduct:
     the value at b is base(b) plus the sum of c * f(x) * g(y) over the
     terms c * x (x) y of the chosen (unreduced) coproduct of b; no base
-    counts as 0.
+    counts as 0.  Its constructor takes the node's flags and, for a fixed
+    point or a logarithm, its ``unit_value``.
 
     Either operand may be None, which stands for the node itself; this
     realises the fixed points X = e + a < X, X = e + X > a,
     X = e + X * (e - f), and the divisions X = z + (e - phi) > X and
     X = z + X < (e - phi).  The fixed points take no base: e is 0 off the
-    empty bar word, and their constructors write the 1 there into the
-    memo; the logarithms take phi as z = phi - e and write 0 there.  The
+    empty bar word, and their constructors pass the 1 there as
+    ``unit_value``; the logarithms take phi as z = phi - e and pass 0.  The
     loop reads the left leg first, so a node that is its own left leg
     drops the last term of its entry when it is b (x) 1, whose right leg
     vanishes.  The node does not store itself, which would make it a
@@ -405,8 +389,8 @@ class _Pairing(Functional):
 
     __slots__ = ("f", "g", "side", "base")
 
-    def __init__(self, f, g, side: Side, base=None):
-        super().__init__()
+    def __init__(self, f, g, side: Side, base=None, **contract):
+        super().__init__(**contract)
         self.f, self.g, self.side, self.base = f, g, side, base
 
     def _value(self, b):
@@ -453,8 +437,8 @@ class _Rows(_Memo):
 
 
 class _Series(Functional):
-    """A series: unit_term at the empty bar word, written into the memo
-    when the node is built, and at b of degree d the sum of coeff(i) *
+    """A series: ``unit_value`` at the empty bar word, taken with its flags
+    by its constructor, and at b of degree d the sum of coeff(i) *
     T_i(b) over i < d, where T_0 = first and T_i vanishes below degree
     i + 1.  ``legs`` holds (sign, side, prev_left, fixed): T_{i+1}(b) sums
     sign * c * T_i(x) * fixed(y) over the terms c x (x) y of the side on b
@@ -481,12 +465,11 @@ class _Series(Functional):
 
     __slots__ = ("first", "legs", "coeff", "nums", "den", "rows")
 
-    def __init__(self, first, legs, coeff, unit_term):
-        super().__init__()
+    def __init__(self, first, legs, coeff, **contract):
+        super().__init__(**contract)
         self.first, self.legs, self.coeff = first, legs, coeff
         self.nums, self.den = [], 1
         self.rows = _Rows(self)
-        self._memo[EMPTY_BAR] = unit_term
 
     def _value(self, b):
         row, nums = self.rows[b], self.nums
@@ -554,19 +537,17 @@ class _Series(Functional):
 
 def character(moments: Mapping[Word, Fraction]) -> Functional:
     """The character extending a word -> moment map multiplicatively over bars."""
-    out = _Table(moments, Word, "moment keys must be words")
-    if out._memo.setdefault(EMPTY_BAR, 1) != 1:
+    out = _Table(moments, Word, "moment keys must be words", is_character=True, unit_value=1)
+    if out._memo[EMPTY_BAR] != 1:
         raise DomainError("the empty word must have moment 1")
-    out.is_character = True
     return out
 
 
 def infinitesimal(values: Mapping[Word, Fraction]) -> Functional:
     """The infinitesimal character with the given word values."""
-    out = _Table(values, Word, "value keys must be words")
+    out = _Table(values, Word, "value keys must be words", is_infinitesimal_character=True)
     if EMPTY_BAR in out._memo:
         raise DomainError("an infinitesimal character vanishes on the empty word")
-    out.is_infinitesimal_character = True
     return out
 
 
@@ -587,9 +568,7 @@ def unit() -> Functional:
 
 def conv(f: Functional, g: Functional) -> Functional:
     """Convolution product f * g."""
-    out = _Pairing(f, g, Side.FULL)
-    out.is_character = f.is_character and g.is_character
-    return out
+    return _Pairing(f, g, Side.FULL, is_character=f.is_character and g.is_character)
 
 
 def _half(f: Functional, g: Functional, side: Side) -> Functional:
@@ -614,10 +593,8 @@ def prelie(f: Functional, g: Functional) -> Functional:
     if f(EMPTY_BAR) != 0 or g(EMPTY_BAR) != 0:
         raise DomainError("the pre-Lie product acts on functionals vanishing "
                           "on the empty bar word")
-    out = _Linear(((1, hs_right(f, g)), (-1, hs_left(g, f))))
-    out.is_infinitesimal_character = (f.is_infinitesimal_character
-                                      and g.is_infinitesimal_character)
-    return out
+    flag = f.is_infinitesimal_character and g.is_infinitesimal_character
+    return _Linear(((1, hs_right(f, g)), (-1, hs_left(g, f))), is_infinitesimal_character=flag)
 
 
 def neumann_inverse(f: Functional) -> Functional:
@@ -625,10 +602,7 @@ def neumann_inverse(f: Functional) -> Functional:
     The Neumann series sum_k (e - f)^{*k}, realised as X = e + X * (e - f)."""
     if f(EMPTY_BAR) != 1:
         raise DomainError("only functionals with value 1 on the empty bar word are invertible")
-    out = _Pairing(None, e - f, Side.FULL)
-    out._memo[EMPTY_BAR] = 1
-    out.is_character = f.is_character
-    return out
+    return _Pairing(None, e - f, Side.FULL, unit_value=1, is_character=f.is_character)
 
 
 def _prelie_legs(f) -> tuple:
@@ -637,15 +611,19 @@ def _prelie_legs(f) -> tuple:
     return ((1, Side.RIGHT, False, f), (-1, Side.LEFT, True, f))
 
 
+def _exp_coeff(i: int) -> Fraction:
+    """1/(i+1)!, the coefficient of the iterate T_i of exp* and of the
+    inverse Magnus map W."""
+    return Fraction(1, factorial(i + 1))
+
+
 def exp_star(alpha: Functional) -> Functional:
     """Convolution exponential e + sum alpha^{*n} / n!: a series of the
     powers of alpha, each one convolution step T -> T * alpha after the last."""
     if alpha(EMPTY_BAR) != 0:
         raise DomainError("exp* needs an operand vanishing on the empty bar word")
-    out = _Series(alpha, ((1, Side.FULL, True, alpha),),
-                  lambda i: Fraction(1, factorial(i + 1)), 1)
-    out.is_character = alpha.is_infinitesimal_character
-    return out
+    return _Series(alpha, ((1, Side.FULL, True, alpha),), _exp_coeff,
+                   unit_value=1, is_character=alpha.is_infinitesimal_character)
 
 
 def log_star(phi: Functional) -> Functional:
@@ -654,20 +632,16 @@ def log_star(phi: Functional) -> Functional:
     if phi(EMPTY_BAR) != 1:
         raise DomainError("log* needs an operand with value 1 on the empty bar word")
     base = phi - e
-    out = _Series(base, ((1, Side.FULL, True, base),),
-                  lambda i: Fraction(-1 if i % 2 else 1, i + 1), 0)
-    out.is_infinitesimal_character = phi.is_character
-    return out
+    return _Series(base, ((1, Side.FULL, True, base),),
+                   lambda i: Fraction(-1 if i % 2 else 1, i + 1),
+                   unit_value=0, is_infinitesimal_character=phi.is_character)
 
 
 def _half_exp(alpha: Functional, f, g, side: Side) -> Functional:
     if alpha(EMPTY_BAR) != 0:
         raise DomainError("half-shuffle exponentials need an operand vanishing "
                           "on the empty bar word")
-    out = _Pairing(f, g, side)
-    out._memo[EMPTY_BAR] = 1
-    out.is_character = alpha.is_infinitesimal_character
-    return out
+    return _Pairing(f, g, side, unit_value=1, is_character=alpha.is_infinitesimal_character)
 
 
 def exp_left(alpha: Functional) -> Functional:
@@ -680,37 +654,34 @@ def exp_right(alpha: Functional) -> Functional:
     return _half_exp(alpha, None, alpha, Side.RIGHT)
 
 
-def _divide_right(phi: Functional, z: Functional) -> Functional:
+def _divide_right(phi: Functional, z: Functional, **contract) -> Functional:
     # phi^{-1} > z, the solution of X = z + (e - phi) > X (phi > X = z, e > X = X)
-    return _Pairing(e - phi, None, Side.RIGHT, z)
+    return _Pairing(e - phi, None, Side.RIGHT, z, **contract)
 
 
-def _divide_left(z: Functional, phi: Functional) -> Functional:
+def _divide_left(z: Functional, phi: Functional, **contract) -> Functional:
     # z < phi^{-1}, the solution of X = z + X < (e - phi) (X < phi = z, X < e = X)
-    return _Pairing(None, e - phi, Side.LEFT, z)
+    return _Pairing(None, e - phi, Side.LEFT, z, **contract)
 
 
 def _half_log(phi: Functional, divide) -> Functional:
     if phi(EMPTY_BAR) != 1:
         raise DomainError("half-shuffle logarithms need a unital operand")
-    out = divide(phi, phi)
-    out._memo[EMPTY_BAR] = 0
-    out.is_infinitesimal_character = phi.is_character
-    return out
+    return divide(phi, phi, unit_value=0, is_infinitesimal_character=phi.is_character)
 
 
 def log_left(phi: Functional) -> Functional:
     """Left half-shuffle logarithm (phi - e) < phi^{-1}, the compositional
     inverse of exp_left; computed as the division X = (phi - e) + X < (e - phi).
     phi - e is phi past the empty bar word, so phi itself is the base, and
-    the 0 there is written into the memo."""
+    the node is built with 0 there."""
     return _half_log(phi, _divide_left)
 
 
 def log_right(phi: Functional) -> Functional:
     """Right half-shuffle logarithm phi^{-1} > (phi - e), computed as the
     division X = (phi - e) + (e - phi) > X, with phi as the base and 0
-    written at the empty bar word, as in :func:`log_left`."""
+    at the empty bar word, as in :func:`log_left`."""
     return _half_log(phi, _divide_right)
 
 
@@ -733,9 +704,8 @@ def adjoint(phi: Functional, mu: Functional) -> Functional:
         raise DomainError("the adjoint action is indexed by unital functionals")
     if mu(EMPTY_BAR) != 0:
         raise DomainError("the adjoint action moves functionals vanishing at the unit")
-    out = _divide_right(phi, hs_left(mu, phi))
-    out.is_infinitesimal_character = (mu.is_infinitesimal_character and phi.is_character)
-    return out
+    flag = mu.is_infinitesimal_character and phi.is_character
+    return _divide_right(phi, hs_left(mu, phi), is_infinitesimal_character=flag)
 
 
 def ad_action(g1: Functional, g2: Functional) -> Functional:

@@ -8,7 +8,7 @@ for byte.
 
 This module only turns text into words and letters.  Values, degrees
 and map keys are checked by the library's own rules (``parse_rational`` of
-:mod:`functionals`, re-exported here, and the checks of :mod:`cumulants`),
+:mod:`words`, re-exported here, and the checks of :mod:`cumulants`),
 once, so a file and a library call accept the same input.  The writers read
 each value they are handed by the same rational rule, and each letter by the
 readers' letter-name rule; the format has no algebra tags, so a tagged letter
@@ -24,8 +24,7 @@ from typing import Mapping
 
 from .cumulants import CumulantKind, Distribution, TruncatedSeries, _word_map
 from .errors import DomainError, ValidationError
-from .functionals import parse_rational
-from .words import Letter, Word
+from .words import Letter, Word, parse_rational
 
 
 def rational_str(v) -> str:

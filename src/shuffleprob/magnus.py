@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import DomainError
-from .functionals import (Functional, _prelie_legs, _Series, _divide_left, conv, exp_left,
-                          exp_star, hs_right, log_star)
+from .functionals import (Functional, _exp_coeff, _Linear, _prelie_legs, _Series, _divide_left,
+                          conv, exp_left, exp_star, hs_right, log_star)
 
 
 class BernoulliTable:
@@ -60,13 +60,7 @@ def _series(arg: Functional, fixed, coeff, what: str) -> Functional:
     # the series of pre-Lie iterates L_f^m(arg), f = fixed or the node itself
     if not arg.is_infinitesimal_character:
         raise DomainError(f"the {what} acts on infinitesimal characters")
-    out = _Series(arg, _prelie_legs(fixed), coeff, 0)
-    out.is_infinitesimal_character = True
-    return out
-
-
-def _inverse_coeff(n: int) -> Fraction:
-    return Fraction(1, factorial(n + 1))
+    return _Series(arg, _prelie_legs(fixed), coeff, unit_value=0, is_infinitesimal_character=True)
 
 
 def _twisted(coeff):
@@ -88,7 +82,7 @@ def magnus_inverse(rho: Functional) -> Functional:
     """Inverse Magnus map W(rho); W and O are mutually inverse.
 
     The pre-Lie exponential W = sum_n L_rho^n (rho) / (n+1)!."""
-    return _series(rho, rho, _inverse_coeff, "inverse Magnus expansion")
+    return _series(rho, rho, _exp_coeff, "inverse Magnus expansion")
 
 
 def _magnus_twisted(beta: Functional) -> Functional:
@@ -98,7 +92,7 @@ def _magnus_twisted(beta: Functional) -> Functional:
 
 def _magnus_inverse_twisted(rho: Functional) -> Functional:
     """-W(-rho), the series sum_n (-1)^n L_rho^n (rho) / (n+1)!."""
-    return _series(rho, rho, _twisted(_inverse_coeff), "inverse Magnus expansion")
+    return _series(rho, rho, _twisted(_exp_coeff), "inverse Magnus expansion")
 
 
 def bch(g1: Functional, g2: Functional) -> Functional:
@@ -117,9 +111,7 @@ def group_law_left(g1: Functional, g2: Functional) -> Functional:
         raise DomainError("the shuffle group laws act on infinitesimal characters")
     E = exp_left(g1)
     moved = _divide_left(hs_right(E, g2), E)
-    out = g1 + moved
-    out.is_infinitesimal_character = True
-    return out
+    return _Linear(((1, g1), (1, moved)), is_infinitesimal_character=True)
 
 
 def group_law_right(g1: Functional, g2: Functional) -> Functional:

@@ -124,14 +124,20 @@ def enumerate_partitions(n: int, family: PartitionFamily = PartitionFamily.ALL
                          ) -> tuple[SetPartition, ...]:
     """All set partitions of [n] in the family, via restricted-growth strings.
 
-    Each position joins an open block, in label order, or opens a new one,
-    so only the strings of the family are grown.  Every block is open in the
+    The family is a :class:`PartitionFamily` or its value ("all",
+    "non-crossing", "interval"); any other raises DomainError.  Each
+    position joins an open block, in label order, or opens a new one, so
+    only the strings of the family are grown.  Every block is open in the
     full family.  In the non-crossing family, joining a block closes the
     blocks opened after it, since a later position in one of them would
     cross it; in the interval family only the newest block is open.
     """
     if not 1 <= n <= MAX_N:
         raise DomainError(f"partition enumeration supports 1 <= n <= {MAX_N}, got {n}")
+    try:
+        family = PartitionFamily(family)
+    except ValueError:
+        raise DomainError(f"unknown partition family {family!r}") from None
     out = []
     labels = [0] * n
 

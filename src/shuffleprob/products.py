@@ -155,6 +155,10 @@ class LabeledContext:
         return self.d1.character(), self.d2.character()
 
     def dist_for_tag(self, tag: int) -> Distribution:
+        """The distribution of algebra tag 1 or 2; any other tag raises
+        DomainError."""
+        if type(tag) is not int or tag not in (1, 2):
+            raise DomainError(f"a labeled context has algebra tags 1 and 2, got {tag!r}")
         return self.d1 if tag == 1 else self.d2
 
     def alternating_words(self, max_len: int):

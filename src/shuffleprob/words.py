@@ -13,15 +13,19 @@ and hash by identity, in C, and every memo or coproduct lookup keyed by one is
 an identity hit.  A bar product caches its one-word components in ``parts``
 for the character nodes, and :func:`word_bars_up_to` keeps the one-word bar
 words of the recent word sweeps, so a warm sweep or bar product builds no bar
-word.  The one rule for a declared letter set, :func:`_letters`, and the
-one rule for a max_degree, :func:`_degree`, are here.
+word.  The one rule for a declared letter set, :func:`_letters`, the one
+rule for a max_degree, :func:`_degree`, and the one rule for an input
+rational, :func:`parse_rational`, are here, below every module that reads
+one.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 import weakref
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
@@ -208,6 +212,41 @@ def _letters(letters) -> tuple[Letter, ...]:
     return letters
 
 
+#: The string forms "p" and "p/q", with p signed and q not.  Fraction alone
+#: would also take decimals and exponents, and compute 10**3000000 for
+#: "1e3000000".
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def parse_rational(x) -> Fraction:
+    """x as a Fraction, by the one rule for input rationals, in the library
+    and in JSON files alike: an int (not a bool), a Fraction, or a string
+    "p" or "p/q".  Anything else, floats and Decimals included, raises
+    :class:`ValidationError`."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, str):  # before the ABC test below, which is slow
+        m = _RATIONAL.fullmatch(x)
+        if m is None:
+            raise ValidationError(f"bad rational literal {x!r}: expected 'p' or 'p/q'")
+        p, q = m.groups()
+        try:  # int() refuses a numeral past the int-string digit limit
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational literal {x!r}: {exc}") from None
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValidationError(f"expected an int, Fraction or 'p/q' string, got {type(x).__name__}")
+
+
+def _exact(v) -> int | Fraction:
+    """v by the rational rule, as an int when integral."""
+    if type(v) is int:
+        return v
+    v = parse_rational(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def words_up_to(letters: Iterable[Letter], max_degree: int) -> Iterator[Word]:
     letters = tuple(letters)
     for d in range(1, max_degree + 1):
@@ -215,12 +254,13 @@ def words_up_to(letters: Iterable[Letter], max_degree: int) -> Iterator[Word]:
 
 
 def barwords_of_degree(letters: Iterable[Letter], degree: int) -> Iterator[BarWord]:
-    """All bar words of the exact total degree: one block per composition part."""
-    letters = tuple(letters)
+    """All bar words of the exact total degree: one block per composition
+    part, each found from its letter tuples (:meth:`BarWord._of`)."""
+    letters, of = tuple(letters), BarWord._of
     for comp in _compositions(degree):
-        pools = [words_of_degree(letters, part) for part in comp]
+        pools = [itertools.product(letters, repeat=part) for part in comp]
         for combo in itertools.product(*pools):
-            yield BarWord(combo)
+            yield of(combo)
 
 
 def barwords_up_to(letters: Iterable[Letter], max_degree: int) -> Iterator[BarWord]:
@@ -256,4 +296,4 @@ def word_bars_up_to(letters: tuple[Letter, ...], max_degree: int) -> tuple[BarWo
     The distribution API sweeps these to read a functional on every word;
     the bounded cache saves building a word and finding its canonical bar
     word for every word of every call."""
-    return tuple(BarWord((w,)) for w in words_up_to(tuple(letters), max_degree))
+    return tuple(BarWord._of((w,)) for w in words_up_to(tuple(letters), max_degree))

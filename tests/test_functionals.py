@@ -781,3 +781,14 @@ def test_constructors_refuse_operands_outside_their_domain(name):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, op", [
+    (lambda f: f + 3, "+"), (lambda f: f - 3, "-"), (lambda f: 3 + f, "+"),
+    (lambda f: 3 - f, "-"), (lambda f: f + sp.TensorSum.unit(), "+"),
+], ids=["f + 3", "f - 3", "3 + f", "3 - f", "f + tensor"])
+def test_sums_refuse_an_operand_that_is_not_a_functional(call, op):
+    # a sum with anything but a functional returns NotImplemented, so Python
+    # raises TypeError before a node is built
+    with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for {op}"):
+        call(random_inf(68))

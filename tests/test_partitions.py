@@ -16,6 +16,13 @@ A = Letter("a")
 B = Letter("b")
 
 
+def test_a_family_is_read_by_member_or_by_value():
+    for family in PartitionFamily:
+        assert enumerate_partitions(4, family.value) == enumerate_partitions(4, family)
+    assert [len(enumerate_partitions(4, f)) for f in ("all", "non-crossing", "interval")] \
+        == [15, 14, 8]
+
+
 def test_counts_match_the_classical_sequences():
     for n in range(1, MAX_N + 1):
         if n < 9:
@@ -143,7 +150,12 @@ def test_oracle_convert_examples_and_domain():
     (lambda: SetPartition(2, [[0, 1, 2]]), "blocks ((0, 1, 2),) do not partition [2]"),
     (lambda: oracle_moments({Word((A,)): F(1)}, "gaussian", Word((A, A))),
      "unknown cumulant kind 'gaussian'"),
-], ids=["a missing point", "a repeated point", "a point outside [n]", "unknown kind"])
+    (lambda: enumerate_partitions(4, "bogus"), "unknown partition family 'bogus'"),
+    (lambda: enumerate_partitions(4, 3), "unknown partition family 3"),
+    (lambda: enumerate_partitions(4, None), "unknown partition family None"),
+    (lambda: enumerate_partitions(4, "ALL"), "unknown partition family 'ALL'"),
+], ids=["a missing point", "a repeated point", "a point outside [n]", "unknown kind",
+        "unknown family", "a family by int", "no family", "a family by member name"])
 def test_oracle_refuses_what_it_does_not_define(call, message):
     with pytest.raises(DomainError) as info:
         call()

@@ -223,6 +223,10 @@ PRODUCT_REFUSALS = {
     "subordinate_distributions with a list for the side": (
         lambda: sp.subordinate_distributions(sp.semicircle(4), sp.semicircle(4), ["left"]),
         ValidationError, "unknown side ['left']; expected left or right"),
+    **{f"dist_for_tag({tag!r})": (
+        lambda tag=tag: context().dist_for_tag(tag), DomainError,
+        f"a labeled context has algebra tags 1 and 2, got {tag!r}")
+       for tag in (0, 3, None, "1", True)},
     "convolve_distributions with a list for the kind": (
         lambda: sp.convolve_distributions(sp.semicircle(4), sp.semicircle(4), ["free"]),
         ValidationError, "unknown convolution kind ['free']; expected one of "

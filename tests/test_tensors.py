@@ -1,7 +1,10 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
-from shuffleprob import BarWord, TensorSum, Word
+import pytest
+
+from shuffleprob import BarWord, TensorSum, ValidationError, Word, unshuffle
 from shuffleprob.words import all_barwords, EMPTY_BAR
 
 from conftest import AB
@@ -61,3 +64,27 @@ def test_subtraction_cancels():
     x = _random_sum(rng)
     assert not (x - x)
     assert x + (-x) == TensorSum({})
+
+
+def test_coefficients_follow_the_rational_rule():
+    # the constructor and the scalar of a multiple read each value by the
+    # package's one rule: ints, Fractions and "p/q" strings, no floats
+    t = unshuffle(Word((AB[0],)))
+    one = (EMPTY_BAR, EMPTY_BAR)
+    for bad in (0.5, Decimal("0.5"), 0.0, True):
+        with pytest.raises(ValidationError):
+            TensorSum({one: bad})
+        with pytest.raises(ValidationError):
+            bad * t
+    assert TensorSum({one: "1/2"}) == TensorSum({one: Fraction(1, 2)})
+    assert type(TensorSum({one: Fraction(4, 2)}).coefficient(*one)) is int
+    assert Fraction(1, 2) * t + Fraction(1, 2) * t == t
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: t + 3, lambda t: t - 3, lambda t: 3 + t, lambda t: t.bar_mul(3),
+    lambda t: t + {}, lambda t: t.bar_mul({}),
+], ids=["t + 3", "t - 3", "3 + t", "bar_mul(3)", "t + dict", "bar_mul(dict)"])
+def test_arithmetic_refuses_an_operand_that_is_not_a_tensor(call):
+    with pytest.raises(TypeError):
+        call(TensorSum.unit())
