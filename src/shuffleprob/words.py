@@ -143,10 +143,14 @@ class BarWord:
     def _of(cls, key: tuple) -> "BarWord":
         """The bar word of key, a tuple of letter tuples: the live one,
         found without the lock, or on a miss the constructor's, of the
-        words of key.  No live key holds an empty tuple, so one that does
-        misses, and the constructor drops it."""
+        words of key, where a component that is a Word already is kept, so
+        bar words enumerated from shared words share them.  No live key
+        holds an empty tuple, so one that does misses, and the constructor
+        drops it."""
         self = _live_bars.get(key)
-        return cls(map(Word, key)) if self is None else self
+        if self is None:
+            return cls(w if type(w) is Word else Word(w) for w in key)
+        return self
 
     def __reduce__(self):
         return (BarWord, (self.words,))
@@ -255,10 +259,10 @@ def words_up_to(letters: Iterable[Letter], max_degree: int) -> Iterator[Word]:
 
 def barwords_of_degree(letters: Iterable[Letter], degree: int) -> Iterator[BarWord]:
     """All bar words of the exact total degree: one block per composition
-    part, each found from its letter tuples (:meth:`BarWord._of`)."""
+    part, each found from its words (:meth:`BarWord._of`)."""
     letters, of = tuple(letters), BarWord._of
     for comp in _compositions(degree):
-        pools = [itertools.product(letters, repeat=part) for part in comp]
+        pools = [words_of_degree(letters, part) for part in comp]
         for combo in itertools.product(*pools):
             yield of(combo)
 

@@ -179,7 +179,7 @@ def test_engine_results_are_read_by_no_rule(monkeypatch):
     # the distribution API hands back maps marked as read by the word-map
     # rule, so a result that goes on to from_cumulants, convert or a
     # Distribution reads no value again
-    from shuffleprob import functionals, products
+    from shuffleprob import functionals, products, words
 
     kinds = ("free", "boolean", "monotone")
     obj = {"letters": ["a", "b"], "max_degree": 3,
@@ -192,6 +192,8 @@ def test_engine_results_are_read_by_no_rule(monkeypatch):
     def refuse(v):
         raise AssertionError(f"{v!r} read again")
 
+    # the rule lives in words, which _exact reads; functionals re-exports it
+    monkeypatch.setattr(words, "parse_rational", refuse)
     monkeypatch.setattr(functionals, "parse_rational", refuse)
     for k, c in results.items():
         assert sp.from_cumulants(c, k, d1.letters, n) == d1
